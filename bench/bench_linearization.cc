@@ -4,12 +4,18 @@
 //   maxdepth(D, Σ) = maxdepth(lin(D), lin(Σ)).
 // The table chases both sides of the equivalence on guarded workloads
 // and also reports the size of the reachable lin(Σ) fragment (Σ-types).
+// A second table times Linearize alone on University at doubling |D|:
+// for a fixed Σ the work (ms per fact, oracle atoms scanned per fact)
+// should stay flat.
+#include <cstdio>
+
 #include "bench/bench_util.h"
 #include "chase/chase.h"
 #include "rewrite/linearize.h"
 #include "tgd/parser.h"
 #include "workload/lower_bounds.h"
 #include "workload/random_tgds.h"
+#include "workload/university.h"
 
 namespace nuchase {
 namespace {
@@ -43,6 +49,53 @@ void AddRow(util::Table* table, const std::string& label,
                  std::to_string(original.stats.max_depth),
                  std::to_string(linearized.stats.max_depth),
                  fin_match && depth_match ? "yes" : "NO"});
+}
+
+std::string Fixed(double value, const char* format) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), format, value);
+  return buf;
+}
+
+/// Linearize on University, 2 departments x (5 profs, `students`, 8
+/// courses): best of three wall times plus the oracle's counters.
+void AddScalingRow(util::Table* table, std::uint32_t students) {
+  double best_ms = -1;
+  std::size_t facts = 0;
+  rewrite::Linearized last;
+  for (int rep = 0; rep < 3; ++rep) {
+    core::SymbolTable symbols;
+    workload::UniversityOptions options;
+    options.departments = 2;
+    options.professors_per_department = 5;
+    options.students_per_department = students;
+    options.courses_per_department = 8;
+    workload::Workload w =
+        workload::MakeUniversityWorkload(&symbols, options);
+    facts = w.database.size();
+    bench::Stopwatch watch;
+    auto lin = rewrite::Linearize(w.database, w.tgds, &symbols,
+                                  rewrite::LinearizeOptions{});
+    const double ms = watch.Seconds() * 1e3;
+    if (!lin.ok()) {
+      table->AddRow({std::to_string(facts), "-", "-", "-", "-", "-", "-",
+                     "-", "failed: " + lin.status().ToString()});
+      return;
+    }
+    if (best_ms < 0 || ms < best_ms) best_ms = ms;
+    last = std::move(*lin);
+  }
+  const saturation::TypeOracle::Stats& stats = last.oracle_stats;
+  const auto per_fact = [facts](double value) {
+    return value / static_cast<double>(facts);
+  };
+  table->AddRow(
+      {std::to_string(facts), std::to_string(last.num_types),
+       Fixed(best_ms, "%.2f"), Fixed(per_fact(best_ms), "%.4f"),
+       std::to_string(stats.passes), std::to_string(stats.child_evals),
+       std::to_string(stats.child_evals_skipped),
+       std::to_string(stats.atoms_scanned),
+       Fixed(per_fact(static_cast<double>(stats.atoms_scanned)), "%.1f")});
 }
 
 void Run() {
@@ -95,6 +148,15 @@ void Run() {
     AddRow(&table, "random-g-" + std::to_string(seed), &symbols, w);
   }
   bench::PrintTable(table);
+
+  util::Table scaling("linearize scaling (University, 2 departments)",
+                      {"|D|", "types", "linearize ms", "ms/fact", "passes",
+                       "child evals", "skipped", "atoms scanned",
+                       "scanned/fact"});
+  for (std::uint32_t students : {50u, 100u, 200u, 400u, 800u}) {
+    AddScalingRow(&scaling, students);
+  }
+  bench::PrintTable(scaling);
 }
 
 }  // namespace

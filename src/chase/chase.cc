@@ -12,6 +12,7 @@
 #include "chase/null_store.h"
 #include "chase/trigger.h"
 #include "graph/reliance.h"
+#include "util/deadline.h"
 #include "util/hash.h"
 #include "util/parse.h"
 #include "util/thread_pool.h"
@@ -335,8 +336,7 @@ ChaseResult RunChase(core::SymbolScope* symbols, const tgd::TgdSet& tgds,
   // stops within a bounded slice of work.
   const auto start = std::chrono::steady_clock::now();
   const bool has_deadline = options.deadline_ms != 0;
-  const auto deadline =
-      start + std::chrono::milliseconds(options.deadline_ms);
+  const auto deadline = util::DeadlineAfter(start, options.deadline_ms);
   std::uint32_t deadline_poll = 0;
   auto stop_requested = [&]() {
     if (options.cancel != nullptr && options.cancel->cancelled()) {

@@ -110,26 +110,40 @@ StatusOr<Linearized> Linearize(const core::Database& db,
   auto completed = oracle->Complete(db.facts());
   if (!completed.ok()) return completed.status();
 
+  // Index complete(D, Σ) by first argument: the atoms inside dom(fact)
+  // are the 0-ary ones plus atoms listed under one of fact's terms.
+  std::unordered_map<Term, std::vector<const Atom*>> by_first;
+  std::vector<const Atom*> nullary;
+  for (const Atom& beta : *completed) {
+    if (beta.args.empty()) {
+      nullary.push_back(&beta);
+    } else {
+      by_first[beta.args[0]].push_back(&beta);
+    }
+  }
+
   for (const Atom& fact : db.facts()) {
     std::unordered_map<Term, std::uint32_t> ids =
         FirstOccurrenceIds(fact.args);
     SigmaType type;
     type.guard.predicate = fact.predicate;
     for (Term t : fact.args) type.guard.args.push_back(ids.at(t));
-    for (const Atom& beta : *completed) {
-      bool inside = true;
-      for (Term t : beta.args) {
-        if (!ids.count(t)) {
-          inside = false;
-          break;
-        }
-      }
-      if (!inside) continue;
+    auto add_if_inside = [&](const Atom* beta) {
+      bool inside = std::all_of(
+          beta->args.begin(), beta->args.end(),
+          [&ids](Term t) { return ids.count(t) > 0; });
+      if (!inside) return;
       CAtom mapped;
-      mapped.predicate = beta.predicate;
-      for (Term t : beta.args) mapped.args.push_back(ids.at(t));
-      if (mapped == type.guard) continue;
+      mapped.predicate = beta->predicate;
+      for (Term t : beta->args) mapped.args.push_back(ids.at(t));
+      if (mapped == type.guard) return;
       type.others.insert(std::move(mapped));
+    };
+    for (const Atom* beta : nullary) add_if_inside(beta);
+    for (const auto& entry : ids) {
+      auto it = by_first.find(entry.first);
+      if (it == by_first.end()) continue;
+      for (const Atom* beta : it->second) add_if_inside(beta);
     }
     core::PredicateId tau = registry.Intern(type);
     Status st = out.database.AddFact(Atom(tau, fact.args));
@@ -235,6 +249,7 @@ StatusOr<Linearized> Linearize(const core::Database& db,
   }
 
   out.num_types = out.types.size();
+  out.oracle_stats = oracle->stats();
   return out;
 }
 

@@ -41,6 +41,9 @@ struct Linearized {
   std::unordered_map<core::PredicateId, SigmaType> types;
   /// Number of Σ-types generated (= types.size()).
   std::size_t num_types = 0;
+  /// Work counters of the type oracle behind complete(D, Σ) and the
+  /// Σ-type completions.
+  saturation::TypeOracle::Stats oracle_stats;
 };
 
 /// Options bounding the (exponential in general) type generation.

@@ -2,9 +2,8 @@
 #define NUCHASE_SATURATION_TYPE_ORACLE_H_
 
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "core/atom.h"
@@ -24,16 +23,33 @@ namespace saturation {
 /// decider for propositional atom entailment PAE(G).
 ///
 /// Algorithm: a memoized monotone fixpoint over canonical worlds (the
-/// recursion behind Lemma 6 of [19]). For a world W:
-///   1. every trigger (σ, h) on W whose head atoms use only frontier
-///      variables contributes those atoms directly, and
-///   2. every trigger with existential variables spawns a child world —
-///      the instantiated head atoms plus the current atoms of W over the
-///      frontier images — whose own completion, restricted to non-fresh
-///      terms, flows back into W.
+/// recursion behind Lemma 6 of [19]). A pass over a world W with current
+/// atoms S:
+///   1. matches every guard(σ) against the atoms of S with the guard's
+///      predicate (S is ordered by predicate, so this is a range of S);
+///      the guard binds every body variable, so each side atom is one
+///      membership lookup in S;
+///   2. adds the head atoms of triggers without existential variables;
+///   3. for every trigger with existential variables, builds the child
+///      world — the instantiated head atoms plus the atoms of S over the
+///      frontier images — from a by-first-argument index of S (plus the
+///      0-ary atoms), evaluates it, and adds its completion restricted to
+///      non-fresh terms.
+/// Additions are buffered until the pass ends and children write only
+/// their own memo entries, so S and its index stay fixed during a pass
+/// (the index holds pointers into S). For a fixed Σ a pass costs O(|S|)
+/// to index plus, per trigger, a bounded number of lookups in S and a
+/// scan of the atoms listed under its frontier images — no scan of S per
+/// guard match or per child world.
+///
 /// Memo entries grow monotonically inside finite lattices (all worlds
 /// except the root have at most ar(Σ) + #existentials terms), so the
 /// global fixpoint terminates; budgets bound the exponential type space.
+/// A world whose evaluation is in progress answers with its current
+/// value (this cuts cycles of self-similar worlds). Every growth of any
+/// memo entry bumps a growth epoch; a world whose last pass grew nothing
+/// anywhere is marked converged in that epoch and is not re-run until
+/// some entry grows again, so converged child worlds cost one lookup.
 class TypeOracle {
  public:
   struct Options {
@@ -43,6 +59,18 @@ class TypeOracle {
     std::uint64_t max_total_atoms = 5'000'000;
     /// Maximum recursion depth through child worlds.
     std::uint32_t max_recursion = 4096;
+  };
+
+  /// Deterministic work counters, cumulative over the oracle's lifetime.
+  struct Stats {
+    /// Passes over a world (rounds of the local fixpoint).
+    std::uint64_t passes = 0;
+    /// Evaluations of child worlds requested by existential triggers.
+    std::uint64_t child_evals = 0;
+    /// Of those, the ones answered by the converged-epoch check.
+    std::uint64_t child_evals_skipped = 0;
+    /// Atoms visited while matching guards and building child worlds.
+    std::uint64_t atoms_scanned = 0;
   };
 
   /// Fails (FailedPrecondition) if Σ is not guarded.
@@ -66,36 +94,59 @@ class TypeOracle {
                                             core::PredicateId pred);
 
   std::size_t memo_size() const { return memo_.size(); }
+  const Stats& stats() const { return stats_; }
 
  private:
-  TypeOracle(const core::SymbolTable& symbols, const tgd::TgdSet& tgds,
-             const Options& options)
-      : symbols_(symbols), tgds_(tgds), options_(options) {}
+  /// An atom pattern of a rule with its variables numbered as slots:
+  /// body variables 0..n-1 by first occurrence in the guard, then the
+  /// existential variables.
+  struct Pattern {
+    core::PredicateId predicate = core::kInvalidPredicate;
+    std::vector<std::uint32_t> slots;
 
-  /// Evaluates the world to a local fixpoint using current memo values for
-  /// children; sets global_changed_ when any memo entry grows.
-  util::Status Eval(const CKey& key, std::uint32_t depth);
+    /// Writes the atom under the slot binding h into *out, reusing its
+    /// storage.
+    void Instantiate(const std::vector<std::uint32_t>& h, CAtom* out) const;
+  };
+  struct CompiledRule {
+    Pattern guard;
+    std::vector<Pattern> sides;
+    std::vector<Pattern> head;
+    std::vector<std::uint32_t> frontier;
+    std::uint32_t num_body_vars = 0;
+    std::uint32_t num_existentials = 0;
+  };
+  /// A memoized world: its current atoms and its evaluation state.
+  struct Entry {
+    CAtomSet atoms;
+    bool in_progress = false;
+    /// Growth epoch of the last pass that grew nothing anywhere.
+    std::uint64_t converged_epoch = kNeverConverged;
+  };
+  static constexpr std::uint64_t kNeverConverged = ~std::uint64_t{0};
+
+  TypeOracle(const core::SymbolTable& symbols,
+             std::vector<CompiledRule> rules, const Options& options)
+      : symbols_(symbols), rules_(std::move(rules)), options_(options) {}
+
+  /// Evaluates the world to a local fixpoint using current memo values
+  /// for children; returns its (current) memo entry.
+  util::StatusOr<const CAtomSet*> Eval(const CKey& key, std::uint32_t depth);
 
   /// One pass over all triggers of the world; returns whether S grew.
-  util::StatusOr<bool> OnePass(const CKey& key, std::uint32_t depth);
-
-  /// Enumerates homomorphisms of `body` into `world` (atoms indexed by
-  /// predicate); h maps variables to local integers.
-  void EnumerateHoms(
-      const std::vector<core::Atom>& body, const CAtomSet& world,
-      const std::function<void(
-          const std::unordered_map<core::Term, std::uint32_t>&)>& cb) const;
+  util::StatusOr<bool> OnePass(std::uint32_t num_terms, Entry* entry,
+                               std::uint32_t depth);
 
   util::Status CheckBudget() const;
 
   const core::SymbolTable& symbols_;
-  const tgd::TgdSet& tgds_;
+  std::vector<CompiledRule> rules_;
   Options options_;
 
-  std::unordered_map<CKey, CAtomSet, CKeyHash> memo_;
-  std::unordered_set<CKey, CKeyHash> in_progress_;
-  bool global_changed_ = false;
+  std::unordered_map<CKey, Entry, CKeyHash> memo_;
+  std::uint64_t epoch_ = 0;
   std::uint64_t total_atoms_ = 0;
+  Stats stats_;
 };
 
 }  // namespace saturation

@@ -16,6 +16,7 @@
 
 #include "api/session.h"
 #include "chase/observer.h"
+#include "util/deadline.h"
 
 namespace nuchase {
 namespace server {
@@ -272,8 +273,7 @@ void Server::HandleChase(Connection* conn, const ChaseRequest& request) {
   auto live = std::make_shared<LiveRequest>();
   live->request = request;
   if (request.deadline_ms > 0) {
-    live->deadline =
-        Clock::now() + std::chrono::milliseconds(request.deadline_ms);
+    live->deadline = util::DeadlineAfter(Clock::now(), request.deadline_ms);
   }
   {
     std::lock_guard<std::mutex> lock(conn->mu);

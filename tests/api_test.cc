@@ -638,6 +638,25 @@ TEST(CancelTest, DeadlineLeavesTerminatingRunsAlone) {
   EXPECT_EQ(run->outcome(), api::ChaseOutcome::kTerminated);
 }
 
+TEST(CancelTest, HugeDeadlinesBehaveAsNoDeadline) {
+  // Budgets beyond the steady clock's nanosecond range used to wrap to a
+  // deadline in the past, so a diverging chase reported kCancelled after
+  // 22 atoms. Saturated, they must leave the atom budget to stop it.
+  auto program = api::Program::Parse(kDiverging);
+  ASSERT_TRUE(program.ok());
+  for (std::uint64_t ms :
+       {std::uint64_t{1} << 53, std::uint64_t{0x7fffffffffffffff},
+        std::uint64_t{0xffffffffffffffff}}) {
+    api::Session session(
+        *program,
+        api::SessionOptions().set_deadline_ms(ms).set_max_atoms(2000));
+    auto run = session.Chase();
+    ASSERT_TRUE(run.ok());
+    EXPECT_EQ(run->outcome(), api::ChaseOutcome::kAtomLimit) << ms;
+    EXPECT_GT(run->instance().size(), 2000u) << ms;
+  }
+}
+
 // ---------------------------------------------------------------------
 // Concurrency: N sessions over one shared `const Program`.
 

@@ -88,6 +88,16 @@ run_cli(out 2 chase --extent-log2=25 "${PROGRAM_FILE}")
 # The well-formed spellings of the same budgets still work.
 run_cli(out 0 chase --max-rounds=50 --max-depth=10 "${PROGRAM_FILE}")
 expect_line("${out}" "outcome:    terminated" "chase with budgets")
+# Deadlines past the steady clock's range (2^53, 2^63 - 1 and 2^64 - 1
+# ms) must behave as no deadline: the atom budget stops this diverging
+# chase (exit 1), never a wrapped deadline reporting "cancelled".
+set(DIVERGING_FILE "${WORK_DIR}/diverging.tgd")
+file(WRITE "${DIVERGING_FILE}" "R(a, b).\nR(x, y) -> R(y, z).\n")
+foreach(ms 9007199254740992 9223372036854775807 18446744073709551615)
+  run_cli(out 1 chase --deadline-ms=${ms} --max-atoms=2000
+      "${DIVERGING_FILE}")
+  expect_line("${out}" "outcome:    atom-limit" "chase --deadline-ms=${ms}")
+endforeach()
 execute_process(
     COMMAND "${NUCHASE_CLI}" classify "${WORK_DIR}/no_such_file.tgd"
     OUTPUT_QUIET ERROR_QUIET

@@ -1,9 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "chase/chase.h"
 #include "rewrite/linearize.h"
+#include "termination/naive_decider.h"
+#include "termination/syntactic_decider.h"
 #include "tgd/classify.h"
 #include "tgd/parser.h"
+#include "tgd/printer.h"
+#include "workload/random_tgds.h"
+#include "workload/university.h"
 
 namespace nuchase {
 namespace rewrite {
@@ -160,6 +172,160 @@ TEST(LinearizeTest, TypeBudgetIsEnforced) {
                        options);
   EXPECT_FALSE(lin.ok());
   EXPECT_EQ(lin.status().code(), util::StatusCode::kResourceExhausted);
+}
+
+// --- Linear work in |D|: for a fixed Σ the type oracle's deterministic
+// work counters must grow linearly with the database. ---
+
+/// University with 2 departments x (5 profs, `students`, 8 courses);
+/// `review` adds the review rule and 10 UnderReview facts.
+workload::Workload TwoDepartmentUniversity(core::SymbolTable* symbols,
+                                           std::uint32_t students,
+                                           bool review = false) {
+  workload::UniversityOptions options;
+  options.departments = 2;
+  options.professors_per_department = 5;
+  options.students_per_department = students;
+  options.courses_per_department = 8;
+  options.include_review_rule = review;
+  options.under_review = review ? 10 : 0;
+  return workload::MakeUniversityWorkload(symbols, options);
+}
+
+saturation::TypeOracle::Stats UniversityOracleStats(
+    std::uint32_t students) {
+  core::SymbolTable symbols;
+  workload::Workload w = TwoDepartmentUniversity(&symbols, students);
+  auto lin = Linearize(w.database, w.tgds, &symbols, LinearizeOptions{});
+  EXPECT_TRUE(lin.ok()) << lin.status().ToString();
+  return lin.ok() ? lin->oracle_stats : saturation::TypeOracle::Stats{};
+}
+
+TEST(LinearizeScalingTest, OracleWorkIsLinearInTheDatabase) {
+  // Doubling the students roughly doubles |D| (738 -> 1468 facts). A
+  // quadratic oracle scans ~4x the atoms; a linear one ~2x.
+  saturation::TypeOracle::Stats small = UniversityOracleStats(200);
+  saturation::TypeOracle::Stats large = UniversityOracleStats(400);
+  ASSERT_GT(small.atoms_scanned, 0u);
+  EXPECT_LE(static_cast<double>(large.atoms_scanned),
+            2.3 * static_cast<double>(small.atoms_scanned))
+      << small.atoms_scanned << " -> " << large.atoms_scanned;
+  // The fixpoint needs the same number of passes at both sizes, and
+  // converged child worlds are looked up, not re-run.
+  EXPECT_EQ(small.passes, large.passes);
+  EXPECT_GT(large.child_evals_skipped, 0u);
+  EXPECT_LE(large.child_evals_skipped, large.child_evals);
+}
+
+// --- Identity net: lin(Σ), lin(D), the Σ-type names and the guarded
+// verdict, byte for byte against goldens captured before the type
+// oracle was indexed (tests/golden/lin_<case>.txt). ---
+
+std::string RenderLinGolden(core::SymbolTable* symbols,
+                            const tgd::TgdSet& tgds,
+                            const core::Database& db) {
+  auto lin = Linearize(db, tgds, symbols, LinearizeOptions{});
+  if (!lin.ok()) return "% error: " + lin.status().ToString() + "\n";
+  std::string out =
+      tgd::ProgramToString(lin->tgds, lin->database, *symbols);
+  std::vector<std::string> names;
+  for (const auto& entry : lin->types) {
+    names.push_back(entry.second.Name(*symbols));
+  }
+  std::sort(names.begin(), names.end());
+  out += "% types " + std::to_string(names.size()) + "\n";
+  for (const std::string& name : names) out += "% " + name + "\n";
+  auto decision = termination::DecideGuarded(symbols, tgds, db);
+  if (!decision.ok()) {
+    return out + "% decide error: " + decision.status().ToString() + "\n";
+  }
+  return out + "% decide " +
+         termination::DecisionName(decision->decision) +
+         " simple_tgds=" + std::to_string(decision->simple_tgds) +
+         " lin_types=" + std::to_string(decision->lin_types) +
+         " lin_tgds=" + std::to_string(decision->lin_tgds) + "\n";
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+const std::string kRepoDir = NUCHASE_REPO_DIR;
+
+bool IsGuardedProgram(const std::string& text) {
+  core::SymbolTable symbols;
+  auto program = tgd::ParseProgram(&symbols, text);
+  return program.ok() &&
+         tgd::ClassContainedIn(tgd::Classify(program->tgds),
+                               tgd::TgdClass::kGuarded);
+}
+
+/// Renders the golden case `name`: "university[_review]" (2 departments
+/// x (5 profs, 100 students, 8 courses); the review variant adds the
+/// review rule and 10 UnderReview facts), "example_<stem>" (the guarded
+/// examples/programs/<stem>.tgd) or "random_g<seed>" (the guarded
+/// random workload of that seed).
+std::string RenderCase(const std::string& name) {
+  core::SymbolTable symbols;
+  workload::Workload w;
+  if (name.rfind("university", 0) == 0) {
+    w = TwoDepartmentUniversity(&symbols, 100, name == "university_review");
+  } else if (name.rfind("example_", 0) == 0) {
+    auto program = tgd::ParseProgram(
+        &symbols, ReadFile(kRepoDir + "/examples/programs/" +
+                           name.substr(8) + ".tgd"));
+    if (!program.ok()) return "% parse error\n";
+    w.tgds = std::move(program->tgds);
+    w.database = std::move(program->database);
+  } else {
+    workload::RandomTgdOptions options;
+    options.seed = static_cast<std::uint32_t>(std::stoul(name.substr(8)));
+    options.target = tgd::TgdClass::kGuarded;
+    w = workload::MakeRandomWorkload(&symbols, options);
+  }
+  return RenderLinGolden(&symbols, w.tgds, w.database);
+}
+
+std::vector<std::string> GoldenCases() {
+  std::vector<std::string> cases = {
+      "university", "university_review", "example_data_exchange",
+      "example_quickstart", "example_restraint_order",
+      "example_witness_race"};
+  for (int seed = 1; seed <= 12; ++seed) {
+    cases.push_back("random_g" + std::to_string(seed));
+  }
+  return cases;
+}
+
+class LinearizeGoldenTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(LinearizeGoldenTest, MatchesCapturedOutput) {
+  const std::string path =
+      kRepoDir + "/tests/golden/lin_" + GetParam() + ".txt";
+  const std::string expected = ReadFile(path);
+  ASSERT_FALSE(expected.empty()) << "missing golden " << path;
+  EXPECT_EQ(RenderCase(GetParam()), expected) << path;
+}
+
+INSTANTIATE_TEST_SUITE_P(Goldens, LinearizeGoldenTest,
+                         ::testing::ValuesIn(GoldenCases()),
+                         [](const ::testing::TestParamInfo<std::string>& info) {
+                           return info.param;
+                         });
+
+TEST(LinearizeGoldenCoverageTest, EveryGuardedExampleProgramHasACase) {
+  std::vector<std::string> cases = GoldenCases();
+  for (const auto& file : std::filesystem::directory_iterator(
+           kRepoDir + "/examples/programs")) {
+    if (file.path().extension() != ".tgd") continue;
+    if (!IsGuardedProgram(ReadFile(file.path().string()))) continue;
+    const std::string name = "example_" + file.path().stem().string();
+    EXPECT_NE(std::find(cases.begin(), cases.end(), name), cases.end())
+        << file.path() << " is guarded but has no lin golden";
+  }
 }
 
 }  // namespace

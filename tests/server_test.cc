@@ -248,6 +248,34 @@ TEST(ServerStreamTest, DeadlineExpiresMidChase) {
   EXPECT_EQ(stats.cancelled, 0u);
 }
 
+TEST(ServerStreamTest, HugeDeadlinesBehaveAsNoDeadline) {
+  // Budgets beyond the steady clock's range used to wrap to a deadline
+  // in the past ("deadline elapsed while queued"). Saturated, the atom
+  // budget is what stops the diverging chase.
+  const std::uint64_t budgets[] = {std::uint64_t{1} << 53,
+                                   std::uint64_t{0x7fffffffffffffff},
+                                   std::uint64_t{0xffffffffffffffff}};
+  std::vector<std::string> script;
+  for (std::size_t i = 0; i < 3; ++i) {
+    ChaseRequest chase = MakeChase("huge" + std::to_string(i),
+                                   kInfiniteProgram);
+    chase.deadline_ms = budgets[i];
+    chase.max_atoms = 2000;
+    script.push_back(SerializeRequest(chase));
+  }
+  StatsFrame stats;
+  auto frames = RunScript({}, script, &stats);
+  for (std::size_t i = 0; i < 3; ++i) {
+    auto huge = FramesFor(frames, "huge" + std::to_string(i));
+    ASSERT_EQ(huge.size(), 2u) << budgets[i];
+    ASSERT_EQ(huge[1].type, ResponseFrame::Type::kResult) << budgets[i];
+    EXPECT_EQ(huge[1].result.outcome, "atom-limit") << budgets[i];
+    EXPECT_GT(huge[1].result.atoms, 2000u) << budgets[i];
+  }
+  EXPECT_EQ(stats.deadline_exceeded, 0u);
+  EXPECT_EQ(stats.cancelled, 0u);
+}
+
 TEST(ServerStreamTest, DuplicateLiveIdIsRejected) {
   auto frames = RunScript(
       {}, {SerializeRequest(MakeChase("dup", kInfiniteProgram)),

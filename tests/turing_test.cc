@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "chase/chase.h"
 #include "tgd/classify.h"
 #include "workload/turing.h"
@@ -57,6 +59,11 @@ struct TmCase {
   TuringMachine (*make)();
   bool halts;
 };
+
+// Without this gtest prints a TmCase as its raw bytes, which include
+// pointer values; ctest would then name each case after addresses that
+// change from build to build.
+void PrintTo(const TmCase& c, std::ostream* os) { *os << c.name; }
 
 TuringMachine Halting0() { return MakeHaltingTm(0); }
 TuringMachine Halting1() { return MakeHaltingTm(1); }

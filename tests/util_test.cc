@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cerrno>
+#include <chrono>
 
+#include "util/deadline.h"
 #include "util/hash.h"
 #include "util/parse.h"
 #include "util/status.h"
@@ -58,6 +60,24 @@ TEST(StatusOrTest, MoveOnlyValue) {
   ASSERT_TRUE(v.ok());
   std::unique_ptr<int> owned = std::move(v).value();
   EXPECT_EQ(*owned, 7);
+}
+
+TEST(DeadlineTest, AddsRepresentableBudgets) {
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(util::DeadlineAfter(start, 0), start);
+  EXPECT_EQ(util::DeadlineAfter(start, 1500),
+            start + std::chrono::milliseconds(1500));
+}
+
+TEST(DeadlineTest, SaturatesBudgetsBeyondTheClock) {
+  const auto start = std::chrono::steady_clock::now();
+  for (std::uint64_t ms :
+       {std::uint64_t{1} << 53, std::uint64_t{0x7fffffffffffffff},
+        std::uint64_t{0xffffffffffffffff}}) {
+    EXPECT_EQ(util::DeadlineAfter(start, ms),
+              std::chrono::steady_clock::time_point::max())
+        << ms;
+  }
 }
 
 TEST(HashTest, CombineChangesSeed) {
