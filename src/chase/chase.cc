@@ -9,7 +9,6 @@
 #include <thread>
 
 #include "chase/fired_set.h"
-#include "chase/null_store.h"
 #include "chase/trigger.h"
 #include "graph/reliance.h"
 #include "util/deadline.h"
@@ -97,121 +96,197 @@ std::uint32_t ResolveNumThreads(const ChaseOptions& options) {
 
 JoinPlanSet PlanJoins(const tgd::TgdSet& tgds) {
   // Precondition: |Σ| ≤ tgd::kMaxRules (api::Program::Analyze and
-  // RunChase both reject over-cap sets before planning), making the
-  // RuleIndex cast exact.
-  const tgd::RuleIndex num_rules =
-      static_cast<tgd::RuleIndex>(tgds.size());
+  // RunChase both reject over-cap sets before planning).
   JoinPlanSet plans;
-  plans.reserve(num_rules);
-  for (tgd::RuleIndex ti = 0; ti < num_rules; ++ti) {
-    const std::vector<Atom>& body = tgds.tgd(ti).body();
-    JoinPlan plan;
-    plan.reordered_bodies.resize(body.size());
-    plan.old_flags.resize(body.size());
-    for (std::size_t p = 0; p < body.size(); ++p) {
-      std::vector<std::size_t> order = PlanJoinOrder(body, p);
-      std::vector<Atom>& reordered = plan.reordered_bodies[p];
-      std::vector<bool>& old_only = plan.old_flags[p];
-      reordered.reserve(body.size());
-      old_only.reserve(body.size());
-      for (std::size_t i : order) {
-        reordered.push_back(body[i]);
-        old_only.push_back(i < p);
-      }
-    }
-    plans.push_back(std::move(plan));
-  }
+  plans.reserve(tgds.size());
+  for (const tgd::Tgd& rule : tgds.tgds()) plans.push_back(PlanJoin(rule));
   return plans;
 }
 
 namespace {
 
-/// A collected, not-yet-applied trigger: the TGD index, the frontier
-/// images (in sorted-frontier order), the full body-variable images (in
-/// sorted-body-variable order; only kept by the oblivious variant, which
-/// names nulls by them), and the instance index of the guard image
-/// (kNoGuard when the TGD is not guarded).
+/// A collected, not-yet-applied trigger. Its `count` images live at
+/// offset `images` of the owning PendingList's arena: the frontier
+/// images (sorted-frontier order), then — oblivious variant only, which
+/// names nulls by them — the full body-variable images
+/// (sorted-body-variable order). `guard_image` is the instance index of
+/// the guard image, or kNoGuard (the TGD is not guarded, or no forest
+/// is being built).
 struct PendingTrigger {
   tgd::RuleIndex tgd_index;
-  std::vector<Term> frontier_images;
-  std::vector<Term> body_images;
   AtomIndex guard_image;
+  std::uint64_t images;
+  std::uint32_t count;
 
   static constexpr AtomIndex kNoGuard = 0xffffffffu;
 };
 
-/// Canonical within-round order: rule-major (Σ-order), then by frontier
-/// images, then body images. Both engines (delta-seeded and full-scan)
-/// enumerate the same trigger set per round but in different orders;
-/// sorting before the apply phase makes the firing order — and hence the
-/// restricted-chase result — independent of the engine, so the ablation
-/// cells stay byte-identical. The leading tgd_index key is what lets one
-/// sort serve the cross-rule collect too: a whole group's worker buffers
-/// merge into per-rule runs in Σ-order, each run internally in the exact
-/// order the rule's solo collect would have produced.
-bool PendingBefore(const PendingTrigger& a, const PendingTrigger& b) {
-  if (a.tgd_index != b.tgd_index) return a.tgd_index < b.tgd_index;
-  if (a.frontier_images != b.frontier_images) {
-    return a.frontier_images < b.frontier_images;
+/// Pending triggers plus the one Term arena all their images live in:
+/// collecting a trigger appends to two reused vectors, never allocates
+/// a vector of its own.
+struct PendingList {
+  std::vector<PendingTrigger> triggers;
+  std::vector<Term> arena;
+
+  const Term* ImagesOf(const PendingTrigger& t) const {
+    return arena.data() + t.images;
   }
-  return a.body_images < b.body_images;
+  void Clear() {
+    triggers.clear();
+    arena.clear();
+  }
+};
+
+/// Canonical within-round order: rule-major (Σ-order), then by frontier
+/// images, then body images (one lexicographic comparison of the image
+/// run: both halves have the rule's fixed lengths). Both engines
+/// (delta-seeded and full-scan) enumerate the same trigger set per
+/// round but in different orders; sorting before the apply phase makes
+/// the firing order — and hence the restricted-chase result —
+/// independent of the engine, so the ablation cells stay
+/// byte-identical. The leading tgd_index key is what lets one sort serve
+/// the cross-rule collect too: a whole group's worker buffers merge into
+/// per-rule runs in Σ-order, each run internally in the exact order the
+/// rule's solo collect would have produced.
+bool PendingBefore(const PendingTrigger& a, const Term* a_images,
+                   const PendingTrigger& b, const Term* b_images) {
+  if (a.tgd_index != b.tgd_index) return a.tgd_index < b.tgd_index;
+  return std::lexicographical_compare(a_images, a_images + a.count,
+                                      b_images, b_images + b.count);
 }
 
-/// Two candidates with equal (rule, frontier, body) images are the same
-/// trigger (their dedup keys coincide), so PendingBefore is a total
-/// order on the deduplicated set and a weak order with
-/// duplicate-adjacency on the raw parallel candidate buffers — exactly
-/// what the merge needs: sort, then drop consecutive equals.
-bool SameTrigger(const PendingTrigger& a, const PendingTrigger& b) {
-  return a.tgd_index == b.tgd_index &&
-         a.frontier_images == b.frontier_images &&
-         a.body_images == b.body_images;
+/// Sorts a list into canonical (PendingBefore) order.
+void SortPending(PendingList* list) {
+  const Term* arena = list->arena.data();
+  std::sort(list->triggers.begin(), list->triggers.end(),
+            [arena](const PendingTrigger& a, const PendingTrigger& b) {
+              return PendingBefore(a, arena + a.images, b, arena + b.images);
+            });
 }
 
-/// Builds the PendingTrigger for (σ_ti, h) and its dedup key — the one
-/// definition of trigger identity that the sequential engine, the
-/// parallel workers and the merge all share. Key: (σ, h|fr(σ)) for the
-/// semi-oblivious and restricted variants (result and
-/// head-satisfaction depend only on the frontier restriction), (σ, h)
-/// for the oblivious one.
-void FillPendingTrigger(const tgd::Tgd& rule, std::uint32_t ti,
-                        bool oblivious, const Substitution& h,
-                        PendingTrigger* trig,
-                        std::vector<std::uint32_t>* key) {
-  trig->tgd_index = ti;
-  trig->guard_image = PendingTrigger::kNoGuard;
-  const std::vector<Term>& frontier = rule.frontier();
-  trig->frontier_images.reserve(frontier.size());
-  for (Term v : frontier) trig->frontier_images.push_back(h.at(v));
+/// Two candidates with equal (rule, images) are the same trigger (their
+/// dedup keys coincide), so PendingBefore is a total order on the
+/// deduplicated set and a weak order with duplicate-adjacency on the
+/// raw parallel candidate buffers — exactly what the merge needs: sort,
+/// then drop consecutive equals.
+bool SameTrigger(const PendingTrigger& a, const Term* a_images,
+                 const PendingTrigger& b, const Term* b_images) {
+  return a.tgd_index == b.tgd_index && a.count == b.count &&
+         std::equal(a_images, a_images + a.count, b_images);
+}
+
+/// The one definition of trigger identity that the sequential engine,
+/// the parallel workers and the merge all share: writes the dedup key
+/// of (σ_ti, h) into `*key` (cleared first; a reused buffer). Key:
+/// (σ, h|fr(σ)) for the semi-oblivious and restricted variants (result
+/// and head-satisfaction depend only on the frontier restriction),
+/// (σ, h) for the oblivious one. `slots` is h in the plan's slot
+/// layout.
+void BuildFiredKey(const JoinPlan& plan, tgd::RuleIndex ti, bool oblivious,
+                   const Term* slots, std::vector<std::uint32_t>* key) {
   key->clear();
   key->push_back(ti);
   if (oblivious) {
-    const std::vector<Term>& body_vars = rule.body_variables();
-    trig->body_images.reserve(body_vars.size());
-    for (Term v : body_vars) {
-      Term image = h.at(v);
-      key->push_back(image.bits());
-      trig->body_images.push_back(image);
+    for (std::uint32_t s = 0; s < plan.num_body_slots; ++s) {
+      key->push_back(slots[s].bits());
     }
   } else {
-    for (Term image : trig->frontier_images) {
-      key->push_back(image.bits());
+    for (std::uint32_t s : plan.frontier_slots) {
+      key->push_back(slots[s].bits());
     }
   }
 }
 
-/// Rebuilds an already-built trigger's dedup key (the merge path, where
-/// h is no longer available). Consistent with FillPendingTrigger by
-/// construction: it reads the images that function stored.
-std::vector<std::uint32_t> FiredKeyOf(const PendingTrigger& trig,
-                                      bool oblivious) {
-  const std::vector<Term>& images =
-      oblivious ? trig.body_images : trig.frontier_images;
-  std::vector<std::uint32_t> key;
-  key.reserve(1 + images.size());
-  key.push_back(trig.tgd_index);
-  for (Term image : images) key.push_back(image.bits());
-  return key;
+/// The same key rebuilt from a collected trigger's images (the merge
+/// path, where h is gone). Consistent with BuildFiredKey by
+/// construction: the oblivious key images are the body images, which
+/// follow the frontier images in the arena.
+void FiredKeyOf(const PendingTrigger& trig, const Term* images,
+                const JoinPlan& plan, bool oblivious,
+                std::vector<std::uint32_t>* key) {
+  const std::size_t skip = oblivious ? plan.frontier_slots.size() : 0;
+  key->clear();
+  key->push_back(trig.tgd_index);
+  for (std::size_t i = skip; i < trig.count; ++i) {
+    key->push_back(images[i].bits());
+  }
+}
+
+/// Appends (σ_ti, h) to `list`: its images go to the list's arena.
+void AppendPending(const JoinPlan& plan, tgd::RuleIndex ti, bool oblivious,
+                   const Term* slots, AtomIndex guard_image,
+                   PendingList* list) {
+  PendingTrigger trig;
+  trig.tgd_index = ti;
+  trig.guard_image = guard_image;
+  trig.images = list->arena.size();
+  for (std::uint32_t s : plan.frontier_slots) {
+    list->arena.push_back(slots[s]);
+  }
+  if (oblivious) {
+    list->arena.insert(list->arena.end(), slots,
+                       slots + plan.num_body_slots);
+  }
+  trig.count = static_cast<std::uint32_t>(list->arena.size() - trig.images);
+  list->triggers.push_back(trig);
+}
+
+/// Copies a trigger of another list (a worker buffer) into `list`.
+void CopyPending(const PendingTrigger& trig, const Term* images,
+                 PendingList* list) {
+  PendingTrigger copy = trig;
+  copy.images = list->arena.size();
+  list->arena.insert(list->arena.end(), images, images + trig.count);
+  list->triggers.push_back(copy);
+}
+
+/// How binding a trigger's existential variables ended.
+enum class BindResult {
+  kOk,                 ///< Every null bound (all within the budget).
+  kDepthLimit,         ///< A null exceeded the depth budget.
+  kResourceExhausted,  ///< The scope ran out of null ids.
+};
+
+/// Binds the `num_existential` existential variables of one trigger —
+/// the unit of work of the apply phase's serial pass — to fresh nulls,
+/// appended to `*out` in σ's sorted existential order.
+///
+/// Definition 3.1 names the null for z of trigger (σ, h) ⊥^z_{σ, h|fr(σ)}
+/// (oblivious: ⊥^z_{σ, h}): its identity is a function of the fired-set
+/// key plus z. The fired set admits each key at most once per run and
+/// every admitted trigger binds at most once, so a key never asks for
+/// its nulls twice, and allocating fresh ones in canonical trigger
+/// order IS the functional naming — no key -> null map is needed.
+///
+/// Every null has depth 1 + max({depth(h(x)) | x ∈ fr(σ)} ∪ {0})
+/// (Definition 4.3), raising *observed_max_depth. Stops at the first
+/// failure: a null deeper than `max_depth_limit` (0 = unlimited; the
+/// breaching null still lands in `*out` and still raises
+/// *observed_max_depth, mirroring how the engine's depth statistic
+/// counts the breach itself) or an exhausted scope (nothing appended
+/// for that variable).
+BindResult BindFreshNulls(core::SymbolScope* symbols,
+                          std::size_t num_existential,
+                          const Term* frontier_images,
+                          std::size_t num_frontier,
+                          std::uint32_t max_depth_limit,
+                          std::vector<Term>* out,
+                          std::uint32_t* observed_max_depth) {
+  std::uint32_t depth = 0;
+  for (std::size_t i = 0; i < num_frontier; ++i) {
+    depth = std::max(depth, symbols->depth(frontier_images[i]));
+  }
+  ++depth;
+  for (std::size_t z = 0; z < num_existential; ++z) {
+    util::StatusOr<Term> null = symbols->MakeNull(depth);
+    if (!null.ok()) return BindResult::kResourceExhausted;
+    out->push_back(*null);
+    *observed_max_depth = std::max(*observed_max_depth, depth);
+    if (max_depth_limit != 0 && depth > max_depth_limit) {
+      return BindResult::kDepthLimit;
+    }
+  }
+  return BindResult::kOk;
 }
 
 /// One delta-seeded enumeration task of the parallel collect phase:
@@ -229,8 +304,11 @@ struct SeedTask {
 /// buffers are written only by the owning worker inside a pool region
 /// and read only by the merge after the barrier.
 struct CollectWorker {
-  std::vector<PendingTrigger> candidates;
-  std::uint64_t join_probes = 0;
+  PendingList candidates;
+  std::vector<std::uint32_t> key;
+  std::vector<std::uint32_t> last_key;  // key of candidates' last entry
+  // (rule, probes) runs in task order; see collect_group_pooled.
+  std::vector<std::pair<tgd::RuleIndex, std::uint64_t>> probe_runs;
   std::uint32_t deadline_poll = 0;
   bool interrupted = false;
 };
@@ -244,10 +322,10 @@ struct ApplyWorker {
   bool interrupted = false;
 };
 
-/// Where one term of a head tuple comes from: a frontier image (read
-/// from PendingTrigger::frontier_images) or a bound existential null
-/// (read from the trigger's run of the pass-1 null buffer). TGD atoms
-/// are constant-free (tgd.h), so these two sources are exhaustive.
+/// Where one term of a head tuple comes from: a frontier image or a
+/// bound existential null (read from the trigger's run of the pass-1
+/// null buffer). TGD atoms are constant-free (tgd.h), so these two
+/// sources are exhaustive.
 struct HeadSlot {
   bool existential;
   std::uint32_t index;
@@ -264,6 +342,16 @@ struct HeadPlan {
   std::vector<HeadSlot> slots;
   std::vector<core::BatchTuple> tuples;
   std::size_t terms_per_trigger = 0;
+
+  /// Writes one trigger's head tuples (terms_per_trigger terms) to
+  /// `out`, from its frontier images and its bound nulls.
+  void Fill(const Term* frontier_images, const Term* nulls,
+            Term* out) const {
+    for (std::size_t s = 0; s < slots.size(); ++s) {
+      out[s] = slots[s].existential ? nulls[slots[s].index]
+                                    : frontier_images[slots[s].index];
+    }
+  }
 };
 
 HeadPlan PlanHead(const tgd::Tgd& rule) {
@@ -325,9 +413,13 @@ ChaseResult RunChase(core::SymbolScope* symbols, const tgd::TgdSet& tgds,
     result.instance = Instance(log2);
   }
   Instance& instance = result.instance;
-  NullStore nulls(symbols);
   const bool oblivious = options.variant == ChaseVariant::kOblivious;
   FlatFiredSet fired;
+#ifndef NDEBUG
+  // The debug form of BindFreshNulls' naming argument: every null key
+  // (= fired-set key) binds its nulls at most once per run.
+  FlatFiredSet bound_null_keys;
+#endif
 
   // Cooperative interruption: the cancel token is a relaxed atomic read,
   // polled on every call; the deadline needs a clock read, amortized to
@@ -373,12 +465,12 @@ ChaseResult RunChase(core::SymbolScope* symbols, const tgd::TgdSet& tgds,
   const tgd::RuleIndex num_rules =
       rules_overflow ? 0 : static_cast<tgd::RuleIndex>(tgds.size());
 
-  // One join plan per TGD, shared by every round (the body never
-  // changes; only the seed position varies) — and by every run, when the
-  // caller supplies plans precomputed with PlanJoins (api::Program does).
+  // One compiled join plan per TGD, shared by every round — and by
+  // every run, when the caller supplies plans precomputed with
+  // PlanJoins (api::Program does).
   JoinPlanSet local_plans;
   const JoinPlanSet* plans = options.plans;
-  if (!rules_overflow && options.use_delta &&
+  if (!rules_overflow &&
       (plans == nullptr || plans->size() != tgds.size())) {
     local_plans = PlanJoins(tgds);
     plans = &local_plans;
@@ -429,9 +521,11 @@ ChaseResult RunChase(core::SymbolScope* symbols, const tgd::TgdSet& tgds,
   std::size_t delta_end = instance.size();
   // Scratch of the fused sequential path (collect one rule, apply it,
   // move on) and the per-rule pending lists of the group-mode paths
-  // (collect a whole group, then apply its rules in order).
-  std::vector<PendingTrigger> pending;
-  std::vector<std::vector<PendingTrigger>> rule_pending(num_rules);
+  // (collect a whole group, then apply its rules in order). Reused
+  // across rounds: collecting allocates only while a list outgrows its
+  // high-water mark.
+  PendingList pending;
+  std::vector<PendingList> rule_pending(num_rules);
   // Per-rule staging of the collect phase's counters (join probes,
   // delta seeds scanned). Group modes scan a whole group's seeds before
   // any member applies, but the fused reference schedule counts a
@@ -443,9 +537,14 @@ ChaseResult RunChase(core::SymbolScope* symbols, const tgd::TgdSet& tgds,
   std::vector<std::uint64_t> collect_probes(num_rules, 0);
   std::vector<std::uint64_t> collect_scanned(num_rules, 0);
   // Scratch tuple for the allocation-free probe/insert fast path: every
-  // h(atom) is substituted into this buffer and handed to the instance
-  // as a span; no Atom is materialized anywhere in the loop.
+  // h(atom) is instantiated into this buffer and handed to the instance
+  // as a span; no Atom is materialized anywhere in the loop. `key` is
+  // the reused fired-set key buffer of the serial paths.
   std::vector<Term> scratch;
+  std::vector<std::uint32_t> key;
+  // The sequential join kernel, reused by every rule and round.
+  HomomorphismFinder finder(instance, options.use_position_index);
+  finder.set_interrupt(finder_interrupt);
 
   // Parallel trigger engine. Two phases fan out over one persistent
   // worker pool. Collect: every rule's delta seeds are sharded across
@@ -466,6 +565,7 @@ ChaseResult RunChase(core::SymbolScope* symbols, const tgd::TgdSet& tgds,
   std::optional<util::ThreadPool> pool;
   std::vector<CollectWorker> workers;
   std::vector<SeedTask> seed_tasks;
+  std::vector<std::size_t> merge_heads;
   if (num_workers > 1) {
     pool.emplace(num_workers);
     if (parallel) workers.resize(pool->workers());
@@ -477,11 +577,9 @@ ChaseResult RunChase(core::SymbolScope* symbols, const tgd::TgdSet& tgds,
   // Head-plan and scratch state of the staged apply phase (see the
   // apply block below for the stage walkthrough).
   std::vector<HeadPlan> head_plans;
-  if (options.variant != ChaseVariant::kRestricted) {
-    head_plans.reserve(num_rules);
-    for (tgd::RuleIndex ti = 0; ti < num_rules; ++ti) {
-      head_plans.push_back(PlanHead(tgds.tgd(ti)));
-    }
+  head_plans.reserve(num_rules);
+  for (tgd::RuleIndex ti = 0; ti < num_rules; ++ti) {
+    head_plans.push_back(PlanHead(tgds.tgd(ti)));
   }
   std::vector<Term> bound_nulls;         // pass-1 nulls, E per trigger
   std::vector<Term> apply_terms;         // pass-2 candidate tuple terms
@@ -500,15 +598,14 @@ ChaseResult RunChase(core::SymbolScope* symbols, const tgd::TgdSet& tgds,
   // re-enumerates everything and lets the `fired` set discard the
   // stale finds. Leaves `pending` in canonical (PendingBefore) order;
   // returns false when the run was interrupted.
-  auto collect_rule_sequential =
-      [&](tgd::RuleIndex ti, std::vector<PendingTrigger>& pending) {
+  auto collect_rule_sequential = [&](tgd::RuleIndex ti,
+                                     PendingList& pending) {
     const tgd::Tgd& rule = tgds.tgd(ti);
+    const JoinPlan& plan = (*plans)[ti];
     collect_probes[ti] = 0;
     collect_scanned[ti] = 0;
-    HomomorphismFinder finder(instance, options.use_position_index);
     finder.set_probe_counter(&collect_probes[ti]);
-    finder.set_interrupt(finder_interrupt);
-    auto on_match = [&](const Substitution& h) {
+    auto on_match = [&](const Term* h) {
       if (interrupted || stop_requested()) {
         interrupted = true;
         return false;  // stop enumerating; the run is being cancelled
@@ -523,10 +620,10 @@ ChaseResult RunChase(core::SymbolScope* symbols, const tgd::TgdSet& tgds,
       // same triggers in the same rounds and stay byte-identical.
       if (!options.use_delta) {
         bool in_window = false;
-        for (const Atom& body_atom : rule.body()) {
+        for (std::size_t i = 0; i < plan.body.atoms.size(); ++i) {
           AtomIndex idx = 0;
-          ApplySubstitutionInto(body_atom, h, &scratch);
-          if (!instance.FindTuple(body_atom.predicate,
+          InstantiateInto(plan.body, i, h, &scratch);
+          if (!instance.FindTuple(plan.body.atoms[i].predicate,
                                   core::TermSpan(scratch), &idx)) {
             return true;  // unreachable: h maps the body into I
           }
@@ -537,19 +634,21 @@ ChaseResult RunChase(core::SymbolScope* symbols, const tgd::TgdSet& tgds,
         }
         if (!in_window) return true;
       }
-      PendingTrigger trig;
-      std::vector<std::uint32_t> key;
-      FillPendingTrigger(rule, ti, oblivious, h, &trig, &key);
+      BuildFiredKey(plan, ti, oblivious, h, &key);
       if (!fired.Insert(key)) return true;
-      if (rule.IsGuarded()) {
-        ApplySubstitutionInto(rule.guard(), h, &scratch);
+      // The guard image feeds only the forest.
+      AtomIndex guard_image = PendingTrigger::kNoGuard;
+      if (options.build_forest && rule.IsGuarded()) {
+        InstantiateInto(plan.body,
+                        static_cast<std::size_t>(rule.guard_index()), h,
+                        &scratch);
         AtomIndex gi = 0;
         if (instance.FindTuple(rule.guard().predicate,
                                core::TermSpan(scratch), &gi)) {
-          trig.guard_image = gi;
+          guard_image = gi;
         }
       }
-      pending.push_back(std::move(trig));
+      AppendPending(plan, ti, oblivious, h, guard_image, &pending);
       return true;
     };
 
@@ -559,33 +658,31 @@ ChaseResult RunChase(core::SymbolScope* symbols, const tgd::TgdSet& tgds,
       // body positions before the seed are restricted to pre-delta
       // atoms so each homomorphism is enumerated from exactly one
       // seed.
-      const JoinPlan& plan = (*plans)[ti];
       for (std::size_t seed_pos = 0;
            seed_pos < rule.body().size() && !interrupted; ++seed_pos) {
         core::PredicateId seed_pred = rule.body()[seed_pos].predicate;
         const std::vector<AtomIndex>& seeds =
             instance.DeltaAtomsWithPredicate(seed_pred);
         result.stats.delta_atoms_scanned += seeds.size();
-        finder.set_old_restriction(&plan.old_flags[seed_pos],
-                                   static_cast<AtomIndex>(delta_begin));
+        const SlotConjunction& seeded = plan.seeded[seed_pos];
         for (AtomIndex a : seeds) {
           if (interrupted) break;
-          finder.Enumerate(plan.reordered_bodies[seed_pos],
-                           Substitution{}, /*seed_atom=*/0, a, on_match);
+          finder.Begin(seeded);
+          finder.RunSeeded(a, static_cast<AtomIndex>(delta_begin),
+                           on_match);
         }
       }
-      finder.set_old_restriction(nullptr, 0);
     } else {
       // Naive baseline: re-enumerate every homomorphism from the full
       // instance; `fired` discards the ones found in earlier rounds.
-      finder.Enumerate(rule.body(), on_match);
+      finder.Enumerate(plan.body, on_match);
     }
     if (interrupted || finder.interrupted()) return false;
     // Both engines find the same trigger set per round, in different
     // orders; sort into canonical order so the firing order (and the
     // restricted-chase result) is engine-independent. (The pooled
     // group collect below merges its worker runs into this order.)
-    std::sort(pending.begin(), pending.end(), PendingBefore);
+    SortPending(&pending);
     return true;
   };
 
@@ -605,7 +702,7 @@ ChaseResult RunChase(core::SymbolScope* symbols, const tgd::TgdSet& tgds,
                                   bool* had_tasks) {
     seed_tasks.clear();
     for (tgd::RuleIndex ti : group) {
-      rule_pending[ti].clear();
+      rule_pending[ti].Clear();
       collect_probes[ti] = 0;
       collect_scanned[ti] = 0;
       const tgd::Tgd& rule = tgds.tgd(ti);
@@ -629,16 +726,14 @@ ChaseResult RunChase(core::SymbolScope* symbols, const tgd::TgdSet& tgds,
         1, seed_tasks.size() /
                (static_cast<std::size_t>(pool->workers()) * 8));
     const bool pollable = options.cancel != nullptr || has_deadline;
-    // Per-worker probe attribution: the task list is rule-major and a
-    // worker's ranges advance monotonically, so its probes form
-    // consecutive per-rule runs. Tagging each run with its rule keeps
-    // the staged per-rule fold below exact.
-    std::vector<std::vector<std::pair<tgd::RuleIndex, std::uint64_t>>>
-        rule_probe_runs(workers.size());
     pool->Run([&](unsigned w) {
       CollectWorker& self = workers[w];
-      self.candidates.clear();
-      self.join_probes = 0;
+      self.candidates.Clear();
+      // Per-worker probe attribution: the task list is rule-major and a
+      // worker's ranges advance monotonically, so its probes form
+      // consecutive per-rule runs. Tagging each run with its rule keeps
+      // the staged per-rule fold below exact.
+      self.probe_runs.clear();
       self.deadline_poll = 0;
       self.interrupted = false;
       // Per-worker interruption predicate: private poll counter, the
@@ -652,114 +747,118 @@ ChaseResult RunChase(core::SymbolScope* symbols, const tgd::TgdSet& tgds,
         if ((++self.deadline_poll & 63u) != 0) return false;
         return std::chrono::steady_clock::now() >= deadline;
       };
-      HomomorphismFinder finder(instance, options.use_position_index);
-      finder.set_interrupt(pollable ? &stop : nullptr);
-      std::vector<std::uint32_t> key;
+      HomomorphismFinder worker_finder(instance,
+                                       options.use_position_index);
+      worker_finder.set_interrupt(pollable ? &stop : nullptr);
       // The task loop retargets these whenever the (rule, seed) of the
       // current task changes; tasks are rule-major, so switches are as
       // rare as in the one-rule-at-a-time schedule.
-      const tgd::Tgd* rule = nullptr;
       const JoinPlan* plan = nullptr;
       tgd::RuleIndex current_ti = 0;
       std::size_t current_seed_pos = 0;
-      auto on_match = [&](const Substitution& h) {
+      auto on_match = [&](const Term* h) {
         if (self.interrupted || (pollable && stop())) {
           self.interrupted = true;
           return false;
         }
-        PendingTrigger trig;
-        FillPendingTrigger(*rule, current_ti, oblivious, h, &trig, &key);
+        BuildFiredKey(*plan, current_ti, oblivious, h, &self.key);
         // `fired` holds only keys recorded before this region began: a
         // concurrent read-only lookup. Duplicates found within the
         // region survive to the merge, which collapses them.
-        if (fired.Contains(key)) return true;
+        if (fired.Contains(self.key)) return true;
         // Cheap local dedup: duplicate homomorphisms produced by one
         // seed (differing only outside the key) arrive consecutively,
         // so comparing against the last candidate catches the bulk of
         // them before they cost merge work. Cross-worker (and
         // non-consecutive) duplicates are collapsed by the canonical
         // merge below.
-        if (!self.candidates.empty() &&
-            SameTrigger(self.candidates.back(), trig)) {
+        if (!self.candidates.triggers.empty() && self.key == self.last_key) {
           return true;
         }
+        self.last_key = self.key;
         // No guard image on this path: parallel implies !build_forest,
         // and the guard image feeds only the forest.
-        self.candidates.push_back(std::move(trig));
+        AppendPending(*plan, current_ti, oblivious, h,
+                      PendingTrigger::kNoGuard, &self.candidates);
         return true;
       };
-      while (!self.interrupted && !finder.interrupted()) {
+      while (!self.interrupted && !worker_finder.interrupted()) {
         const std::size_t begin =
             next_task.fetch_add(chunk, std::memory_order_relaxed);
         if (begin >= seed_tasks.size()) break;
         const std::size_t end = std::min(begin + chunk, seed_tasks.size());
         for (std::size_t i = begin; i < end; ++i) {
-          if (self.interrupted || finder.interrupted()) break;
+          if (self.interrupted || worker_finder.interrupted()) break;
           const SeedTask& task = seed_tasks[i];
           if (plan == nullptr || task.rule != current_ti ||
               task.seed_pos != current_seed_pos) {
-            auto& runs = rule_probe_runs[w];
-            if (runs.empty() || runs.back().first != task.rule) {
-              runs.push_back({task.rule, 0});
+            if (self.probe_runs.empty() ||
+                self.probe_runs.back().first != task.rule) {
+              self.probe_runs.push_back({task.rule, 0});
             }
-            finder.set_probe_counter(&runs.back().second);
+            worker_finder.set_probe_counter(
+                &self.probe_runs.back().second);
             current_ti = task.rule;
             current_seed_pos = task.seed_pos;
-            rule = &tgds.tgd(current_ti);
             plan = &(*plans)[current_ti];
-            finder.set_old_restriction(
-                &plan->old_flags[current_seed_pos],
-                static_cast<AtomIndex>(delta_begin));
           }
-          finder.Enumerate(plan->reordered_bodies[current_seed_pos],
-                           Substitution{}, /*seed_atom=*/0, task.atom,
-                           on_match);
+          worker_finder.Begin(plan->seeded[current_seed_pos]);
+          worker_finder.RunSeeded(task.atom,
+                                  static_cast<AtomIndex>(delta_begin),
+                                  on_match);
         }
       }
-      if (finder.interrupted()) self.interrupted = true;
+      if (worker_finder.interrupted()) self.interrupted = true;
       // Sort locally, still inside the region, so the serial merge
       // below pays O(N runs) comparisons instead of a full sort.
-      std::sort(self.candidates.begin(), self.candidates.end(),
-                PendingBefore);
+      SortPending(&self.candidates);
     });
-    for (std::size_t w = 0; w < workers.size(); ++w) {
-      for (const auto& run : rule_probe_runs[w]) {
+    for (CollectWorker& worker : workers) {
+      for (const auto& run : worker.probe_runs) {
         collect_probes[run.first] += run.second;
       }
-      if (workers[w].interrupted) interrupted = true;
+      if (worker.interrupted) interrupted = true;
     }
     if (interrupted) return false;
     // Canonical merge: the N sorted runs become one rule-major,
     // PendingBefore-ordered sequence with consecutive duplicates
-    // collapsed; every kept trigger is recorded in `fired` and routed
+    // collapsed; every kept trigger is recorded in `fired` and copied
     // to its rule's pending list. Per member rule: the same triggers,
     // in the same order, with the same `fired` entries as the rules
     // collecting one at a time.
-    std::vector<std::size_t> heads(workers.size(), 0);
-    tgd::RuleIndex last_rule = 0;
-    bool have_last = false;
+    merge_heads.assign(workers.size(), 0);
+    const PendingTrigger* last = nullptr;
+    const Term* last_images = nullptr;
     while (true) {
       std::size_t best_w = workers.size();
+      const PendingTrigger* best = nullptr;
+      const Term* best_images = nullptr;
       for (std::size_t w = 0; w < workers.size(); ++w) {
-        if (heads[w] >= workers[w].candidates.size()) continue;
-        if (best_w == workers.size() ||
-            PendingBefore(workers[w].candidates[heads[w]],
-                          workers[best_w].candidates[heads[best_w]])) {
+        const PendingList& list = workers[w].candidates;
+        if (merge_heads[w] >= list.triggers.size()) continue;
+        const PendingTrigger& c = list.triggers[merge_heads[w]];
+        const Term* c_images = list.ImagesOf(c);
+        if (best == nullptr || PendingBefore(c, c_images, *best, best_images)) {
           best_w = w;
+          best = &c;
+          best_images = c_images;
         }
       }
-      if (best_w == workers.size()) break;
-      PendingTrigger& c = workers[best_w].candidates[heads[best_w]++];
-      // The stream is rule-major: a duplicate of c can only be the most
-      // recently kept trigger, which sits at the back of c's own rule's
-      // list. (SameTrigger across distinct rules is always false.)
-      if (have_last && SameTrigger(rule_pending[last_rule].back(), c)) {
+      if (best == nullptr) break;
+      ++merge_heads[best_w];
+      // The stream is rule-major: a duplicate of the candidate can only
+      // be the most recently kept trigger. (SameTrigger across distinct
+      // rules is always false.)
+      if (last != nullptr && SameTrigger(*last, last_images, *best,
+                                         best_images)) {
         continue;
       }
-      fired.Insert(FiredKeyOf(c, oblivious));
-      last_rule = c.tgd_index;
-      have_last = true;
-      rule_pending[c.tgd_index].push_back(std::move(c));
+      FiredKeyOf(*best, best_images, (*plans)[best->tgd_index], oblivious,
+                 &key);
+      fired.Insert(key);
+      last = best;
+      last_images = best_images;
+      CopyPending(*best, best_images, &rule_pending[best->tgd_index]);
     }
     return true;
   };
@@ -771,16 +870,46 @@ ChaseResult RunChase(core::SymbolScope* symbols, const tgd::TgdSet& tgds,
   // deterministic counter are identical across thread counts by
   // construction. Returns kTerminated when the round may continue.
   auto apply_rule = [&](tgd::RuleIndex ti,
-                        std::vector<PendingTrigger>& pending)
-      -> ChaseOutcome {
+                        const PendingList& list) -> ChaseOutcome {
+    const std::vector<PendingTrigger>& pending = list.triggers;
     if (pending.empty()) return ChaseOutcome::kTerminated;
     const tgd::Tgd& rule = tgds.tgd(ti);
-    const std::vector<Term>& frontier = rule.frontier();
+    const JoinPlan& plan = (*plans)[ti];
+    const HeadPlan& hplan = head_plans[ti];
+    const std::size_t num_frontier = rule.frontier().size();
+    const std::size_t num_existential = rule.existential().size();
+    const std::size_t num_heads = rule.head().size();
     if (pool_ptr != nullptr) ++result.stats.parallel_apply_batches;
     const bool apply_pollable = options.cancel != nullptr || has_deadline;
+    // The debug check of BindFreshNulls' naming argument.
+    auto check_fresh_null_key = [&](const PendingTrigger& trig) {
+#ifndef NDEBUG
+      FiredKeyOf(trig, list.ImagesOf(trig), plan, oblivious, &key);
+      const bool fresh = bound_null_keys.Insert(key);
+      assert(fresh && "a fired-set key bound its nulls twice");
+      (void)fresh;
+#else
+      (void)trig;
+#endif
+    };
     if (options.variant == ChaseVariant::kRestricted) {
       // Restricted chase: a trigger is applied only if no extension
-      // h' ⊇ h|fr(σ) already maps head(σ) into the instance.
+      // h' ⊇ h|fr(σ) already maps head(σ) into the instance — the
+      // compiled head enumerated with the frontier slots pre-bound.
+      auto head_satisfied_now = [&](HomomorphismFinder* head_finder,
+                                    const PendingTrigger& trig) {
+        const Term* images = list.ImagesOf(trig);
+        head_finder->Begin(plan.head);
+        for (std::size_t i = 0; i < num_frontier; ++i) {
+          head_finder->Bind(plan.frontier_slots[i], images[i]);
+        }
+        bool satisfied = false;
+        head_finder->Run([&](const Term*) {
+          satisfied = true;
+          return false;  // stop at the first
+        });
+        return satisfied;
+      };
       //
       // Stage 1 (parallel, read-only): decide head satisfaction for
       // every pending trigger against the frozen batch-start
@@ -811,29 +940,19 @@ ChaseResult RunChase(core::SymbolScope* symbols, const tgd::TgdSet& tgds,
               if ((++self.deadline_poll & 63u) != 0) return false;
               return std::chrono::steady_clock::now() >= deadline;
             };
-            HomomorphismFinder finder(instance,
-                                      options.use_position_index);
-            finder.set_probe_counter(&self.join_probes);
-            finder.set_interrupt(apply_pollable ? &stop : nullptr);
+            HomomorphismFinder head_finder(instance,
+                                           options.use_position_index);
+            head_finder.set_probe_counter(&self.join_probes);
+            head_finder.set_interrupt(apply_pollable ? &stop : nullptr);
             for (std::size_t t = begin; t < end; ++t) {
-              if (self.interrupted || finder.interrupted()) {
+              if (self.interrupted || head_finder.interrupted()) {
                 self.interrupted = true;
                 break;
               }
-              Substitution h;
-              for (std::size_t i = 0; i < frontier.size(); ++i) {
-                h.emplace(frontier[i], pending[t].frontier_images[i]);
-              }
-              bool satisfied = false;
-              finder.Enumerate(rule.head(), h, /*seed_atom=*/-1,
-                               /*seed_target=*/0,
-                               [&](const Substitution&) {
-                                 satisfied = true;
-                                 return false;  // stop at the first
-                               });
-              head_satisfied[t] = satisfied ? 1 : 0;
+              head_satisfied[t] =
+                  head_satisfied_now(&head_finder, pending[t]) ? 1 : 0;
             }
-            if (finder.interrupted()) self.interrupted = true;
+            if (head_finder.interrupted()) self.interrupted = true;
           });
       bool apply_interrupted = false;
       for (ApplyWorker& worker : apply_workers) {
@@ -847,66 +966,54 @@ ChaseResult RunChase(core::SymbolScope* symbols, const tgd::TgdSet& tgds,
       if (apply_interrupted) return ChaseOutcome::kCancelled;
 
       // Stage 2 (serial, canonical order): skip or fire.
+      HomomorphismFinder recheck(instance, options.use_position_index);
+      recheck.set_probe_counter(&result.stats.join_probes);
+      recheck.set_interrupt(finder_interrupt);
       for (std::size_t t = 0; t < pending.size(); ++t) {
         const PendingTrigger& trig = pending[t];
+        const Term* frontier_images = list.ImagesOf(trig);
         if (stop_requested()) return ChaseOutcome::kCancelled;
-        Substitution h;
-        for (std::size_t i = 0; i < frontier.size(); ++i) {
-          h.emplace(frontier[i], trig.frontier_images[i]);
-        }
         bool satisfied = head_satisfied[t] != 0;
         if (!satisfied && instance.size() > frozen_size) {
           // Atoms inserted by earlier triggers of this batch may
           // have satisfied the head since the freeze; once
           // satisfied, monotonicity keeps the trigger satisfied
           // forever, so the `fired` entry can stand.
-          HomomorphismFinder head_finder(instance,
-                                         options.use_position_index);
-          head_finder.set_probe_counter(&result.stats.join_probes);
-          head_finder.set_interrupt(finder_interrupt);
-          head_finder.Enumerate(rule.head(), h, /*seed_atom=*/-1,
-                                /*seed_target=*/0,
-                                [&](const Substitution&) {
-                                  satisfied = true;
-                                  return false;  // stop at the first
-                                });
-          if (head_finder.interrupted()) {
-            return ChaseOutcome::kCancelled;
-          }
+          satisfied = head_satisfied_now(&recheck, trig);
+          if (recheck.interrupted()) return ChaseOutcome::kCancelled;
         }
         if (satisfied) {
           ++result.stats.triggers_satisfied;
           continue;
         }
         ++result.stats.triggers_fired;
+        check_fresh_null_key(trig);
         bound_nulls.clear();
-        NullStore::BindResult bind = nulls.BindTriggerNulls(
-            ti, rule.existential(), trig.frontier_images,
-            trig.frontier_images, options.max_depth, &bound_nulls,
-            &result.stats.max_depth);
+        const BindResult bind = BindFreshNulls(
+            symbols, num_existential, frontier_images, num_frontier,
+            options.max_depth, &bound_nulls, &result.stats.max_depth);
         if (options.observer != nullptr && !bound_nulls.empty()) {
-          options.observer->OnNullsBound(
-              ti, bound_nulls.data(), bound_nulls.size(),
-              trig.frontier_images.data(), trig.frontier_images.size());
+          options.observer->OnNullsBound(ti, bound_nulls.data(),
+                                         bound_nulls.size(),
+                                         frontier_images, num_frontier);
         }
-        if (bind != NullStore::BindResult::kOk) {
+        if (bind != BindResult::kOk) {
           // Depth budget breached, or null ids wrapped past Term's
           // index space: stop with a consistent prefix. The trigger
           // was counted as fired; keep OnFire parity.
           if (options.observer != nullptr) {
             options.observer->OnFire(trig.tgd_index, instance.size());
           }
-          return bind == NullStore::BindResult::kDepthLimit
+          return bind == BindResult::kDepthLimit
                      ? ChaseOutcome::kDepthLimit
                      : ChaseOutcome::kResourceExhausted;
         }
-        for (std::size_t i = 0; i < rule.existential().size(); ++i) {
-          h.emplace(rule.existential()[i], bound_nulls[i]);
-        }
-        for (const Atom& head_atom : rule.head()) {
-          ApplySubstitutionInto(head_atom, h, &scratch);
+        scratch.resize(hplan.terms_per_trigger);
+        hplan.Fill(frontier_images, bound_nulls.data(), scratch.data());
+        for (const core::BatchTuple& tuple : hplan.tuples) {
           auto [idx, fresh] = instance.InsertTuple(
-              head_atom.predicate, core::TermSpan(scratch));
+              tuple.pred,
+              core::TermSpan(scratch.data() + tuple.begin, tuple.arity));
           if (fresh && options.build_forest) {
             std::uint32_t atom_depth = 0;
             for (Term term : instance.atom(idx).terms()) {
@@ -942,28 +1049,27 @@ ChaseResult RunChase(core::SymbolScope* symbols, const tgd::TgdSet& tgds,
       // failure truncates the batch — earlier triggers still apply,
       // and the failure is reported after they merge (first error in
       // canonical order wins, exactly as a serial walk would).
-      const std::size_t num_existential = rule.existential().size();
       std::size_t batch_n = pending.size();
       ChaseOutcome stop_outcome = ChaseOutcome::kTerminated;
       bound_nulls.clear();
       for (std::size_t t = 0; t < pending.size(); ++t) {
         const PendingTrigger& trig = pending[t];
+        const Term* frontier_images = list.ImagesOf(trig);
         const std::size_t bound_before = bound_nulls.size();
-        NullStore::BindResult bind = nulls.BindTriggerNulls(
-            ti, rule.existential(),
-            oblivious ? trig.body_images : trig.frontier_images,
-            trig.frontier_images, options.max_depth, &bound_nulls,
-            &result.stats.max_depth);
+        check_fresh_null_key(trig);
+        const BindResult bind = BindFreshNulls(
+            symbols, num_existential, frontier_images, num_frontier,
+            options.max_depth, &bound_nulls, &result.stats.max_depth);
         if (options.observer != nullptr &&
             bound_nulls.size() > bound_before) {
           options.observer->OnNullsBound(
               ti, bound_nulls.data() + bound_before,
-              bound_nulls.size() - bound_before,
-              trig.frontier_images.data(), trig.frontier_images.size());
+              bound_nulls.size() - bound_before, frontier_images,
+              num_frontier);
         }
-        if (bind != NullStore::BindResult::kOk) {
+        if (bind != BindResult::kOk) {
           batch_n = t;
-          stop_outcome = bind == NullStore::BindResult::kDepthLimit
+          stop_outcome = bind == BindResult::kDepthLimit
                              ? ChaseOutcome::kDepthLimit
                              : ChaseOutcome::kResourceExhausted;
           break;
@@ -974,23 +1080,16 @@ ChaseResult RunChase(core::SymbolScope* symbols, const tgd::TgdSet& tgds,
       // trigger's slice of the shared buffer. Pure reads of the head
       // plan, the frontier images and the pass-1 nulls; pure writes
       // of disjoint slices — worker assignment cannot affect a byte.
-      const HeadPlan& hplan = head_plans[ti];
-      const std::size_t num_heads = rule.head().size();
       apply_terms.resize(batch_n * hplan.terms_per_trigger);
       apply_tuples.resize(batch_n * num_heads);
       util::ParallelChunks(
           pool_ptr, batch_n, 16,
           [&](unsigned, std::size_t begin, std::size_t end) {
             for (std::size_t t = begin; t < end; ++t) {
-              const PendingTrigger& trig = pending[t];
               const std::size_t base = t * hplan.terms_per_trigger;
-              for (std::size_t s = 0; s < hplan.slots.size(); ++s) {
-                const HeadSlot& slot = hplan.slots[s];
-                apply_terms[base + s] =
-                    slot.existential
-                        ? bound_nulls[t * num_existential + slot.index]
-                        : trig.frontier_images[slot.index];
-              }
+              hplan.Fill(list.ImagesOf(pending[t]),
+                         bound_nulls.data() + t * num_existential,
+                         apply_terms.data() + base);
               for (std::size_t j = 0; j < num_heads; ++j) {
                 core::BatchTuple tuple = hplan.tuples[j];
                 tuple.begin += base;
@@ -1118,7 +1217,7 @@ ChaseResult RunChase(core::SymbolScope* symbols, const tgd::TgdSet& tgds,
         }
       } else if (restraint_mode && group.size() > 1) {
         for (tgd::RuleIndex ti : group) {
-          rule_pending[ti].clear();
+          rule_pending[ti].Clear();
           if (!collect_rule_sequential(ti, rule_pending[ti])) {
             return ChaseOutcome::kCancelled;
           }
@@ -1130,7 +1229,7 @@ ChaseResult RunChase(core::SymbolScope* symbols, const tgd::TgdSet& tgds,
         }
       } else {
         for (tgd::RuleIndex ti : group) {
-          pending.clear();
+          pending.Clear();
           if (!collect_rule_sequential(ti, pending)) {
             return ChaseOutcome::kCancelled;
           }

@@ -6,6 +6,7 @@
 
 #include "chase/forest.h"
 #include "chase/observer.h"
+#include "chase/trigger.h"
 #include "core/database.h"
 #include "core/instance.h"
 #include "core/symbol_table.h"
@@ -41,26 +42,14 @@ enum class ChaseVariant {
 
 const char* ChaseVariantName(ChaseVariant variant);
 
-/// Precomputed per-TGD join plans for the semi-naive engine: for every
-/// body position p, the body reordered by PlanJoinOrder(body, p) so the
-/// delta-seeded atom comes first and each following atom is maximally
-/// connected to the prefix. `old_flags[p]` (aligned with the reordered
-/// body) marks the atoms whose original position precedes p: restricting
-/// those to pre-delta atoms makes every homomorphism enumerable from
-/// exactly one seed position — its first (in body order) delta atom.
-struct JoinPlan {
-  /// reordered_bodies[p] is the body permuted with position p first.
-  std::vector<std::vector<core::Atom>> reordered_bodies;
-  std::vector<std::vector<bool>> old_flags;
-};
-
 /// One JoinPlan per TGD, aligned with TgdSet order.
 using JoinPlanSet = std::vector<JoinPlan>;
 
-/// Plans the joins of every TGD in Σ once. The plans depend only on Σ, so
-/// callers chasing the same rule set repeatedly (api::Program sessions)
-/// compute them a single time and pass them via ChaseOptions::plans;
-/// RunChase plans per run when none are supplied.
+/// Compiles every TGD in Σ for the join kernel once (PlanJoin: slot
+/// maps, the delta-seeded body orders, the head). The plans depend only
+/// on Σ, so callers chasing the same rule set repeatedly (api::Program
+/// sessions) compute them a single time and pass them via
+/// ChaseOptions::plans; RunChase plans per run when none are supplied.
 JoinPlanSet PlanJoins(const tgd::TgdSet& tgds);
 
 /// The "unset" sentinel for ChaseOptions::num_threads: sequential,

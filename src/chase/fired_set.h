@@ -11,9 +11,29 @@
 namespace nuchase {
 namespace chase {
 
+/// A borrowed fired-set key: a run of uint32 words. The chase builds
+/// every key in one reused buffer and probes through this view, so no
+/// key is ever an allocation of its own.
+class KeySpan {
+ public:
+  KeySpan(const std::uint32_t* data, std::size_t size)
+      : data_(data), size_(size) {}
+  // Implicit: a vector is a key.
+  KeySpan(const std::vector<std::uint32_t>& v)
+      : data_(v.data()), size_(v.size()) {}
+
+  const std::uint32_t* begin() const { return data_; }
+  const std::uint32_t* end() const { return data_ + size_; }
+  std::size_t size() const { return size_; }
+
+ private:
+  const std::uint32_t* data_;
+  std::size_t size_;
+};
+
 /// The collect-phase (σ, h)-dedup set: one flat open-addressing table
 /// over one flat key arena. Keys are small uint32 sequences (rule index
-/// plus term images, FillPendingTrigger's layout); they are appended
+/// plus term images, BuildFiredKey's layout); they are appended
 /// back-to-back into `arena_` and each table slot records (hash, offset,
 /// length) — no per-key heap node, no bucket lists. Replaces the former
 /// 16-way sharded unordered_set group: the set is cumulative across a
@@ -43,7 +63,7 @@ class FlatFiredSet {
 
   /// True iff `key` was inserted in the current epoch. Safe to call
   /// concurrently with other readers (but not with Insert/Reset).
-  bool Contains(const std::vector<std::uint32_t>& key) const {
+  bool Contains(KeySpan key) const {
     const std::uint64_t h = HashKey(key);
     const std::size_t mask = slots_.size() - 1;
     for (std::size_t i = static_cast<std::size_t>(h) & mask;;
@@ -55,7 +75,7 @@ class FlatFiredSet {
   }
 
   /// True iff the key was newly inserted.
-  bool Insert(const std::vector<std::uint32_t>& key) {
+  bool Insert(KeySpan key) {
     // Linear probing wants headroom: grow at 7/8 occupancy so probe
     // chains stay short even in the table's final generation.
     if ((size_ + 1) * 8 > slots_.size() * 7) Grow();
@@ -105,21 +125,16 @@ class FlatFiredSet {
 
   static constexpr std::size_t kInitialSlots = 256;  // power of two
 
-  static std::uint64_t HashKey(const std::vector<std::uint32_t>& key) {
+  static std::uint64_t HashKey(KeySpan key) {
     // Same word mixer as the sharded predecessor (and the instance's
     // tuple index); the extra finalizer keeps the low bits — which the
     // power-of-two mask consumes directly — fully mixed.
-    return util::Mix64(util::VectorHash<std::uint32_t>{}(key));
+    return util::Mix64(util::HashRange(key.begin(), key.end(), key.size()));
   }
 
-  bool KeyEquals(const Slot& s,
-                 const std::vector<std::uint32_t>& key) const {
+  bool KeyEquals(const Slot& s, KeySpan key) const {
     if (s.len != key.size()) return false;
-    const std::uint32_t* stored = arena_.data() + s.offset;
-    for (std::uint32_t i = 0; i < s.len; ++i) {
-      if (stored[i] != key[i]) return false;
-    }
-    return true;
+    return std::equal(key.begin(), key.end(), arena_.data() + s.offset);
   }
 
   void Grow() {

@@ -1,7 +1,6 @@
 #include "chase/trigger.h"
 
 #include <algorithm>
-#include <cassert>
 #include <limits>
 #include <unordered_set>
 
@@ -10,24 +9,52 @@ namespace chase {
 
 using core::Atom;
 using core::AtomIndex;
-using core::Instance;
+using core::IndexSpan;
 using core::Term;
 
-Atom ApplySubstitution(const Atom& atom, const Substitution& h) {
-  Atom out;
-  out.predicate = atom.predicate;
-  ApplySubstitutionInto(atom, h, &out.args);
-  return out;
+std::uint32_t SlotConjunction::SlotOf(Term var) const {
+  const auto it = std::find(variables.begin(), variables.end(), var);
+  return it == variables.end()
+             ? kNoSlot
+             : static_cast<std::uint32_t>(it - variables.begin());
 }
 
-void ApplySubstitutionInto(const Atom& atom, const Substitution& h,
-                           std::vector<Term>* out) {
+SlotConjunction CompileConjunction(const std::vector<Atom>& atoms,
+                                   std::vector<Term> variables) {
+  SlotConjunction q;
+  q.variables = std::move(variables);
+  q.atoms.reserve(atoms.size());
+  for (const Atom& atom : atoms) {
+    SlotAtom compiled;
+    compiled.predicate = atom.predicate;
+    compiled.begin = static_cast<std::uint32_t>(q.args.size());
+    compiled.arity = atom.arity();
+    q.atoms.push_back(compiled);
+    for (Term t : atom.args) {
+      if (t.IsVariable()) {
+        std::uint32_t slot = q.SlotOf(t);
+        if (slot == SlotConjunction::kNoSlot) {
+          slot = q.num_slots();
+          q.variables.push_back(t);
+        }
+        t = Term(core::TermKind::kVariable, slot);
+      }
+      q.args.push_back(t);
+    }
+  }
+  return q;
+}
+
+void InstantiateInto(const SlotConjunction& q, std::size_t i,
+                     const Term* slots, std::vector<Term>* out) {
+  const SlotAtom& atom = q.atoms[i];
+  const Term* pattern = q.ArgsOf(i);
   out->clear();
-  out->reserve(atom.args.size());
-  for (Term t : atom.args) {
+  for (std::uint32_t k = 0; k < atom.arity; ++k) {
+    Term t = pattern[k];
     if (t.IsVariable()) {
-      auto it = h.find(t);
-      if (it != h.end()) t = it->second;
+      const Term image = slots[t.index()];
+      t = image == kUnbound ? q.variables[t.index()] : image;
     }
     out->push_back(t);
   }
@@ -77,78 +104,38 @@ std::vector<std::size_t> PlanJoinOrder(const std::vector<Atom>& body,
   return order;
 }
 
-bool HomomorphismFinder::Match(const Atom& pattern,
-                               const core::Term* fact_terms,
-                               Substitution* h,
-                               std::vector<Term>* trail) const {
-  if (probe_counter_ != nullptr) ++*probe_counter_;
-  if (interrupt_ != nullptr && (++interrupt_tick_ & 1023u) == 0 &&
-      (*interrupt_)()) {
-    interrupted_ = true;
+JoinPlan PlanJoin(const tgd::Tgd& rule) {
+  const std::vector<Atom>& body = rule.body();
+  std::vector<Term> slots = rule.body_variables();
+  slots.insert(slots.end(), rule.existential().begin(),
+               rule.existential().end());
+  JoinPlan plan;
+  plan.num_body_slots =
+      static_cast<std::uint32_t>(rule.body_variables().size());
+  plan.body = CompileConjunction(body, slots);
+  plan.head = CompileConjunction(rule.head(), slots);
+  for (Term v : rule.frontier()) {
+    plan.frontier_slots.push_back(plan.body.SlotOf(v));
   }
-  const std::size_t trail_start = trail->size();
-  for (std::size_t i = 0; i < pattern.args.size(); ++i) {
-    Term p = pattern.args[i];
-    Term f = fact_terms[i];
-    if (p.IsVariable()) {
-      auto it = h->find(p);
-      if (it == h->end()) {
-        h->emplace(p, f);
-        trail->push_back(p);
-      } else if (it->second != f) {
-        // Undo bindings made during this match attempt.
-        for (std::size_t k = trail->size(); k > trail_start; --k) {
-          h->erase((*trail)[k - 1]);
-        }
-        trail->resize(trail_start);
-        return false;
-      }
-    } else if (p != f) {  // constant or null: must match exactly
-      for (std::size_t k = trail->size(); k > trail_start; --k) {
-        h->erase((*trail)[k - 1]);
-      }
-      trail->resize(trail_start);
-      return false;
+  plan.seeded.reserve(body.size());
+  for (std::size_t p = 0; p < body.size(); ++p) {
+    std::vector<Atom> reordered;
+    std::vector<std::uint8_t> old_only;
+    reordered.reserve(body.size());
+    old_only.reserve(body.size());
+    for (std::size_t i : PlanJoinOrder(body, p)) {
+      reordered.push_back(body[i]);
+      old_only.push_back(i < p ? 1 : 0);
     }
+    plan.seeded.push_back(CompileConjunction(reordered, slots));
+    plan.seeded.back().old_only = std::move(old_only);
   }
-  return true;
-}
-
-void HomomorphismFinder::Enumerate(
-    const std::vector<Atom>& atoms, const Substitution& initial,
-    int seed_atom, AtomIndex seed_target,
-    const std::function<bool(const Substitution&)>& cb) const {
-  Substitution h = initial;
-  std::vector<bool> done(atoms.size(), false);
-  std::vector<Term> trail;
-
-  if (seed_atom >= 0) {
-    core::AtomView fact = instance_.atom(seed_target);
-    if (atoms[static_cast<std::size_t>(seed_atom)].predicate !=
-        fact.predicate()) {
-      return;
-    }
-    if (!Match(atoms[static_cast<std::size_t>(seed_atom)],
-               instance_.TupleData(seed_target), &h, &trail)) {
-      return;
-    }
-    done[static_cast<std::size_t>(seed_atom)] = true;
-  }
-
-  std::size_t remaining = atoms.size() - (seed_atom >= 0 ? 1 : 0);
-  Recurse(atoms, &done, remaining, &h, cb);
-}
-
-void HomomorphismFinder::Enumerate(
-    const std::vector<Atom>& atoms,
-    const std::function<bool(const Substitution&)>& cb) const {
-  Enumerate(atoms, Substitution{}, -1, 0, cb);
+  return plan;
 }
 
 std::size_t HomomorphismFinder::RestrictedCount(
-    std::size_t i, const std::vector<AtomIndex>& candidates) const {
-  if (old_only_ == nullptr || i >= old_only_->size() ||
-      !(*old_only_)[i]) {
+    std::size_t i, IndexSpan candidates) const {
+  if (!restrict_old_ || q_->old_only.empty() || q_->old_only[i] == 0) {
     return candidates.size();
   }
   // Candidate lists are ascending in insertion order, so the old atoms
@@ -158,39 +145,31 @@ std::size_t HomomorphismFinder::RestrictedCount(
       candidates.begin());
 }
 
-bool HomomorphismFinder::Recurse(
-    const std::vector<Atom>& atoms, std::vector<bool>* done,
-    std::size_t remaining, Substitution* h,
-    const std::function<bool(const Substitution&)>& cb) const {
-  if (interrupted_) return false;
-  if (remaining == 0) return cb(*h);
-
-  // Pick the undone atom with the smallest candidate list: for every bound
-  // position use the (predicate, position, term) index; fall back to the
-  // per-predicate list.
+bool HomomorphismFinder::PickAtom(std::size_t* best_out,
+                                  IndexSpan* candidates_out) const {
+  const std::vector<SlotAtom>& atoms = q_->atoms;
   std::size_t best = atoms.size();
   std::size_t best_count = std::numeric_limits<std::size_t>::max();
-  const std::vector<AtomIndex>* best_candidates = nullptr;
+  IndexSpan best_candidates;
   for (std::size_t i = 0; i < atoms.size(); ++i) {
-    if ((*done)[i]) continue;
-    const Atom& a = atoms[i];
-    const std::vector<AtomIndex>* candidates =
-        &instance_.AtomsWithPredicate(a.predicate);
-    std::size_t count = RestrictedCount(i, *candidates);
+    if (done_[i] != 0) continue;
+    const SlotAtom& a = atoms[i];
+    IndexSpan candidates = instance_.AtomsWithPredicate(a.predicate);
+    std::size_t count = RestrictedCount(i, candidates);
     if (use_position_index_) {
-      for (std::uint32_t pos = 0; pos < a.arity(); ++pos) {
-        Term t = a.args[pos];
+      const Term* pattern = q_->ArgsOf(i);
+      for (std::uint32_t pos = 0; pos < a.arity; ++pos) {
+        Term t = pattern[pos];
         if (t.IsVariable()) {
-          auto it = h->find(t);
-          if (it == h->end()) continue;
-          t = it->second;
+          t = slots_[t.index()];
+          if (t == kUnbound) continue;
         }
-        const std::vector<AtomIndex>& narrowed =
+        const IndexSpan narrowed =
             instance_.AtomsWithTermAt(a.predicate, pos, t);
-        std::size_t narrowed_count = RestrictedCount(i, narrowed);
+        const std::size_t narrowed_count = RestrictedCount(i, narrowed);
         if (narrowed_count < count) {
           count = narrowed_count;
-          candidates = &narrowed;
+          candidates = narrowed;
         }
       }
     }
@@ -201,31 +180,10 @@ bool HomomorphismFinder::Recurse(
       if (count == 0) break;
     }
   }
-  if (best == atoms.size()) return true;
-  if (best_count == 0) return true;  // no match for some atom: dead branch
-
-  (*done)[best] = true;
-  std::vector<Term> trail;
-  for (std::size_t c = 0; c < best_count; ++c) {
-    AtomIndex idx = (*best_candidates)[c];
-    trail.clear();
-    bool matched = Match(atoms[best], instance_.TupleData(idx), h, &trail);
-    if (interrupted_) {
-      for (std::size_t k = trail.size(); k > 0; --k) {
-        h->erase(trail[k - 1]);
-      }
-      (*done)[best] = false;
-      return false;
-    }
-    if (!matched) continue;
-    bool keep_going = Recurse(atoms, done, remaining - 1, h, cb);
-    for (std::size_t k = trail.size(); k > 0; --k) h->erase(trail[k - 1]);
-    if (!keep_going) {
-      (*done)[best] = false;
-      return false;
-    }
-  }
-  (*done)[best] = false;
+  // No undone atom left, or no match for some atom: a dead branch.
+  if (best == atoms.size() || best_count == 0) return false;
+  *best_out = best;
+  *candidates_out = IndexSpan(best_candidates.data(), best_count);
   return true;
 }
 

@@ -127,9 +127,10 @@ std::uint64_t Instance::AppendTuple(Segment* seg, const Term* src,
 void Instance::RecordTuple(Segment* seg, AtomIndex idx,
                            std::uint64_t offset, std::uint32_t n) {
   seg->atoms.push_back(idx);
+  if (seg->by_position.size() < n) seg->by_position.resize(n);
   const Term* tuple = TuplePtr(*seg, offset);
   for (std::uint32_t i = 0; i < n; ++i) {
-    seg->by_position[PosKey{i, tuple[i]}].push_back(idx);
+    seg->by_position[i].Append(tuple[i], idx);
   }
 }
 
@@ -327,9 +328,7 @@ void Instance::RollBackBatch(const std::vector<BatchTuple>& tuples,
     --shard.entries;
     const Term* tuple = TuplePtr(seg, v.offset);
     for (std::uint32_t p = 0; p < t.arity; ++p) {
-      auto it = seg.by_position.find(PosKey{p, tuple[p]});
-      assert(it != seg.by_position.end() && !it->second.empty());
-      it->second.pop_back();
+      seg.by_position[p].PopBack(tuple[p], batch_indexes_[j]);
     }
     assert(!seg.atoms.empty());
     seg.atoms.pop_back();
@@ -386,15 +385,6 @@ const std::vector<AtomIndex>& Instance::AtomsWithPredicate(
     PredicateId pred) const {
   if (pred >= segments_.size() || segments_[pred] == nullptr) return kEmpty;
   return segments_[pred]->atoms;
-}
-
-const std::vector<AtomIndex>& Instance::AtomsWithTermAt(PredicateId pred,
-                                                        std::uint32_t pos,
-                                                        Term t) const {
-  if (pred >= segments_.size() || segments_[pred] == nullptr) return kEmpty;
-  const Segment& seg = *segments_[pred];
-  auto it = seg.by_position.find(PosKey{pos, t});
-  return it == seg.by_position.end() ? kEmpty : it->second;
 }
 
 const std::vector<Term>& Instance::ActiveDomain() const {

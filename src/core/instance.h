@@ -3,21 +3,19 @@
 
 #include <cassert>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "core/atom.h"
+#include "core/position_index.h"
 #include "core/symbol_table.h"
 #include "util/thread_pool.h"
 
 namespace nuchase {
 namespace core {
-
-/// Index of an atom within an Instance, in insertion order.
-using AtomIndex = std::uint32_t;
 
 /// One tuple of a batched insert (Instance::InsertTupleBatch): the atom
 /// `pred(buffer[begin], ..., buffer[begin + arity - 1])` over the
@@ -37,7 +35,8 @@ struct BatchTuple {
 ///     immobile unique_ptr<Term[]> blocks; tuples never straddle an
 ///     extent boundary — short tail gaps are padded per segment and
 ///     excluded from every accounting number), its own group of dedup
-///     shards, its own per-(position, term) join index, its own
+///     shards, its own per-(position, term) join index (one flat
+///     PositionTable per argument position), its own
 ///     insertion-ordered atom list, and its own delta watermark;
 ///   - a global directory of AtomRefs (predicate + offset *within that
 ///     predicate's segment*) maps AtomIndex to its tuple — the
@@ -233,10 +232,17 @@ class Instance {
   /// Number of atoms in the current delta generation.
   std::size_t delta_size() const { return delta_curr_size_; }
 
-  /// All atom indexes with predicate `pred` and term `t` at position `pos`.
-  const std::vector<AtomIndex>& AtomsWithTermAt(PredicateId pred,
-                                                std::uint32_t pos,
-                                                Term t) const;
+  /// All atom indexes with predicate `pred` and term `t` at position
+  /// `pos`, ascending. The span points into the segment's position
+  /// table: it stays valid until the next insert (or batch rollback) —
+  /// the join kernel reads it while the instance is frozen.
+  IndexSpan AtomsWithTermAt(PredicateId pred, std::uint32_t pos,
+                            Term t) const {
+    if (pred >= segments_.size() || segments_[pred] == nullptr) return {};
+    const Segment& seg = *segments_[pred];
+    if (pos >= seg.by_position.size()) return {};
+    return seg.by_position[pos].Find(t);
+  }
 
   /// dom(I): the active domain (constants and nulls occurring in the
   /// instance). Maintained incrementally behind an atom-index
@@ -291,23 +297,6 @@ class Instance {
     std::size_t entries = 0; // arena atoms + pending placeholders
   };
 
-  // (position, term) key of a segment's position index (the predicate
-  // is the segment).
-  struct PosKey {
-    std::uint32_t pos;
-    Term term;
-    bool operator==(const PosKey& o) const {
-      return pos == o.pos && term == o.term;
-    }
-  };
-  struct PosKeyHash {
-    std::size_t operator()(const PosKey& k) const {
-      std::size_t seed = std::hash<std::uint32_t>{}(k.pos);
-      util::HashCombine(&seed, std::hash<std::uint32_t>{}(k.term.bits()));
-      return seed;
-    }
-  };
-
   /// Everything one predicate owns. Segments are heap-allocated and
   /// never move once created, so the parallel batch stages can touch
   /// disjoint segments while the directory vector itself stays frozen.
@@ -324,9 +313,9 @@ class Instance {
     // Global indexes of this predicate's atoms, insertion order — both
     // the AtomsWithPredicate list and the delta watermark's substrate.
     std::vector<AtomIndex> atoms;
-    // (position, term) -> global indexes.
-    std::unordered_map<PosKey, std::vector<AtomIndex>, PosKeyHash>
-        by_position;
+    // by_position[pos]: term -> global indexes (sized to the arity at
+    // the first recorded tuple).
+    std::vector<PositionTable> by_position;
     // Two-generation delta as watermarks into `atoms`: the "next"
     // generation is atoms[delta_next_mark ..); AdvanceDelta materializes
     // it into delta_curr (the stable vector DeltaAtomsWithPredicate

@@ -18,14 +18,14 @@ enum class TermKind : std::uint32_t {
 /// store of the owning Context. Value-semantic, cheap to copy and hash.
 class Term {
  public:
-  Term() : bits_(0) {}
-  Term(TermKind kind, std::uint32_t index)
+  constexpr Term() : bits_(0) {}
+  constexpr Term(TermKind kind, std::uint32_t index)
       : bits_((static_cast<std::uint32_t>(kind) << kIndexBits) | index) {}
 
-  TermKind kind() const {
+  constexpr TermKind kind() const {
     return static_cast<TermKind>(bits_ >> kIndexBits);
   }
-  std::uint32_t index() const { return bits_ & kIndexMask; }
+  constexpr std::uint32_t index() const { return bits_ & kIndexMask; }
 
   bool IsConstant() const { return kind() == TermKind::kConstant; }
   bool IsNull() const { return kind() == TermKind::kNull; }
@@ -33,15 +33,15 @@ class Term {
 
   /// Raw 32-bit encoding; stable within one Context, usable as a hash/map
   /// key.
-  std::uint32_t bits() const { return bits_; }
-  static Term FromBits(std::uint32_t bits) {
+  constexpr std::uint32_t bits() const { return bits_; }
+  static constexpr Term FromBits(std::uint32_t bits) {
     Term t;
     t.bits_ = bits;
     return t;
   }
 
-  bool operator==(const Term& o) const { return bits_ == o.bits_; }
-  bool operator!=(const Term& o) const { return bits_ != o.bits_; }
+  constexpr bool operator==(const Term& o) const { return bits_ == o.bits_; }
+  constexpr bool operator!=(const Term& o) const { return bits_ != o.bits_; }
   bool operator<(const Term& o) const { return bits_ < o.bits_; }
 
   static constexpr std::uint32_t kIndexBits = 30;

@@ -52,17 +52,22 @@ util::StatusOr<std::vector<std::vector<core::Term>>> CertainAnswers(
   }
 
   // Evaluate q over the universal model; keep null-free projections.
+  const chase::SlotConjunction q = chase::CompileConjunction(query.atoms);
+  std::vector<std::uint32_t> answer_slots;
+  answer_slots.reserve(query.answer_variables.size());
+  for (core::Term v : query.answer_variables) {
+    answer_slots.push_back(q.SlotOf(v));  // validated above: present
+  }
   std::set<std::vector<core::Term>> answers;
+  std::vector<core::Term> tuple;
   chase::HomomorphismFinder finder(result.instance);
-  finder.Enumerate(query.atoms, [&](const chase::Substitution& h) {
-    std::vector<core::Term> tuple;
-    tuple.reserve(query.answer_variables.size());
-    for (core::Term v : query.answer_variables) {
-      auto it = h.find(v);
-      if (it == h.end() || !it->second.IsConstant()) return true;
-      tuple.push_back(it->second);
+  finder.Enumerate(q, [&](const core::Term* h) {
+    tuple.clear();
+    for (std::uint32_t s : answer_slots) {
+      if (!h[s].IsConstant()) return true;
+      tuple.push_back(h[s]);
     }
-    answers.insert(std::move(tuple));
+    answers.insert(tuple);
     return true;
   });
 

@@ -6,12 +6,12 @@ namespace nuchase {
 namespace query {
 
 using chase::HomomorphismFinder;
-using chase::Substitution;
 
 bool Satisfies(const core::Instance& instance, const ConjunctiveQuery& cq) {
+  const chase::SlotConjunction q = chase::CompileConjunction(cq.atoms);
   bool found = false;
   HomomorphismFinder finder(instance);
-  finder.Enumerate(cq.atoms, [&](const Substitution&) {
+  finder.Enumerate(q, [&](const core::Term*) {
     found = true;
     return false;  // stop at the first witness
   });
@@ -33,19 +33,20 @@ bool Satisfies(const core::Database& db,
 }
 
 bool Satisfies(const core::Instance& instance, const tgd::Tgd& rule) {
+  const chase::JoinPlan plan = chase::PlanJoin(rule);
   bool ok = true;
-  HomomorphismFinder finder(instance);
-  finder.Enumerate(rule.body(), [&](const Substitution& h) {
+  HomomorphismFinder body_finder(instance);
+  HomomorphismFinder head_finder(instance);
+  body_finder.Enumerate(plan.body, [&](const core::Term* h) {
     // Keep only the frontier bindings; the head must be matchable with
     // some extension h' ⊇ h|fr(σ).
-    Substitution frontier_binding;
-    for (core::Term v : rule.frontier()) frontier_binding.emplace(v, h.at(v));
+    head_finder.Begin(plan.head);
+    for (std::uint32_t s : plan.frontier_slots) head_finder.Bind(s, h[s]);
     bool extended = false;
-    finder.Enumerate(rule.head(), frontier_binding, -1, 0,
-                     [&](const Substitution&) {
-                       extended = true;
-                       return false;
-                     });
+    head_finder.Run([&](const core::Term*) {
+      extended = true;
+      return false;
+    });
     if (!extended) {
       ok = false;
       return false;  // found a violated trigger; stop

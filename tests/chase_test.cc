@@ -4,7 +4,6 @@
 #include <string>
 
 #include "chase/chase.h"
-#include "chase/null_store.h"
 #include "chase/trigger.h"
 #include "query/evaluator.h"
 #include "tgd/parser.h"
@@ -306,36 +305,75 @@ TEST_F(ChaseTest, EmptyFrontierFiresOnce) {
   EXPECT_EQ(result.instance.AtomsWithPredicate(*q).size(), 1u);
 }
 
+/// Definition 3.1's naming ⊥^z_{σ, h|fr(σ)}, checked on the chase
+/// result: the null is a function of the TGD, the existential variable
+/// and the frontier images (the fired set admits each key once; the
+/// engine binds fresh nulls per admitted trigger).
 TEST(NullStoreTest, KeysOnTgdVarAndFrontier) {
   core::SymbolTable symbols;
-  NullStore store(&symbols);
-  core::Term z1 = symbols.InternVariable("z1");
-  core::Term z2 = symbols.InternVariable("z2");
+  auto program = tgd::ParseProgram(&symbols,
+                                   "R(a). R(b). E(a, c). E(a, d).\n"
+                                   "E(x, y) -> P(x, z1).\n"
+                                   "E(x, y) -> Q(x, z1, z2).\n"
+                                   "R(x) -> W(x, z1).\n");
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  ChaseResult result = RunChase(&symbols, program->tgds, program->database);
+  ASSERT_TRUE(result.Terminated());
+  auto only = [&](const char* pred, core::Term first) {
+    std::vector<core::AtomView> out;
+    for (core::AtomIndex i : result.instance.AtomsWithPredicate(
+             *symbols.FindPredicate(pred))) {
+      if (result.instance.atom(i).arg(0) == first) {
+        out.push_back(result.instance.atom(i));
+      }
+    }
+    return out;
+  };
   core::Term a = *symbols.InternConstant("a");
   core::Term b = *symbols.InternConstant("b");
-
-  core::Term n1 = *store.GetOrCreate(0, z1, {a});
-  EXPECT_EQ(*store.GetOrCreate(0, z1, {a}), n1);  // same key → same null
-  EXPECT_NE(*store.GetOrCreate(0, z2, {a}), n1);  // different variable
-  EXPECT_NE(*store.GetOrCreate(1, z1, {a}), n1);  // different TGD
-  EXPECT_NE(*store.GetOrCreate(0, z1, {b}), n1);  // different frontier
-  EXPECT_EQ(store.size(), 4u);
+  // Same key (two homomorphisms, one frontier image) -> same null.
+  ASSERT_EQ(only("P", a).size(), 1u);
+  core::Term n1 = only("P", a)[0].arg(1);
+  ASSERT_EQ(only("Q", a).size(), 1u);
+  core::Term q1 = only("Q", a)[0].arg(1);
+  core::Term q2 = only("Q", a)[0].arg(2);
+  EXPECT_NE(q1, q2);  // different variable
+  EXPECT_NE(q1, n1);  // different TGD
+  ASSERT_EQ(only("W", a).size(), 1u);
+  ASSERT_EQ(only("W", b).size(), 1u);
+  EXPECT_NE(only("W", a)[0].arg(1), only("W", b)[0].arg(1));  // frontier
+  std::size_t nulls = 0;
+  for (core::Term t : result.instance.ActiveDomain()) {
+    if (t.IsNull()) ++nulls;
+  }
+  EXPECT_EQ(nulls, 5u);  // P(a), Q(a) x2, W(a), W(b)
 }
 
 TEST(NullStoreTest, DepthIsOnePlusMaxFrontierDepth) {
   core::SymbolTable symbols;
-  NullStore store(&symbols);
-  core::Term z = symbols.InternVariable("z");
-  core::Term a = *symbols.InternConstant("a");
-
-  core::Term n1 = *store.GetOrCreate(0, z, {a});
+  auto program = tgd::ParseProgram(&symbols,
+                                   "R(a).\n"
+                                   "R(x) -> S(x, z).\n"
+                                   "S(x, y) -> T(y, z).\n"
+                                   "S(x, y), T(y, w) -> U(x, w, z).\n"
+                                   "R(x) -> Q(z).\n");
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  ChaseResult result = RunChase(&symbols, program->tgds, program->database);
+  ASSERT_TRUE(result.Terminated());
+  auto single = [&](const char* pred) {
+    const auto& atoms =
+        result.instance.AtomsWithPredicate(*symbols.FindPredicate(pred));
+    EXPECT_EQ(atoms.size(), 1u) << pred;
+    return result.instance.atom(atoms[0]);
+  };
+  core::Term n1 = single("S").arg(1);
   EXPECT_EQ(symbols.depth(n1), 1u);
-  core::Term n2 = *store.GetOrCreate(0, z, {n1});
+  core::Term n2 = single("T").arg(1);  // frontier {n1}
   EXPECT_EQ(symbols.depth(n2), 2u);
-  core::Term n3 = *store.GetOrCreate(0, z, {a, n2});
+  core::Term n3 = single("U").arg(2);  // frontier {a, n2}
   EXPECT_EQ(symbols.depth(n3), 3u);
   // Empty frontier: depth 1 (= 1 + max(∅ ∪ {0})).
-  core::Term n4 = *store.GetOrCreate(7, z, {});
+  core::Term n4 = single("Q").arg(0);
   EXPECT_EQ(symbols.depth(n4), 1u);
 }
 
@@ -376,10 +414,13 @@ TEST(SubstitutionTest, ApplyLeavesUnboundVariables) {
   core::Term x = symbols.InternVariable("x");
   core::Term y = symbols.InternVariable("y");
   core::Term a = *symbols.InternConstant("a");
-  Substitution h{{x, a}};
-  core::Atom out = ApplySubstitution(core::Atom(*r, {x, y}), h);
-  EXPECT_EQ(out.args[0], a);
-  EXPECT_EQ(out.args[1], y);
+  SlotConjunction q = CompileConjunction({core::Atom(*r, {x, y})});
+  std::vector<core::Term> h(q.num_slots(), kUnbound);
+  h[q.SlotOf(x)] = a;
+  std::vector<core::Term> out;
+  InstantiateInto(q, 0, h.data(), &out);
+  EXPECT_EQ(out[0], a);
+  EXPECT_EQ(out[1], y);
 }
 
 }  // namespace

@@ -85,6 +85,11 @@ struct LinearizeCase {
   bool finite;
 };
 
+// Without this gtest prints the case as its raw bytes, which include
+// pointer values; ctest would then name each case after addresses that
+// change from run to run.
+void PrintTo(const LinearizeCase& c, std::ostream* os) { *os << c.name; }
+
 class LinearizePreservationTest
     : public ::testing::TestWithParam<LinearizeCase> {};
 

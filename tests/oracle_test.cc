@@ -95,6 +95,11 @@ struct OracleCase {
   const char* program;
 };
 
+// Without this gtest prints the case as its raw bytes, which include
+// pointer values; ctest would then name each case after addresses that
+// change from run to run.
+void PrintTo(const OracleCase& c, std::ostream* os) { *os << c.name; }
+
 class OracleAgreementTest : public ::testing::TestWithParam<OracleCase> {};
 
 TEST_P(OracleAgreementTest, MatchesChaseOnTerminatingPairs) {

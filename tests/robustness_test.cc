@@ -108,9 +108,10 @@ TEST(HomomorphismFinderTest, IndexedAndScanModesAgree) {
 
     auto collect = [&](bool use_index) {
       std::vector<std::pair<core::Term, core::Term>> out;
+      const chase::SlotConjunction q = chase::CompileConjunction(query);
       chase::HomomorphismFinder finder(inst, use_index);
-      finder.Enumerate(query, [&](const chase::Substitution& h) {
-        out.emplace_back(h.at(x), h.at(y));
+      finder.Enumerate(q, [&](const core::Term* h) {
+        out.emplace_back(h[q.SlotOf(x)], h[q.SlotOf(y)]);
         return true;
       });
       std::sort(out.begin(), out.end());

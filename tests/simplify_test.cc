@@ -118,6 +118,11 @@ struct SimplifyCase {
   bool finite;
 };
 
+// Without this gtest prints the case as its raw bytes, which include
+// pointer values; ctest would then name each case after addresses that
+// change from run to run.
+void PrintTo(const SimplifyCase& c, std::ostream* os) { *os << c.name; }
+
 class SimplifyPreservationTest
     : public ::testing::TestWithParam<SimplifyCase> {};
 
