@@ -1,13 +1,11 @@
-// A2 (ablation) — the two storage/engine design choices of the trigger
-// search, crossed: the secondary (predicate, position, term) index
-// ("VLog-style" layout) and the semi-naive delta engine (each round
-// joins only through the previous round's delta, seeded via the
-// per-predicate delta index with a join order planned from the delta
-// atom). All four cells materialize byte-identical instances; only
-// join_probes and seconds differ. The delta dimension is the
-// order-of-magnitude fix on recursive workloads (datalog-tc, the
-// Proposition 4.5 depth family), where the full scan re-derives every
-// round's matches from the whole instance.
+// A2 (ablation) — the semi-naive delta engine of the trigger search
+// (each round joins only through the previous round's delta, seeded via
+// the per-predicate delta index with a join order planned from the
+// delta atom) against the full-scan baseline. Both cells materialize
+// byte-identical instances; only join_probes and seconds differ. The
+// delta engine is the order-of-magnitude fix on recursive workloads
+// (datalog-tc, the Proposition 4.5 depth family), where the full scan
+// re-derives every round's matches from the whole instance.
 #include <string>
 
 #include "bench/bench_util.h"
@@ -17,18 +15,6 @@
 
 namespace nuchase {
 namespace {
-
-struct Cell {
-  bool use_delta;
-  bool use_position_index;
-};
-
-constexpr Cell kCells[] = {
-    {true, true},
-    {true, false},
-    {false, true},
-    {false, false},
-};
 
 /// Builds a fresh (symbols, Σ, D) for every cell — null names are
 /// interned in the symbol table, so sharing one table across runs would
@@ -43,32 +29,30 @@ template <typename MakeSetup>
 void RunMatrix(const char* label, const MakeSetup& make_setup,
                util::Table* table) {
   std::string reference;
-  double delta_indexed_s = 0;
-  for (const Cell& cell : kCells) {
+  double delta_s = 0;
+  for (bool use_delta : {true, false}) {
     Setup setup;
     make_setup(&setup);
     chase::ChaseOptions options;
     options.max_atoms = 5'000'000;
-    options.use_delta = cell.use_delta;
-    options.use_position_index = cell.use_position_index;
+    options.use_delta = use_delta;
     bench::Stopwatch timer;
     chase::ChaseResult r =
         chase::RunChase(&setup.symbols, setup.tgds, setup.db, options);
     double seconds = timer.Seconds();
 
     std::string sorted = r.instance.ToSortedString(setup.symbols);
-    if (cell.use_delta && cell.use_position_index) {
+    if (use_delta) {
       reference = sorted;
-      delta_indexed_s = seconds;
+      delta_s = seconds;
     }
     char speedup[32];
     std::snprintf(speedup, sizeof(speedup), "%.1fx",
-                  delta_indexed_s > 0 ? seconds / delta_indexed_s : 0.0);
+                  delta_s > 0 ? seconds / delta_s : 0.0);
     table->AddRow(
         {label, std::to_string(setup.db.size()),
          std::to_string(r.instance.size()),
-         cell.use_delta ? "on" : "off",
-         cell.use_position_index ? "on" : "off",
+         use_delta ? "on" : "off",
          bench::FormatSeconds(seconds),
          std::to_string(r.stats.join_probes),
          std::to_string(r.stats.delta_atoms_scanned),
@@ -80,13 +64,13 @@ void RunMatrix(const char* label, const MakeSetup& make_setup,
 void Run() {
   bench::PrintHeader(
       "A2 bench_index_ablation",
-      "delta (semi-naive) x position-index ablation matrix; "
+      "delta (semi-naive) vs full-scan ablation; "
       "byte-identical output, different cost");
 
-  util::Table table("delta x position-index ablation",
-                    {"workload", "|D|", "atoms", "delta", "posindex",
-                     "time(s)", "join_probes", "delta_seeds",
-                     "arena_bytes", "vs delta+idx", "same result"});
+  util::Table table("delta ablation",
+                    {"workload", "|D|", "atoms", "delta", "time(s)",
+                     "join_probes", "delta_seeds", "arena_bytes",
+                     "vs delta", "same result"});
 
   struct Scenario {
     const char* label;
@@ -102,7 +86,7 @@ void Run() {
 
   for (const Scenario& s : scenarios) {
     for (std::uint64_t size : {100u, 400u, 1600u}) {
-      // The naive x scan cell of datalog-tc is quadratic in rounds; cap
+      // The full-scan cell of datalog-tc is quadratic in rounds; cap
       // the input so the matrix stays minutes-free.
       if (std::string(s.label) == "datalog-tc" && size > 400) continue;
       auto make_setup = [&](Setup* setup) {

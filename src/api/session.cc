@@ -9,30 +9,35 @@ namespace nuchase {
 namespace api {
 
 chase::ChaseOptions Session::MakeChaseOptions() const {
-  chase::ChaseOptions copt;
-  copt.variant = options_.variant;
-  copt.max_atoms = options_.max_atoms;
-  copt.max_depth = options_.max_depth;
-  copt.max_rounds = options_.max_rounds;
-  copt.build_forest = options_.build_forest;
-  copt.use_delta = options_.use_delta;
-  copt.use_position_index = options_.use_position_index;
-  copt.num_threads = options_.num_threads;
-  copt.extent_log2 = options_.extent_log2;
-  copt.deadline_ms = options_.deadline_ms;
-  copt.cancel = options_.cancel;
-  copt.observer = options_.observer;
+  chase::ChaseOptions copt = options_.chase;
   copt.plans = &program_.join_plans();
-  copt.use_reliances = options_.use_reliances;
-  copt.restraint_order = options_.restraint_order;
   copt.reliances = &program_.reliances();
   return copt;
 }
 
+termination::AdvisorOptions Session::MakeAdvisorOptions(
+    bool materialize) const {
+  termination::AdvisorOptions aopt;
+  aopt.chase = MakeChaseOptions();
+  aopt.materialize = materialize;
+  aopt.max_types = options_.max_types;
+  // Point the advisor at the Program's memoized analysis artifacts: the
+  // ladder run for general Σ, the class decision for SL/L/G. The
+  // syntactic cache holds a default-budget run, so it is bypassed when
+  // the session raised or lowered max_types.
+  if (program_.tgd_class() == tgd::TgdClass::kGeneral) {
+    aopt.ladder = &program_.ladder();
+  } else if (options_.max_types == SessionOptions{}.max_types) {
+    const auto& syntactic = program_.syntactic();
+    if (syntactic.ok()) aopt.syntactic = &*syntactic;
+  }
+  return aopt;
+}
+
 util::StatusOr<ChaseRun> Session::Chase() const {
-  if (options_.max_atoms == 0) {
+  if (options_.chase.max_atoms == 0) {
     return util::Status::InvalidArgument(
-        "SessionOptions::max_atoms must be positive (every chase run is "
+        "the max_atoms chase budget must be positive (every chase run is "
         "bounded by at least the atom budget)");
   }
   ChaseRun run(program_);
@@ -61,25 +66,6 @@ util::StatusOr<ClassifyResult> Session::Classify() const {
   out.size_factor = program_.size_factor();
   return out;
 }
-
-namespace {
-
-// Points the advisor at the Program's memoized analysis artifacts: the
-// ladder run for general Σ, the class decision for SL/L/G. The
-// syntactic cache holds a default-budget run, so it is bypassed when
-// the session raised or lowered max_types.
-void BorrowProgramCaches(const Program& program, std::uint64_t max_types,
-                         termination::AdvisorOptions* aopt) {
-  if (program.tgd_class() == tgd::TgdClass::kGeneral) {
-    aopt->ladder = &program.ladder();
-    return;
-  }
-  if (max_types != SessionOptions{}.max_types) return;
-  const auto& syntactic = program.syntactic();
-  if (syntactic.ok()) aopt->syntactic = &*syntactic;
-}
-
-}  // namespace
 
 util::StatusOr<AnalyzeResult> Session::Analyze() const {
   AnalyzeResult out;
@@ -129,12 +115,12 @@ util::StatusOr<DecideResult> Session::Decide(DecideMethod method) const {
       return out;
     }
     case DecideMethod::kBoundedChase: {
-      // DecideByChase reads only the engine switches and hooks from its
-      // `engine` parameter and owns the decision-relevant fields, so the
-      // full chase-option set is safe to hand over.
+      // DecideByChase overrides the decision-relevant fields of its
+      // `engine` parameter, so the full chase-option set is safe to hand
+      // over.
       termination::NaiveDecision naive = termination::DecideByChase(
           &scratch, program_.tgds(), program_.database(),
-          options_.max_atoms, MakeChaseOptions());
+          options_.chase.max_atoms, MakeChaseOptions());
       out.decision = naive.decision;
       out.method = "bounded-chase";
       out.atoms = naive.atoms;
@@ -142,23 +128,9 @@ util::StatusOr<DecideResult> Session::Decide(DecideMethod method) const {
       return out;
     }
     case DecideMethod::kAuto: {
-      termination::AdvisorOptions aopt;
-      aopt.materialize = false;
-      aopt.max_types = options_.max_types;
-      aopt.max_atoms = options_.max_atoms;
-      aopt.use_delta = options_.use_delta;
-      aopt.use_position_index = options_.use_position_index;
-      aopt.num_threads = options_.num_threads;
-      aopt.extent_log2 = options_.extent_log2;
-      aopt.deadline_ms = options_.deadline_ms;
-      aopt.cancel = options_.cancel;
-      aopt.observer = options_.observer;
-      aopt.plans = &program_.join_plans();
-      aopt.use_reliances = options_.use_reliances;
-      aopt.reliances = &program_.reliances();
-      BorrowProgramCaches(program_, options_.max_types, &aopt);
-      auto report = termination::Advise(&scratch, program_.tgds(),
-                                        program_.database(), aopt);
+      auto report =
+          termination::Advise(&scratch, program_.tgds(), program_.database(),
+                              MakeAdvisorOptions(/*materialize=*/false));
       if (!report.ok()) return report.status();
       out.decision = report->decision;
       out.method = report->method;
@@ -172,24 +144,9 @@ util::StatusOr<AdviseResult> Session::Advise() const {
   AdviseResult out;
   out.symbols_ = program_.symbols();
 
-  termination::AdvisorOptions aopt;
-  aopt.materialize = options_.materialize;
-  aopt.max_types = options_.max_types;
-  aopt.max_atoms = options_.max_atoms;
-  aopt.use_delta = options_.use_delta;
-  aopt.use_position_index = options_.use_position_index;
-  aopt.num_threads = options_.num_threads;
-  aopt.extent_log2 = options_.extent_log2;
-  aopt.deadline_ms = options_.deadline_ms;
-  aopt.cancel = options_.cancel;
-  aopt.observer = options_.observer;
-  aopt.plans = &program_.join_plans();
-  aopt.use_reliances = options_.use_reliances;
-  aopt.reliances = &program_.reliances();
-  BorrowProgramCaches(program_, options_.max_types, &aopt);
-
-  auto report = termination::Advise(&out.symbols_, program_.tgds(),
-                                    program_.database(), aopt);
+  auto report =
+      termination::Advise(&out.symbols_, program_.tgds(), program_.database(),
+                          MakeAdvisorOptions(options_.materialize));
   if (!report.ok()) return report.status();
   out.report_ = std::move(*report);
   return out;

@@ -25,109 +25,59 @@ namespace api {
 ///                            .set_variant(chase::ChaseVariant::kRestricted)
 ///                            .set_max_rounds(100)
 ///                            .set_deadline_ms(5000));
+///
+/// The chase options are chase::ChaseOptions itself (see there for every
+/// field's contract). Chase() runs them as given, with the program's
+/// parse-time join plans and reliance graph filled in; Decide() and
+/// Advise() hand the same struct to the deciders, which keep the engine
+/// switches, budgets and hooks but own the decision-relevant fields
+/// (variant, depth and round budgets, forest, restraint order).
 struct SessionOptions {
-  /// Which chase procedure Chase() runs.
-  chase::ChaseVariant variant = chase::ChaseVariant::kSemiOblivious;
-  /// Atom budget for Chase() and for Advise()'s materialization; the
-  /// library-wide default comes from chase::ChaseOptions.
-  std::uint64_t max_atoms = chase::ChaseOptions{}.max_atoms;
-  /// If nonzero, Chase() stops (kDepthLimit) past this null depth.
-  std::uint32_t max_depth = 0;
-  /// If nonzero, Chase() stops (kRoundLimit) after this many rounds.
-  std::uint64_t max_rounds = 0;
-  /// If nonzero, every run stops (kCancelled) after this wall-clock
-  /// budget in milliseconds.
-  std::uint64_t deadline_ms = 0;
-  /// Engine ablation switches (results identical; cost differs).
-  bool use_delta = true;
-  bool use_position_index = true;
-  /// Reliance-based cross-rule round scheduling (results identical; the
-  /// switch only changes which rules may share a parallel collect phase
-  /// — see chase::ChaseOptions::use_reliances). Forwarded, with the
-  /// program's parse-time reliance graph, to every chase the session
-  /// runs.
-  bool use_reliances = true;
-  /// Restraint-guided within-group firing order for the restricted
-  /// chase. Opt-in and NOT identity-preserving: the result is still a
-  /// deterministic, thread-invariant restricted-chase result, but a
-  /// different (often faster-terminating) one than Σ-order. Ignored
-  /// unless use_reliances is on and the variant is kRestricted; see
-  /// chase::ChaseOptions::restraint_order.
-  bool restraint_order = false;
-  /// Worker count for the within-round parallel trigger engine,
-  /// forwarded to every chase this session runs (Chase(), Decide()'s
-  /// bounded-chase fallback, Advise()'s materialization). 1 = the
-  /// sequential engine, 0 = one worker per hardware thread, N = exactly
-  /// N workers; left unset it is sequential unless the NUCHASE_THREADS
-  /// environment variable raises it. Results are byte-identical for
-  /// every value — the knob trades wall-clock for cores, nothing else;
-  /// see chase::ChaseOptions::num_threads for the engine contract.
-  std::uint32_t num_threads = chase::kNumThreadsDefault;
-  /// Log2 of the instance's extent size in terms, forwarded to every
-  /// chase this session runs. 0 (the default) keeps the engine's
-  /// built-in geometry. Observationally invisible — bytes, sorted
-  /// renderings and arena_bytes are identical for every value; the knob
-  /// trades allocation granularity for memory headroom, nothing else;
-  /// see chase::ChaseOptions::extent_log2 for the engine contract.
-  std::uint32_t extent_log2 = 0;
-  /// Record the guarded chase forest (Section 5) during Chase().
-  bool build_forest = false;
+  /// Every chase the session runs starts from these options.
+  chase::ChaseOptions chase;
   /// Advise(): materialize chase(D,Σ) when the decision is kTerminates.
   bool materialize = true;
   /// Advise()/Decide(): budget for guarded linearization.
   std::uint64_t max_types = 100000;
-  /// Observation hooks, called synchronously from the run's thread. Not
-  /// owned; must outlive every run of the session.
-  chase::ChaseObserver* observer = nullptr;
-  /// Cooperative cancellation, pollable from other threads. Not owned.
-  const chase::CancelToken* cancel = nullptr;
 
   SessionOptions& set_variant(chase::ChaseVariant v) {
-    variant = v;
+    chase.variant = v;
     return *this;
   }
   SessionOptions& set_max_atoms(std::uint64_t n) {
-    max_atoms = n;
+    chase.max_atoms = n;
     return *this;
   }
   SessionOptions& set_max_depth(std::uint32_t n) {
-    max_depth = n;
+    chase.max_depth = n;
     return *this;
   }
   SessionOptions& set_max_rounds(std::uint64_t n) {
-    max_rounds = n;
+    chase.max_rounds = n;
     return *this;
   }
   SessionOptions& set_deadline_ms(std::uint64_t ms) {
-    deadline_ms = ms;
+    chase.deadline_ms = ms;
     return *this;
   }
   SessionOptions& set_use_delta(bool on) {
-    use_delta = on;
-    return *this;
-  }
-  SessionOptions& set_use_position_index(bool on) {
-    use_position_index = on;
+    chase.use_delta = on;
     return *this;
   }
   SessionOptions& set_use_reliances(bool on) {
-    use_reliances = on;
+    chase.use_reliances = on;
     return *this;
   }
   SessionOptions& set_restraint_order(bool on) {
-    restraint_order = on;
+    chase.restraint_order = on;
     return *this;
   }
   SessionOptions& set_num_threads(std::uint32_t n) {
-    num_threads = n;
-    return *this;
-  }
-  SessionOptions& set_extent_log2(std::uint32_t log2) {
-    extent_log2 = log2;
+    chase.num_threads = n;
     return *this;
   }
   SessionOptions& set_build_forest(bool on) {
-    build_forest = on;
+    chase.build_forest = on;
     return *this;
   }
   SessionOptions& set_materialize(bool on) {
@@ -139,11 +89,11 @@ struct SessionOptions {
     return *this;
   }
   SessionOptions& set_observer(chase::ChaseObserver* o) {
-    observer = o;
+    chase.observer = o;
     return *this;
   }
   SessionOptions& set_cancel(const chase::CancelToken* token) {
-    cancel = token;
+    chase.cancel = token;
     return *this;
   }
 };
@@ -311,6 +261,7 @@ class Session {
 
  private:
   chase::ChaseOptions MakeChaseOptions() const;
+  termination::AdvisorOptions MakeAdvisorOptions(bool materialize) const;
 
   Program program_;
   SessionOptions options_;

@@ -385,33 +385,6 @@ ChaseResult RunChase(core::SymbolScope* symbols, const tgd::TgdSet& tgds,
                      const core::Database& db,
                      const ChaseOptions& options) {
   ChaseResult result;
-  if (options.extent_log2 != 0) {
-    // Re-seat the default-geometry instance before anything observes
-    // it. Extent geometry is observationally invisible (same bytes,
-    // same ToSortedString, same arena_bytes — padding is excluded per
-    // segment), so this knob is tuning-only and golden-safe. Tuples
-    // never straddle an extent boundary, so the requested geometry is
-    // clamped up — equally invisibly — until one extent holds the
-    // widest tuple the run can store (schema atoms cover every head
-    // the chase can fire; database facts cover the initial load).
-    std::uint32_t widest = 1;
-    for (const Atom& fact : db.facts()) {
-      widest = std::max(widest, fact.arity());
-    }
-    const tgd::RuleIndex num_rules =
-        static_cast<tgd::RuleIndex>(tgds.size());
-    for (tgd::RuleIndex ti = 0; ti < num_rules; ++ti) {
-      for (const Atom& a : tgds.tgd(ti).body()) {
-        widest = std::max(widest, a.arity());
-      }
-      for (const Atom& a : tgds.tgd(ti).head()) {
-        widest = std::max(widest, a.arity());
-      }
-    }
-    std::uint32_t log2 = options.extent_log2;
-    while ((std::uint64_t{1} << log2) < widest) ++log2;
-    result.instance = Instance(log2);
-  }
   Instance& instance = result.instance;
   const bool oblivious = options.variant == ChaseVariant::kOblivious;
   FlatFiredSet fired;
@@ -543,7 +516,7 @@ ChaseResult RunChase(core::SymbolScope* symbols, const tgd::TgdSet& tgds,
   std::vector<Term> scratch;
   std::vector<std::uint32_t> key;
   // The sequential join kernel, reused by every rule and round.
-  HomomorphismFinder finder(instance, options.use_position_index);
+  HomomorphismFinder finder(instance);
   finder.set_interrupt(finder_interrupt);
 
   // Parallel trigger engine. Two phases fan out over one persistent
@@ -747,8 +720,7 @@ ChaseResult RunChase(core::SymbolScope* symbols, const tgd::TgdSet& tgds,
         if ((++self.deadline_poll & 63u) != 0) return false;
         return std::chrono::steady_clock::now() >= deadline;
       };
-      HomomorphismFinder worker_finder(instance,
-                                       options.use_position_index);
+      HomomorphismFinder worker_finder(instance);
       worker_finder.set_interrupt(pollable ? &stop : nullptr);
       // The task loop retargets these whenever the (rule, seed) of the
       // current task changes; tasks are rule-major, so switches are as
@@ -940,8 +912,7 @@ ChaseResult RunChase(core::SymbolScope* symbols, const tgd::TgdSet& tgds,
               if ((++self.deadline_poll & 63u) != 0) return false;
               return std::chrono::steady_clock::now() >= deadline;
             };
-            HomomorphismFinder head_finder(instance,
-                                           options.use_position_index);
+            HomomorphismFinder head_finder(instance);
             head_finder.set_probe_counter(&self.join_probes);
             head_finder.set_interrupt(apply_pollable ? &stop : nullptr);
             for (std::size_t t = begin; t < end; ++t) {
@@ -966,7 +937,7 @@ ChaseResult RunChase(core::SymbolScope* symbols, const tgd::TgdSet& tgds,
       if (apply_interrupted) return ChaseOutcome::kCancelled;
 
       // Stage 2 (serial, canonical order): skip or fire.
-      HomomorphismFinder recheck(instance, options.use_position_index);
+      HomomorphismFinder recheck(instance);
       recheck.set_probe_counter(&result.stats.join_probes);
       recheck.set_interrupt(finder_interrupt);
       for (std::size_t t = 0; t < pending.size(); ++t) {

@@ -77,10 +77,6 @@ struct ChaseOptions {
   /// Record the guarded chase forest (Section 5). Requires every fired
   /// trigger's TGD to be guarded; non-guarded TGDs get no parent edge.
   bool build_forest = false;
-  /// Ablation switch: when false, trigger search joins through the
-  /// per-predicate lists only (no (predicate, position, term) index).
-  /// Results are identical; only performance differs.
-  bool use_position_index = true;
   /// Ablation switch for the semi-naive engine: when true (default),
   /// each round matches TGD bodies only against joins containing at
   /// least one atom from the previous round's delta, seeded through the
@@ -163,17 +159,6 @@ struct ChaseOptions {
   /// stay serial in canonical trigger order — that, plus the canonical
   /// merges, is what keeps the results byte-identical.
   std::uint32_t num_threads = kNumThreadsDefault;
-  /// Terms per storage extent, as a power of two: the result instance
-  /// is built with core::Instance(extent_log2). 0 (the default) means
-  /// core::Instance::kDefaultExtentLog2. Extent geometry is
-  /// observationally invisible — instance bytes, arena_bytes (padding
-  /// is excluded per segment) and every deterministic counter are
-  /// identical for any legal value; only memory granularity and cache
-  /// behavior differ. An extent must hold the widest tuple of the run;
-  /// RunChase clamps the value up until it does (invisibly, by the
-  /// above), so a small request on a wide schema is safe. The CLI caps
-  /// its flag at [2, 24].
-  std::uint32_t extent_log2 = 0;
 };
 
 /// The worker count a run with these options will actually use: resolves

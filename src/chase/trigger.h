@@ -128,8 +128,9 @@ class HomomorphismFinder {
  public:
   /// `use_position_index` = false disables the secondary
   /// (predicate, position, term) index and joins through the
-  /// per-predicate lists only — the ablation baseline measured by
-  /// bench_index_ablation.
+  /// per-predicate lists only. The chase always joins through the
+  /// index; scan mode is the test hook that checks indexed enumeration
+  /// against the plain scan (kernel_test, robustness_test).
   explicit HomomorphismFinder(const core::Instance& instance,
                               bool use_position_index = true)
       : instance_(instance), use_position_index_(use_position_index) {}

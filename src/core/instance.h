@@ -91,9 +91,9 @@ class Instance {
   Instance() : Instance(kDefaultExtentLog2) {}
 
   /// An instance whose arena extents hold 2^extent_log2 terms. Tests
-  /// shrink this (to force tuples across extent boundaries); deployments
-  /// with many narrow predicates can shrink it to cut per-segment tail
-  /// memory. Every tuple's arity must fit in one extent.
+  /// shrink this to force tuples across extent boundaries; the geometry
+  /// is observationally invisible. Every tuple's arity must fit in one
+  /// extent.
   explicit Instance(std::uint32_t extent_log2)
       : extent_log2_(extent_log2),
         extent_capacity_(std::uint64_t{1} << extent_log2),

@@ -26,7 +26,7 @@ util::StatusOr<AdvisorReport> Advise(core::SymbolTable* symbols,
     const LadderResult* ladder = options.ladder;
     if (ladder == nullptr) {
       LadderOptions lopt;
-      lopt.mfa.num_threads = options.num_threads;
+      lopt.mfa.num_threads = options.chase.num_threads;
       local_ladder = RunLadder(*symbols, tgds, db, lopt);
       ladder = &local_ladder;
     }
@@ -34,19 +34,9 @@ util::StatusOr<AdvisorReport> Advise(core::SymbolTable* symbols,
       report.decision = Decision::kTerminates;
       report.method = "ladder:" + ladder->rung;
     } else {
-      chase::ChaseOptions engine;
-      engine.use_delta = options.use_delta;
-      engine.use_position_index = options.use_position_index;
-      engine.num_threads = options.num_threads;
-      engine.extent_log2 = options.extent_log2;
-      engine.deadline_ms = options.deadline_ms;
-      engine.cancel = options.cancel;
-      engine.observer = options.observer;
-      engine.plans = options.plans;
-      engine.use_reliances = options.use_reliances;
-      engine.reliances = options.reliances;
-      NaiveDecision naive =
-          DecideByChase(symbols, tgds, db, options.max_atoms, engine);
+      NaiveDecision naive = DecideByChase(symbols, tgds, db,
+                                          options.chase.max_atoms,
+                                          options.chase);
       report.decision = naive.decision;
       report.method = "bounded-chase";
     }
@@ -80,20 +70,8 @@ util::StatusOr<AdvisorReport> Advise(core::SymbolTable* symbols,
   }
 
   if (options.materialize && report.decision == Decision::kTerminates) {
-    chase::ChaseOptions chase_options;
-    chase_options.max_atoms = options.max_atoms;
-    chase_options.use_delta = options.use_delta;
-    chase_options.use_position_index = options.use_position_index;
-    chase_options.num_threads = options.num_threads;
-    chase_options.extent_log2 = options.extent_log2;
-    chase_options.deadline_ms = options.deadline_ms;
-    chase_options.cancel = options.cancel;
-    chase_options.observer = options.observer;
-    chase_options.plans = options.plans;
-    chase_options.use_reliances = options.use_reliances;
-    chase_options.reliances = options.reliances;
-    chase::ChaseResult result =
-        chase::RunChase(symbols, tgds, db, chase_options);
+    chase::ChaseResult result = chase::RunChase(
+        symbols, tgds, db, DecisionChaseOptions(options.chase));
     if (result.outcome == chase::ChaseOutcome::kCancelled) {
       return util::Status::ResourceExhausted(
           "materialization cancelled (CancelToken fired or deadline "
@@ -102,7 +80,7 @@ util::StatusOr<AdvisorReport> Advise(core::SymbolTable* symbols,
     if (!result.Terminated()) {
       return util::Status::ResourceExhausted(
           "decider certified termination but the materialization budget "
-          "was exceeded; raise AdvisorOptions::max_atoms");
+          "was exceeded; raise the max_atoms chase budget");
     }
     report.materialization = std::move(result);
   }

@@ -36,40 +36,18 @@ struct AdvisorReport {
 };
 
 struct AdvisorOptions {
+  /// Every chase the advisor runs (the bounded-chase fallback and the
+  /// materialization) starts from these options: engine switches,
+  /// worker count, atom budget, deadline, hooks, and precomputed plans
+  /// and reliances for Σ. The decision-relevant fields are reset first
+  /// (see DecisionChaseOptions). A cancelled materialization surfaces
+  /// as ResourceExhausted. No pointer is owned; all must outlive the
+  /// call.
+  chase::ChaseOptions chase;
   /// Run the chase and attach the materialization when Σ ∈ CT_D.
   bool materialize = true;
-  /// Budget for guarded linearization and for the materialization chase.
+  /// Budget for guarded linearization.
   std::uint64_t max_types = 100000;
-  std::uint64_t max_atoms = 10'000'000;
-  /// Chase-engine switches, forwarded to every chase the advisor runs
-  /// (the bounded-chase fallback and the materialization). See
-  /// chase::ChaseOptions.
-  bool use_delta = true;
-  bool use_position_index = true;
-  /// Worker count for the parallel trigger engine, forwarded likewise
-  /// (see chase::ChaseOptions::num_threads: 1 = sequential, 0 = one
-  /// worker per hardware thread, default = sequential unless
-  /// NUCHASE_THREADS raises it).
-  std::uint32_t num_threads = chase::kNumThreadsDefault;
-  /// Extent geometry for the materializing chases, forwarded likewise
-  /// (see chase::ChaseOptions::extent_log2; 0 = engine default;
-  /// observationally invisible either way).
-  std::uint32_t extent_log2 = 0;
-  /// Interruption and observation hooks, likewise forwarded to every
-  /// chase the advisor runs. A cancelled materialization surfaces as
-  /// ResourceExhausted. None are owned; all must outlive the call.
-  std::uint64_t deadline_ms = 0;
-  const chase::CancelToken* cancel = nullptr;
-  chase::ChaseObserver* observer = nullptr;
-  /// Optional precomputed join plans for Σ (chase::PlanJoins).
-  const chase::JoinPlanSet* plans = nullptr;
-  /// Reliance-based cross-rule round scheduling, forwarded to every
-  /// chase the advisor runs (results identical either way; see
-  /// chase::ChaseOptions::use_reliances).
-  bool use_reliances = true;
-  /// Optional precomputed reliance graph for Σ (ignored by chases over
-  /// rewritten rule sets, which build their own).
-  const graph::RelianceGraph* reliances = nullptr;
   /// Optional precomputed analysis artifacts from a frozen
   /// api::Program (borrowed; must outlive the call): the acyclicity-
   /// ladder run consulted for general Σ before any bounded-chase

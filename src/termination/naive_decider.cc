@@ -22,6 +22,16 @@ const char* DecisionName(Decision d) {
   return "?";
 }
 
+chase::ChaseOptions DecisionChaseOptions(const chase::ChaseOptions& engine) {
+  chase::ChaseOptions options = engine;
+  options.variant = chase::ChaseVariant::kSemiOblivious;
+  options.max_depth = 0;
+  options.max_rounds = 0;
+  options.build_forest = false;
+  options.restraint_order = false;
+  return options;
+}
+
 NaiveDecision DecideByChase(core::SymbolTable* symbols,
                             const tgd::TgdSet& tgds,
                             const core::Database& db,
@@ -33,22 +43,7 @@ NaiveDecision DecideByChase(core::SymbolTable* symbols,
   out.size_bound =
       static_cast<double>(db.size()) * SizeFactor(clazz, tgds, *symbols);
 
-  // Engine switches (and the interruption hooks — token, deadline,
-  // observer, shared plans) are caller-configurable; the
-  // decision-relevant fields below (variant, budgets) belong to the
-  // procedure.
-  chase::ChaseOptions options;
-  options.use_delta = engine.use_delta;
-  options.use_position_index = engine.use_position_index;
-  options.num_threads = engine.num_threads;
-  options.extent_log2 = engine.extent_log2;
-  options.deadline_ms = engine.deadline_ms;
-  options.cancel = engine.cancel;
-  options.observer = engine.observer;
-  options.plans = engine.plans;
-  options.use_reliances = engine.use_reliances;
-  options.reliances = engine.reliances;
-  options.variant = chase::ChaseVariant::kSemiOblivious;
+  chase::ChaseOptions options = DecisionChaseOptions(engine);
   // Depth budget: exceeding d_C(Σ) certifies non-termination
   // (Lemmas 6.2 / 7.4 / 8.2 via Theorems 6.4 / 7.5 / 8.3).
   bool depth_budget_exact = false;

@@ -38,6 +38,14 @@ struct NaiveDecision {
   double seconds = 0;
 };
 
+/// `engine` with the fields a termination decision owns reset: the
+/// semi-oblivious variant (Definition 3.1, whose result is unique), no
+/// depth or round budget, no forest, and Σ-order firing. Everything
+/// else — atom budget, engine switches, worker count, deadline, hooks,
+/// plans, reliances — is kept. Every chase run by DecideByChase and
+/// the advisor starts from this.
+chase::ChaseOptions DecisionChaseOptions(const chase::ChaseOptions& engine);
+
 /// The naive ChTrm procedure sketched in Section 3 (and made worst-case
 /// tight by items (2) of Theorems 6.4 / 7.5 / 8.3): chase D w.r.t. Σ and
 ///   - accept when the chase terminates;
@@ -46,9 +54,10 @@ struct NaiveDecision {
 ///     exceeds |D|·f_C(Σ) atoms;
 ///   - report kUnknown when only the hard practical cap stopped the run
 ///     (possible for guarded sets, whose bounds overflow quickly).
-/// `engine` carries the chase-engine switches (use_delta,
-/// use_position_index) into the bounded runs; the decision-relevant
-/// fields (variant, budgets) are owned by the procedure and overridden.
+/// `engine` carries the engine switches, worker count, deadline, hooks
+/// and precomputed plans into the bounded run; the decision-relevant
+/// fields are owned by the procedure (DecisionChaseOptions, then the
+/// depth and atom budgets above).
 NaiveDecision DecideByChase(core::SymbolTable* symbols,
                             const tgd::TgdSet& tgds,
                             const core::Database& db,

@@ -230,6 +230,60 @@ TEST(SessionTest, DecideRejectsDivergingPair) {
   EXPECT_EQ(d->decision, termination::Decision::kDoesNotTerminate);
 }
 
+// The deciders own the variant, the depth and round budgets, the forest
+// and the firing order of every chase they run: a session that sets all
+// of them for Chase() must get the same decisions, bounded-chase atoms
+// and materialization as a default session.
+TEST(SessionTest, DecisionsIgnoreTheSessionsChaseShape) {
+  for (const char* text : {kQuickstart, kDiverging}) {
+    auto program = api::Program::Parse(text);
+    ASSERT_TRUE(program.ok());
+    api::Session plain(*program);
+    api::Session shaped(*program,
+                        api::SessionOptions()
+                            .set_variant(chase::ChaseVariant::kRestricted)
+                            .set_max_rounds(1)
+                            .set_max_depth(1)
+                            .set_build_forest(true)
+                            .set_restraint_order(true));
+
+    auto plain_chase = plain.Decide(api::DecideMethod::kBoundedChase);
+    auto shaped_chase = shaped.Decide(api::DecideMethod::kBoundedChase);
+    ASSERT_TRUE(plain_chase.ok());
+    ASSERT_TRUE(shaped_chase.ok());
+    EXPECT_NE(plain_chase->decision, termination::Decision::kUnknown)
+        << text;
+    EXPECT_EQ(shaped_chase->decision, plain_chase->decision) << text;
+    EXPECT_EQ(shaped_chase->method, plain_chase->method) << text;
+    EXPECT_EQ(shaped_chase->atoms, plain_chase->atoms) << text;
+    EXPECT_EQ(shaped_chase->max_depth, plain_chase->max_depth) << text;
+
+    auto plain_advice = plain.Advise();
+    auto shaped_advice = shaped.Advise();
+    ASSERT_TRUE(plain_advice.ok()) << text;
+    ASSERT_TRUE(shaped_advice.ok()) << shaped_advice.status().ToString();
+    EXPECT_EQ(shaped_advice->decision(), plain_advice->decision()) << text;
+    EXPECT_EQ(shaped_advice->report().method,
+              plain_advice->report().method)
+        << text;
+    EXPECT_EQ(shaped_advice->has_materialization(),
+              plain_advice->has_materialization())
+        << text;
+    EXPECT_EQ(shaped_advice->MaterializationToSortedString(),
+              plain_advice->MaterializationToSortedString())
+        << text;
+    if (plain_advice->has_materialization()) {
+      const chase::ChaseResult& plain_m =
+          *plain_advice->report().materialization;
+      const chase::ChaseResult& shaped_m =
+          *shaped_advice->report().materialization;
+      EXPECT_EQ(shaped_m.stats.arena_bytes, plain_m.stats.arena_bytes);
+      EXPECT_EQ(shaped_m.stats.rounds, plain_m.stats.rounds);
+      EXPECT_TRUE(shaped_m.forest.empty());
+    }
+  }
+}
+
 // The committed JA showcase (examples/programs/ja_ladder.tgd): general
 // class, not WA w.r.t. D, jointly acyclic.
 constexpr const char* kJaShowcase =
@@ -466,29 +520,30 @@ TEST(CancelTest, DeadlineStopsNonTerminatingProgram) {
 
 TEST(CancelTest, DeadlineInterruptsMatchFreeJoinEnumeration) {
   // A join that produces zero homomorphisms never reaches the
-  // per-homomorphism poll: A and B have disjoint domains, so the body
-  // A(x), B(x) fails on every one of the ~10^8 probe pairs (position
-  // index off forces the full per-predicate scan). The probe-level
-  // interrupt in HomomorphismFinder must stop it at the deadline —
-  // without it the run would grind through the whole join and finish
-  // with kTerminated.
+  // per-homomorphism poll: no B fact repeats its argument, so the body
+  // A(x), B(y, y) fails on every one of the ~10^8 probe pairs. y is
+  // unbound when B is probed, so the position index cannot narrow the
+  // scan. The probe-level interrupt in HomomorphismFinder must stop it
+  // at the deadline — without it the run would grind through the whole
+  // join and finish with kTerminated.
   core::SymbolTable symbols;
   core::Database db;
   for (int i = 0; i < 10000; ++i) {
     ASSERT_TRUE(db.AddFact(&symbols, "A", {"a" + std::to_string(i)}).ok());
-    ASSERT_TRUE(db.AddFact(&symbols, "B", {"b" + std::to_string(i)}).ok());
+    ASSERT_TRUE(db.AddFact(&symbols, "B",
+                           {"b" + std::to_string(i), "c" + std::to_string(i)})
+                    .ok());
   }
   tgd::TgdSet tgds;
-  auto rule = tgd::ParseTgd(&symbols, "A(x), B(x) -> C(x)");
+  auto rule = tgd::ParseTgd(&symbols, "A(x), B(y, y) -> C(x, y)");
   ASSERT_TRUE(rule.ok());
   tgds.Add(std::move(*rule));
   auto program = api::Program::Create(std::move(symbols), std::move(tgds),
                                       std::move(db));
   ASSERT_TRUE(program.ok());
 
-  api::Session session(*program, api::SessionOptions()
-                                     .set_use_position_index(false)
-                                     .set_deadline_ms(100));
+  api::Session session(*program,
+                       api::SessionOptions().set_deadline_ms(100));
   auto start = std::chrono::steady_clock::now();
   auto run = session.Chase();
   double seconds = std::chrono::duration<double>(

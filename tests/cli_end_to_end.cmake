@@ -78,13 +78,9 @@ run_cli(out 2 chase --threads=two "${PROGRAM_FILE}")
 run_cli(out 2 chase --threads=257 "${PROGRAM_FILE}")
 run_cli(out 2 chase --max-rounds=99999999999999999999 "${PROGRAM_FILE}")
 run_cli(out 2 chase --max-depth=4294967296 "${PROGRAM_FILE}")
-# --extent-log2 is range-capped to [2, 24]: garbage, empty, signed and
-# out-of-range spellings all exit 2.
-run_cli(out 2 chase --extent-log2=abc "${PROGRAM_FILE}")
-run_cli(out 2 chase --extent-log2= "${PROGRAM_FILE}")
-run_cli(out 2 chase --extent-log2=-4 "${PROGRAM_FILE}")
-run_cli(out 2 chase --extent-log2=1 "${PROGRAM_FILE}")
-run_cli(out 2 chase --extent-log2=25 "${PROGRAM_FILE}")
+# Removed flags are unknown options (exit 2), never silently ignored.
+run_cli(out 2 chase --extent-log2=8 "${PROGRAM_FILE}")
+run_cli(out 2 chase --no-position-index "${PROGRAM_FILE}")
 # The well-formed spellings of the same budgets still work.
 run_cli(out 0 chase --max-rounds=50 --max-depth=10 "${PROGRAM_FILE}")
 expect_line("${out}" "outcome:    terminated" "chase with budgets")
@@ -159,16 +155,6 @@ foreach(prog quickstart data_exchange datalog_tc)
   run_golden(${prog}.tgd ${prog}_chase.txt 0 chase --print --threads=4)
 endforeach()
 
-# Extent-geometry purity: segment geometry is observationally invisible,
-# so any legal --extent-log2 (alone or under the parallel engine) must
-# reproduce the goldens byte-for-byte — arena-bytes line included, since
-# tail padding is excluded from the accounting per segment.
-foreach(elog2 2 4 16)
-  run_golden(quickstart.tgd quickstart_chase.txt 0
-      chase --print --extent-log2=${elog2})
-endforeach()
-run_golden(datalog_tc.tgd datalog_tc_chase.txt 0
-    chase --print --extent-log2=3 --threads=4)
 run_golden(witness_race.tgd witness_race_chase.txt 0
     chase --variant=restricted --print --threads=3)
 
@@ -274,7 +260,7 @@ endfunction()
 foreach(prog quickstart data_exchange datalog_tc)
   run_cli(delta_on 0 chase --print
       "${REPO_DIR}/examples/programs/${prog}.tgd")
-  run_cli(delta_off 0 chase --print --no-delta --no-position-index
+  run_cli(delta_off 0 chase --print --no-delta
       "${REPO_DIR}/examples/programs/${prog}.tgd")
   strip_engine_lines("${delta_on}" delta_on)
   strip_engine_lines("${delta_off}" delta_off)

@@ -1,9 +1,9 @@
 // Differential safety net for the semi-naive trigger engine: the
 // delta-seeded engine and the full-scan baseline must produce
-// byte-identical instances for every chase variant and both index
-// settings, on seeded random workloads and on hand-picked programs that
-// stress the restricted variant's order sensitivity. Plus accounting
-// tests for the new ChaseStats counters.
+// byte-identical instances for every chase variant, on seeded random
+// workloads and on hand-picked programs that stress the restricted
+// variant's order sensitivity. Plus accounting tests for the new
+// ChaseStats counters.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -46,8 +46,8 @@ constexpr chase::ChaseVariant kVariants[] = {
     chase::ChaseVariant::kRestricted,
 };
 
-/// Runs one (variant, use_delta, use_position_index) cell on a fresh
-/// parse/generation of the same workload, so null naming cannot leak
+/// Runs one (variant, use_delta, num_threads, use_reliances) cell on a
+/// fresh parse/generation of the same workload, so null naming cannot leak
 /// between cells through the symbol table.
 struct CellResult {
   chase::ChaseResult result;
@@ -57,7 +57,6 @@ struct CellResult {
 class DeltaDiffRandomTest : public ::testing::TestWithParam<DiffParams> {
  protected:
   CellResult RunCell(chase::ChaseVariant variant, bool use_delta,
-                     bool use_position_index,
                      std::uint32_t num_threads = 1,
                      bool use_reliances = true) {
     core::SymbolTable symbols;
@@ -73,7 +72,6 @@ class DeltaDiffRandomTest : public ::testing::TestWithParam<DiffParams> {
     // firing sequence, so the comparison is exact at any cutoff.
     copt.max_atoms = 4000;
     copt.use_delta = use_delta;
-    copt.use_position_index = use_position_index;
     copt.num_threads = num_threads;
     copt.use_reliances = use_reliances;
     CellResult cell;
@@ -83,34 +81,29 @@ class DeltaDiffRandomTest : public ::testing::TestWithParam<DiffParams> {
   }
 };
 
-/// The 2x2 ablation matrix {delta, full-scan} x {indexed, scan} must
-/// agree cell-for-cell with the reference cell for every variant:
-/// same outcome, same sorted instance, same triggers fired.
+/// The ablation cells {delta, full-scan} must agree cell-for-cell with
+/// the reference cell for every variant: same outcome, same sorted
+/// instance, same triggers fired.
 TEST_P(DeltaDiffRandomTest, AllAblationCellsAgree) {
   for (chase::ChaseVariant variant : kVariants) {
-    CellResult reference = RunCell(variant, /*use_delta=*/true,
-                                   /*use_position_index=*/true);
+    CellResult reference = RunCell(variant, /*use_delta=*/true);
     for (bool use_delta : {true, false}) {
-      for (bool use_position_index : {true, false}) {
-        CellResult cell = RunCell(variant, use_delta, use_position_index);
-        std::string label =
-            std::string(chase::ChaseVariantName(variant)) + " delta=" +
-            (use_delta ? "on" : "off") + " posindex=" +
-            (use_position_index ? "on" : "off");
-        EXPECT_EQ(cell.result.outcome, reference.result.outcome) << label;
-        EXPECT_EQ(cell.sorted, reference.sorted) << label;
-        EXPECT_EQ(cell.result.stats.triggers_fired,
-                  reference.result.stats.triggers_fired)
-            << label;
-        // The storage counters depend only on the materialized atom
-        // set, never on the engine that produced it.
-        EXPECT_EQ(cell.result.stats.arena_bytes,
-                  reference.result.stats.arena_bytes)
-            << label;
-        EXPECT_EQ(cell.result.stats.peak_atoms,
-                  reference.result.stats.peak_atoms)
-            << label;
-      }
+      CellResult cell = RunCell(variant, use_delta);
+      std::string label = std::string(chase::ChaseVariantName(variant)) +
+                          " delta=" + (use_delta ? "on" : "off");
+      EXPECT_EQ(cell.result.outcome, reference.result.outcome) << label;
+      EXPECT_EQ(cell.sorted, reference.sorted) << label;
+      EXPECT_EQ(cell.result.stats.triggers_fired,
+                reference.result.stats.triggers_fired)
+          << label;
+      // The storage counters depend only on the materialized atom set,
+      // never on the engine that produced it.
+      EXPECT_EQ(cell.result.stats.arena_bytes,
+                reference.result.stats.arena_bytes)
+          << label;
+      EXPECT_EQ(cell.result.stats.peak_atoms,
+                reference.result.stats.peak_atoms)
+          << label;
     }
   }
 }
@@ -123,11 +116,9 @@ TEST_P(DeltaDiffRandomTest, AllAblationCellsAgree) {
 /// more workers than most rounds have seeds.
 TEST_P(DeltaDiffRandomTest, ParallelThreadsAreByteIdentical) {
   for (chase::ChaseVariant variant : kVariants) {
-    CellResult reference = RunCell(variant, /*use_delta=*/true,
-                                   /*use_position_index=*/true);
+    CellResult reference = RunCell(variant, /*use_delta=*/true);
     for (std::uint32_t num_threads : {2u, 3u, 8u}) {
-      CellResult cell = RunCell(variant, /*use_delta=*/true,
-                                /*use_position_index=*/true, num_threads);
+      CellResult cell = RunCell(variant, /*use_delta=*/true, num_threads);
       std::string label = std::string(chase::ChaseVariantName(variant)) +
                           " threads=" + std::to_string(num_threads);
       EXPECT_EQ(cell.result.outcome, reference.result.outcome) << label;
@@ -188,15 +179,13 @@ TEST_P(DeltaDiffRandomTest, ParallelThreadsAreByteIdentical) {
 /// or the run is sequential.
 TEST_P(DeltaDiffRandomTest, RelianceSchedulingIsParallelInvariant) {
   for (chase::ChaseVariant variant : kVariants) {
-    CellResult reference =
-        RunCell(variant, /*use_delta=*/true, /*use_position_index=*/true,
-                /*num_threads=*/1, /*use_reliances=*/false);
+    CellResult reference = RunCell(variant, /*use_delta=*/true,
+                                   /*num_threads=*/1,
+                                   /*use_reliances=*/false);
     for (bool use_reliances : {true, false}) {
       for (std::uint32_t num_threads : {1u, 2u, 8u}) {
-        CellResult cell =
-            RunCell(variant, /*use_delta=*/true,
-                    /*use_position_index=*/true, num_threads,
-                    use_reliances);
+        CellResult cell = RunCell(variant, /*use_delta=*/true, num_threads,
+                                  use_reliances);
         std::string label =
             std::string(chase::ChaseVariantName(variant)) +
             " reliances=" + (use_reliances ? "on" : "off") +
@@ -401,59 +390,6 @@ TEST(DeltaDiffDirectedTest, ApplyOnlyParallelIsByteIdentical) {
     EXPECT_EQ(reference.result.stats.parallel_rounds, 0u);
     EXPECT_EQ(reference.result.stats.parallel_apply_batches, 0u);
     EXPECT_EQ(reference.result.stats.parallel_commit_batches, 0u);
-  }
-}
-
-/// Extent geometry (and with it the per-predicate segment partition's
-/// internal layout) must be observationally invisible: any legal
-/// extent_log2, at any thread count, reproduces the default geometry's
-/// instance bytes AND its arena_bytes — the counter that would drift
-/// first if a partially-filled extent's tail padding ever leaked into
-/// the accounting (per-predicate segments multiply such tails: every
-/// predicate now has its own). Pins the arena_bytes bugfix
-/// engine/thread/geometry-invariant.
-TEST(DeltaDiffDirectedTest, ArenaBytesAreExtentGeometryInvariant) {
-  for (chase::ChaseVariant variant : kVariants) {
-    chase::ChaseResult reference;
-    std::string reference_sorted;
-    bool have_reference = false;
-    for (std::uint32_t extent_log2 : {0u, 2u, 3u, 7u}) {
-      for (std::uint32_t num_threads : {1u, 4u}) {
-        core::SymbolTable symbols;
-        workload::Workload w = workload::MakeWideDepthFamily(
-            &symbols, /*layers=*/6, /*width=*/4, /*payloads=*/3,
-            /*noise=*/5);
-        chase::ChaseOptions copt;
-        copt.variant = variant;
-        copt.max_atoms = 3000;
-        copt.num_threads = num_threads;
-        copt.extent_log2 = extent_log2;
-        chase::ChaseResult r = chase::RunChase(&symbols, w.tgds,
-                                               w.database, copt);
-        std::string label =
-            std::string(chase::ChaseVariantName(variant)) +
-            " extent_log2=" + std::to_string(extent_log2) +
-            " threads=" + std::to_string(num_threads);
-        std::string sorted = r.instance.ToSortedString(symbols);
-        if (!have_reference) {
-          ASSERT_GT(r.stats.arena_bytes, 0u) << label;
-          reference = std::move(r);
-          reference_sorted = std::move(sorted);
-          have_reference = true;
-          continue;
-        }
-        EXPECT_EQ(r.outcome, reference.outcome) << label;
-        EXPECT_EQ(sorted, reference_sorted) << label;
-        EXPECT_EQ(r.stats.arena_bytes, reference.stats.arena_bytes)
-            << label;
-        EXPECT_EQ(r.stats.peak_atoms, reference.stats.peak_atoms)
-            << label;
-        EXPECT_EQ(r.stats.triggers_fired, reference.stats.triggers_fired)
-            << label;
-        EXPECT_EQ(r.stats.join_probes, reference.stats.join_probes)
-            << label;
-      }
-    }
   }
 }
 

@@ -15,10 +15,12 @@
 #include <unordered_map>
 #include <vector>
 
+#include "chase/chase.h"
 #include "core/atom.h"
 #include "core/instance.h"
 #include "core/symbol_table.h"
 #include "util/thread_pool.h"
+#include "workload/depth_family.h"
 
 namespace nuchase {
 namespace core {
@@ -475,6 +477,79 @@ TEST(StorageExtents, EarlyStopRollsBackSegments) {
   EXPECT_EQ(inst.atom(qi).arg(2), c);
   EXPECT_EQ(inst.AtomsWithPredicate(p),
             (std::vector<AtomIndex>{0, 1, 3}));
+}
+
+/// Extent geometry is internal to Instance and observationally
+/// invisible: a chase result re-inserted, batch by batch, into
+/// instances with 4-, 8- and 128-term extents — serially and on a
+/// 4-worker pool — must reproduce the default geometry's directory,
+/// rendering and arena_bytes. arena_bytes would drift first if a
+/// partially filled extent's tail padding ever leaked into the
+/// accounting; every predicate segment has its own tail. The oblivious
+/// variant diverges on the wide depth family and is cut by the atom
+/// budget, which makes no difference here.
+TEST(StorageExtents, ChaseResultIsExtentGeometryInvariant) {
+  for (chase::ChaseVariant variant :
+       {chase::ChaseVariant::kSemiOblivious, chase::ChaseVariant::kOblivious,
+        chase::ChaseVariant::kRestricted}) {
+    SymbolTable symbols;
+    workload::Workload w = workload::MakeWideDepthFamily(
+        &symbols, /*layers=*/6, /*width=*/4, /*payloads=*/3, /*noise=*/5);
+    chase::ChaseOptions copt;
+    copt.variant = variant;
+    copt.max_atoms = 3000;
+    const chase::ChaseResult reference =
+        chase::RunChase(&symbols, w.tgds, w.database, copt);
+    const Instance& ref = reference.instance;
+    ASSERT_GT(reference.stats.arena_bytes, 0u);
+    ASSERT_EQ(ref.arena_bytes(), reference.stats.arena_bytes);
+    const std::string ref_sorted = ref.ToSortedString(symbols);
+
+    // The whole result in insertion order, offered in 97-tuple batches
+    // so extents fill and spill across batch boundaries.
+    std::vector<Term> buffer;
+    std::vector<BatchTuple> all;
+    for (AtomIndex i = 0; i < ref.size(); ++i) {
+      const AtomView a = ref.atom(i);
+      all.push_back({a.predicate(), buffer.size(), a.arity()});
+      for (std::uint32_t k = 0; k < a.arity(); ++k) {
+        buffer.push_back(a.arg(k));
+      }
+    }
+
+    for (std::uint32_t extent_log2 : {2u, 3u, 7u}) {
+      for (std::uint32_t workers : {0u, 4u}) {
+        std::optional<util::ThreadPool> pool;
+        if (workers > 0) pool.emplace(workers);
+        const std::string label =
+            std::string(chase::ChaseVariantName(variant)) +
+            " extent_log2=" + std::to_string(extent_log2) +
+            " workers=" + std::to_string(workers);
+        Instance inst(extent_log2);
+        for (std::size_t begin = 0; begin < all.size(); begin += 97) {
+          const std::vector<BatchTuple> batch(
+              all.begin() + static_cast<std::ptrdiff_t>(begin),
+              all.begin() + static_cast<std::ptrdiff_t>(
+                                std::min(all.size(), begin + 97)));
+          std::size_t merged = inst.InsertTupleBatch(
+              buffer.data(), batch, pool.has_value() ? &*pool : nullptr,
+              [&](std::size_t pos, AtomIndex idx, bool fresh) {
+                EXPECT_TRUE(fresh) << label;
+                EXPECT_EQ(idx, begin + pos) << label;
+                return true;
+              });
+          ASSERT_EQ(merged, batch.size()) << label;
+        }
+        ASSERT_EQ(inst.size(), ref.size()) << label;
+        EXPECT_EQ(inst.arena_terms(), ref.arena_terms()) << label;
+        EXPECT_EQ(inst.arena_bytes(), ref.arena_bytes()) << label;
+        EXPECT_EQ(inst.ToSortedString(symbols), ref_sorted) << label;
+        for (AtomIndex i = 0; i < ref.size(); ++i) {
+          EXPECT_EQ(inst.atom(i).ToAtom(), ref.atom(i).ToAtom()) << label;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

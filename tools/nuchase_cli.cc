@@ -62,11 +62,6 @@ int Usage(const char* argv0) {
                "                    0 = one per hardware thread); "
                "results are\n"
                "                    byte-identical for every N\n"
-               "  --extent-log2=N   log2 of the instance extent size "
-               "in terms,\n"
-               "                    N in [2, 24] (tuning only; results "
-               "are\n"
-               "                    byte-identical for every N)\n"
                "  --print           also print the materialized atoms\n"
                "  --no-reliances    schedule every rule alone (ablation; "
                "results\n"
@@ -78,8 +73,6 @@ int Usage(const char* argv0) {
                "                    different, often smaller, valid "
                "result)\n"
                "  --no-delta        full-scan trigger search (ablation)\n"
-               "  --no-position-index  join without the per-position "
-               "index\n"
                "  --ucq             decide via the data-complexity UCQ\n"
                "  --naive           decide via the bounded chase\n"
                "  --mode=simplify|linearize|gsimple   (rewrite)\n",
@@ -113,21 +106,19 @@ bool ParseArgs(int argc, char** argv, CliOptions* out) {
     } else if (arg == "--naive") {
       out->use_naive = true;
     } else if (arg == "--no-reliances") {
-      out->session.use_reliances = false;
+      out->session.set_use_reliances(false);
     } else if (arg == "--restraint-order") {
-      out->session.restraint_order = true;
+      out->session.set_restraint_order(true);
     } else if (arg == "--no-delta") {
-      out->session.use_delta = false;
-    } else if (arg == "--no-position-index") {
-      out->session.use_position_index = false;
+      out->session.set_use_delta(false);
     } else if (arg.rfind("--variant=", 0) == 0) {
       std::string v = arg.substr(10);
       if (v == "semi-oblivious") {
-        out->session.variant = chase::ChaseVariant::kSemiOblivious;
+        out->session.set_variant(chase::ChaseVariant::kSemiOblivious);
       } else if (v == "oblivious") {
-        out->session.variant = chase::ChaseVariant::kOblivious;
+        out->session.set_variant(chase::ChaseVariant::kOblivious);
       } else if (v == "restricted") {
-        out->session.variant = chase::ChaseVariant::kRestricted;
+        out->session.set_variant(chase::ChaseVariant::kRestricted);
       } else {
         std::fprintf(stderr, "unknown variant '%s'\n", v.c_str());
         return false;
@@ -138,28 +129,28 @@ bool ParseArgs(int argc, char** argv, CliOptions* out) {
                                 0xffffffffffffffffull, &n)) {
         return false;
       }
-      out->session.max_atoms = n;
+      out->session.set_max_atoms(n);
     } else if (arg.rfind("--max-depth=", 0) == 0) {
       unsigned long long n = 0;
       if (!util::ParseCountFlag("--max-depth", arg.c_str() + 12, 0,
                                 0xffffffffull, &n)) {
         return false;
       }
-      out->session.max_depth = static_cast<std::uint32_t>(n);
+      out->session.set_max_depth(static_cast<std::uint32_t>(n));
     } else if (arg.rfind("--max-rounds=", 0) == 0) {
       unsigned long long n = 0;
       if (!util::ParseCountFlag("--max-rounds", arg.c_str() + 13, 0,
                                 0xffffffffffffffffull, &n)) {
         return false;
       }
-      out->session.max_rounds = n;
+      out->session.set_max_rounds(n);
     } else if (arg.rfind("--deadline-ms=", 0) == 0) {
       unsigned long long n = 0;
       if (!util::ParseCountFlag("--deadline-ms", arg.c_str() + 14, 0,
                                 0xffffffffffffffffull, &n)) {
         return false;
       }
-      out->session.deadline_ms = n;
+      out->session.set_deadline_ms(n);
     } else if (arg.rfind("--threads=", 0) == 0) {
       // 0 is the meaningful "all hardware threads" setting here, so
       // garbage must error rather than fall through to the most
@@ -169,17 +160,7 @@ bool ParseArgs(int argc, char** argv, CliOptions* out) {
                                 &n)) {
         return false;
       }
-      out->session.num_threads = static_cast<std::uint32_t>(n);
-    } else if (arg.rfind("--extent-log2=", 0) == 0) {
-      // Range-capped: below 2 an extent cannot hold one wide tuple's
-      // worth of growth granularity, above 24 a single extent is 64M
-      // terms — both are certainly typos, not tuning.
-      unsigned long long n = 0;
-      if (!util::ParseCountFlag("--extent-log2", arg.c_str() + 14, 2, 24,
-                                &n)) {
-        return false;
-      }
-      out->session.extent_log2 = static_cast<std::uint32_t>(n);
+      out->session.set_num_threads(static_cast<std::uint32_t>(n));
     } else if (arg.rfind("--mode=", 0) == 0) {
       out->mode = arg.substr(7);
     } else if (arg.rfind("--", 0) == 0) {
@@ -277,21 +258,18 @@ int Chase(const api::Session& session, const CliOptions& options) {
     return 1;
   }
   const chase::ChaseStats& stats = run->stats();
-  std::printf("variant:    %s\n",
-              chase::ChaseVariantName(session.options().variant));
-  std::printf("engine:     %s, %s\n",
-              session.options().use_delta ? "delta (semi-naive)"
-                                          : "full-scan",
-              session.options().use_position_index ? "position-indexed"
-                                                   : "predicate-scan");
+  const chase::ChaseOptions& copt = session.options().chase;
+  std::printf("variant:    %s\n", chase::ChaseVariantName(copt.variant));
+  // Trigger search always joins through the position index.
+  std::printf("engine:     %s, position-indexed\n",
+              copt.use_delta ? "delta (semi-naive)" : "full-scan");
   // The schedule line is a pure function of Σ and the flags — never of
-  // the thread count or the delta/index ablations — so goldens stay
-  // stable across every identity-preserving knob.
-  if (session.options().use_reliances) {
+  // the thread count or the delta ablation — so goldens stay stable
+  // across every identity-preserving knob.
+  if (copt.use_reliances) {
     std::printf("schedule:   reliances on, %llu rule groups%s\n",
                 static_cast<unsigned long long>(stats.reliance_groups),
-                session.options().restraint_order ? ", restraint order"
-                                                  : "");
+                copt.restraint_order ? ", restraint order" : "");
   } else {
     std::printf("schedule:   reliances off\n");
   }
