@@ -10,8 +10,8 @@
 //   fired-set insert  the dedup keys of those matches into a reset
 //   fired-set contains FlatFiredSet, then probed again;
 //   position lookup   Instance::AtomsWithTermAt for every (atom, pos);
-//   InsertTupleBatch  the whole instance re-inserted into a fresh one
-//                     in one batch (no pool).
+//   InsertTuple loop  the whole instance re-inserted, in index order,
+//                     into a fresh one.
 //
 // join_probes and arena_bytes are deterministic: the regression gate
 // (tools/check_bench_regression) holds them to the committed baseline.
@@ -56,7 +56,7 @@ std::string NsPerItem(double seconds, std::uint64_t items) {
 void Run() {
   bench::PrintHeader(
       "K1 bench_kernels",
-      "the join kernel, fired set, position index and batch insert that "
+      "the join kernel, fired set, position index and tuple insert that "
       "the guarded materialization runs on, measured one at a time");
 
   core::SymbolTable symbols;
@@ -69,7 +69,6 @@ void Run() {
       workload::MakeUniversityWorkload(&symbols, options);
   const chase::JoinPlanSet plans = chase::PlanJoins(w.tgds);
   chase::ChaseOptions chase_options;
-  chase_options.num_threads = 1;
   chase_options.plans = &plans;
 
   util::Table table("kernels on University 8x(20,400,30)",
@@ -186,27 +185,16 @@ void Run() {
   });
   add("position lookup", lookups, lookup_s, "-", "-", listed >= lookups);
 
-  // Batch insert: the whole instance, in index order, into a fresh one.
-  std::vector<core::Term> buffer;
-  std::vector<core::BatchTuple> tuples;
-  for (core::AtomIndex i = 0; i < inst.size(); ++i) {
-    const core::AtomView atom = inst.atom(i);
-    core::BatchTuple tuple;
-    tuple.pred = atom.predicate();
-    tuple.begin = buffer.size();
-    tuple.arity = atom.arity();
-    tuples.push_back(tuple);
-    buffer.insert(buffer.end(), atom.terms().begin(), atom.terms().end());
-  }
+  // Insert: the whole instance, in index order, into a fresh one.
   core::Instance rebuilt;
-  const double batch_s = MedianSeconds([&] {
+  const double reinsert_s = MedianSeconds([&] {
     rebuilt = core::Instance();
-    rebuilt.InsertTupleBatch(buffer.data(), tuples, nullptr,
-                             [](std::size_t, core::AtomIndex, bool) {
-                               return true;
-                             });
+    for (core::AtomIndex i = 0; i < inst.size(); ++i) {
+      const core::AtomView atom = inst.atom(i);
+      rebuilt.InsertTuple(atom.predicate(), atom.terms());
+    }
   });
-  add("InsertTupleBatch", tuples.size(), batch_s, "-",
+  add("InsertTuple loop", inst.size(), reinsert_s, "-",
       std::to_string(rebuilt.arena_bytes()),
       rebuilt.size() == inst.size() &&
           rebuilt.arena_bytes() == inst.arena_bytes());

@@ -1,24 +1,18 @@
-// P7 — reliance-driven cross-rule scheduling: wall-clock and engagement
-// telemetry for the collect-group scheduler on independent recursive
-// rule families. The workload is F disjoint copies of a layered
+// P7 — reliance-driven cross-rule scheduling: wall-clock and schedule
+// metadata for the collect-group walk on independent recursive rule
+// families. The workload is F disjoint copies of a layered
 // reachability family (per family f: layer graph C_f plus the recursive
 // rule C_f(x,y), M_f(x) -> M_f(y)); no rule's head feeds another rule's
-// body, so the whole Σ is one collect group and every multi-seed round
-// lets the scheduler run all F rules' collects on the pool at once —
-// rule-at-a-time parallelism would shard each family's W seeds alone.
-// Every cell materializes the byte-identical instance with identical
+// body, so the whole Σ is one collect group. Both cells (reliances on
+// and off) materialize the byte-identical instance with identical
 // deterministic counters (join_probes, arena_bytes); only seconds and
-// the engagement columns differ. `reliance_groups` (a pure function of
-// Σ: 1 with the scheduler on, 0 ablated) and `cross_rule_rounds` are
-// the clock-free proofs tools/check_bench_regression gates on: a
-// reliances-on threads>=2 row with cross_rule_rounds=0 means the
-// scheduler silently degraded to rule-at-a-time collects, which
-// byte-identity alone can never reveal. A third, duplicate-heavy
-// workload (dense transitive closure) stresses the run-scoped fired
-// set instead: most candidate triggers it discovers are repeats, so
-// the (rule, frontier) dedup table dominates the collect phase.
+// `reliance_groups` (a pure function of Σ: > 0 with the scheduler on,
+// 0 ablated, gated by tools/check_bench_regression) differ. A third,
+// duplicate-heavy workload (dense transitive closure) stresses the
+// run-scoped fired set instead: most candidate triggers it discovers
+// are repeats, so the (rule, frontier) dedup table dominates the
+// collect phase.
 #include <string>
-#include <thread>
 
 #include "bench/bench_util.h"
 #include "chase/chase.h"
@@ -63,9 +57,7 @@ std::string MakeFamilies(int families, int layers, int width) {
 /// so the collect phase floods the run-scoped fired set with duplicate
 /// (rule, frontier) candidates. This is the workload where the flat
 /// epoch-tagged fired table (vs. the former node-per-key sharded sets)
-/// is the hot structure; the copy rule keeps the closure rule inside a
-/// multi-rule collect group so the cross-rule engagement gate still has
-/// something to measure.
+/// is the hot structure.
 std::string MakeDenseClosures(int families, int nodes, int window) {
   std::string text;
   for (int f = 0; f < families; ++f) {
@@ -91,8 +83,7 @@ struct Measurement {
   std::uint64_t atoms = 0;
 };
 
-Measurement RunCell(const std::string& text, bool use_reliances,
-                    std::uint32_t threads) {
+Measurement RunCell(const std::string& text, bool use_reliances) {
   core::SymbolTable symbols;
   auto p = tgd::ParseProgram(&symbols, text);
   if (!p.ok()) {
@@ -102,7 +93,6 @@ Measurement RunCell(const std::string& text, bool use_reliances,
   }
   chase::ChaseOptions options;
   options.use_reliances = use_reliances;
-  options.num_threads = threads;
   bench::Stopwatch timer;
   chase::ChaseResult r =
       chase::RunChase(&symbols, p->tgds, p->database, options);
@@ -117,27 +107,21 @@ Measurement RunCell(const std::string& text, bool use_reliances,
 void Run() {
   bench::PrintHeader(
       "P7 bench_rule_groups (cross-rule collect scheduling)",
-      "reliance collect groups let one round's trigger search span "
-      "independent rules on the worker pool while the instance and "
-      "every deterministic counter stay byte-identical to the "
-      "rule-at-a-time schedule");
+      "walking Σ as reliance collect groups keeps the instance and "
+      "every deterministic counter byte-identical to the rule-at-a-time "
+      "schedule");
 
   util::Table table(
       "rule groups",
-      {"workload", "reliances", "threads", "cores", "chase(s)",
-       "speedup", "join_probes", "atoms", "arena_bytes",
-       "reliance_groups", "cross_rule_rounds", "same result"});
-  const unsigned cores = std::thread::hardware_concurrency();
+      {"workload", "reliances", "chase(s)", "speedup", "join_probes",
+       "atoms", "arena_bytes", "reliance_groups", "same result"});
   const struct {
     const char* name;
     std::string text;
   } workloads[] = {
-      // Wide rounds: every round carries families x width M-seeds, the
-      // shape where spanning rules beats sharding one rule's seeds.
+      // Wide rounds: every round carries families x width M-seeds.
       {"independent-families-wide", MakeFamilies(4, 48, 12)},
-      // Narrow rounds: one seed per family per round, so rule-at-a-time
-      // sharding has literally nothing to split — only the cross-rule
-      // schedule keeps more than one worker busy.
+      // Narrow rounds: one seed per family per round.
       {"independent-families-narrow", MakeFamilies(6, 256, 1)},
       // Duplicate-heavy rounds: dense transitive closure rediscovers
       // every derived pair once per midpoint, so trigger dedup — the
@@ -147,24 +131,18 @@ void Run() {
   for (const auto& w : workloads) {
     const std::string& text = w.text;
     Measurement reference;
-    const struct {
-      bool use_reliances;
-      std::uint32_t threads;
-    } cells[] = {{false, 1}, {false, 4}, {true, 1}, {true, 2}, {true, 4}};
-    for (const auto& cell : cells) {
-      Measurement m = RunCell(text, cell.use_reliances, cell.threads);
-      if (!cell.use_reliances && cell.threads == 1) reference = m;
+    for (bool use_reliances : {false, true}) {
+      Measurement m = RunCell(text, use_reliances);
+      if (!use_reliances) reference = m;
       char speedup[32];
       std::snprintf(speedup, sizeof(speedup), "%.2f",
                     m.seconds > 0 ? reference.seconds / m.seconds : 0.0);
       table.AddRow(
-          {w.name, cell.use_reliances ? "on" : "off",
-           std::to_string(cell.threads), std::to_string(cores),
+          {w.name, use_reliances ? "on" : "off",
            bench::FormatSeconds(m.seconds), speedup,
            std::to_string(m.stats.join_probes), std::to_string(m.atoms),
            std::to_string(m.stats.arena_bytes),
            std::to_string(m.stats.reliance_groups),
-           std::to_string(m.stats.cross_rule_parallel_rounds),
            m.sorted == reference.sorted &&
                    m.stats.join_probes == reference.stats.join_probes &&
                    m.stats.delta_atoms_scanned ==

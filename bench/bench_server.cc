@@ -134,7 +134,6 @@ void RunSweep() {
   for (unsigned clients : {1u, 2u, 4u, 8u}) {
     server::ServerOptions options;
     options.max_inflight = 4;
-    options.default_threads = 1;
     LiveServer live(options);
     std::vector<ClientRun> runs(clients);
     std::vector<std::thread> threads;
@@ -186,7 +185,6 @@ void RunOverlapProof() {
 
   server::ServerOptions options;
   options.max_inflight = 2;
-  options.default_threads = 1;
   LiveServer live(options);
 
   auto parked_conn = server::Client::Connect(live.port);

@@ -72,10 +72,10 @@ struct SessionOptions {
     chase.restraint_order = on;
     return *this;
   }
-  SessionOptions& set_num_threads(std::uint32_t n) {
-    chase.num_threads = n;
-    return *this;
-  }
+  /// Inert: the chase has one serial code path, so a requested thread
+  /// count changes nothing. Kept so that callers written against the
+  /// former parallel engine (the perfbench pool probe) still compile.
+  SessionOptions& set_num_threads(std::uint32_t) { return *this; }
   SessionOptions& set_build_forest(bool on) {
     chase.build_forest = on;
     return *this;

@@ -52,12 +52,6 @@ using JoinPlanSet = std::vector<JoinPlan>;
 /// ChaseOptions::plans; RunChase plans per run when none are supplied.
 JoinPlanSet PlanJoins(const tgd::TgdSet& tgds);
 
-/// The "unset" sentinel for ChaseOptions::num_threads: sequential,
-/// except that the NUCHASE_THREADS environment variable may raise it.
-/// Any explicitly chosen count (including an explicit 1 = sequential)
-/// beats the environment.
-inline constexpr std::uint32_t kNumThreadsDefault = 0xffffffffu;
-
 /// Budgets and switches for a chase run. The semi-oblivious chase of a
 /// non-terminating pair (D, Σ) is infinite, so every run is bounded by at
 /// least the atom budget; deciders additionally use the depth budget
@@ -103,13 +97,12 @@ struct ChaseOptions {
   const JoinPlanSet* plans = nullptr;
   /// Cross-rule scheduling switch. When true (default) the round loop
   /// walks Σ as the reliance graph's ordered collect-group partition
-  /// instead of rule by rule: every rule in a group collects against the
-  /// group-start instance — concurrently, on the worker pool, when the
-  /// parallel collect engine is engaged — and the groups' guarantee (no
-  /// forward Feeds edge inside a group; see graph::RelianceGraph) makes
-  /// that indistinguishable from the sequential interleaving, instance
-  /// bytes and every deterministic ChaseStats counter included. An
-  /// ablation switch like use_delta: results identical, cost differs.
+  /// instead of rule by rule, and reports the partition's size in
+  /// ChaseStats::reliance_groups. The groups' guarantee (no forward
+  /// Feeds edge inside a group; see graph::RelianceGraph) makes the walk
+  /// indistinguishable from the rule-by-rule one, instance bytes and
+  /// every other ChaseStats counter included. Its one effect on the
+  /// result is through restraint_order, which needs it.
   bool use_reliances = true;
   /// Restricted variant only, and NOT identity-preserving: apply each
   /// collect group's triggers in the reliance graph's restraint order
@@ -118,53 +111,15 @@ struct ChaseOptions {
   /// skipped as inactive. Changes which restricted chase is computed —
   /// deliberately: on order-sensitive programs it terminates in fewer
   /// rounds (or terminates where Σ-order diverges). The chosen order is
-  /// still deterministic and thread-count-invariant. Requires
-  /// use_reliances; ignored by the other two variants, whose result
-  /// does not depend on firing order.
+  /// still deterministic. Requires use_reliances; ignored by the other
+  /// two variants, whose result does not depend on firing order.
   bool restraint_order = false;
   /// Optional precomputed reliance graph for Σ (api::Program computes
   /// one at parse time). Must have been built from the same TgdSet;
   /// when null, a run that needs one (use_reliances) builds its own.
   /// Not owned; must outlive the run.
   const graph::RelianceGraph* reliances = nullptr;
-  /// Worker count for the within-round parallel trigger engine: each
-  /// round's delta seeds are sharded across this many workers (a
-  /// util::ThreadPool, the calling thread included), every worker runs
-  /// the allocation-free probe path against the read-only instance into
-  /// a thread-local candidate buffer, and after a barrier the buffers
-  /// are sort-merged into the canonical firing order — so the
-  /// materialized instance and every ChaseStats counter are
-  /// byte-identical to the sequential engine, for all three variants.
-  ///
-  ///   kNumThreadsDefault (the default, "unset")
-  ///                the sequential engine — unless the NUCHASE_THREADS
-  ///                environment variable names a positive worker count,
-  ///                the hook CI uses to push every existing test
-  ///                through the parallel path. Every explicit setting
-  ///                below wins over the environment.
-  ///   1            the sequential engine, unconditionally.
-  ///   0            one worker per hardware thread
-  ///                (std::thread::hardware_concurrency).
-  ///   N > 1        exactly N workers.
-  ///
-  /// Two engine phases run on the pool. The semi-naive collect phase
-  /// shards delta seeds across workers (it still requires use_delta and
-  /// !build_forest; other runs collect sequentially — a cost statement,
-  /// not a semantic one). The apply phase is parallel for every run
-  /// shape: head-tuple candidate construction, the per-segment dedup
-  /// probes and the per-predicate segment commits fan out, and for the
-  /// restricted variant the head-satisfaction pre-checks run read-only
-  /// against the frozen round-start instance. Null creation, the
-  /// canonical cross-predicate index numbering and the merge callbacks
-  /// stay serial in canonical trigger order — that, plus the canonical
-  /// merges, is what keeps the results byte-identical.
-  std::uint32_t num_threads = kNumThreadsDefault;
 };
-
-/// The worker count a run with these options will actually use: resolves
-/// num_threads == 0 to the hardware concurrency and applies the
-/// NUCHASE_THREADS environment override to the default. Always >= 1.
-std::uint32_t ResolveNumThreads(const ChaseOptions& options);
 
 /// Why a chase run stopped.
 enum class ChaseOutcome {
@@ -197,10 +152,7 @@ struct ChaseStats {
   /// Unification attempts of a body/head atom against a candidate
   /// instance atom, over trigger search and the restricted variant's
   /// head-satisfaction checks. Counted in both engines — the number
-  /// benches compare across the delta ablation. Under the parallel
-  /// engine each worker counts into a private counter and the per-round
-  /// totals are summed after the barrier, so the value is deterministic
-  /// and identical to the sequential engine's for any num_threads.
+  /// benches compare across the delta ablation.
   std::uint64_t join_probes = 0;
   /// Bytes of term storage the result instance's columnar arena holds
   /// (used bytes, not capacity). Deterministic for a given atom set, so
@@ -210,50 +162,19 @@ struct ChaseStats {
   /// Largest number of atoms the instance held during the run (the
   /// instance only grows, so this equals its final size).
   std::uint64_t peak_atoms = 0;
-  /// Rounds whose collect phase ran on the worker pool. Engine
-  /// telemetry, not part of the byte-identity contract (it is the one
-  /// counter that legitimately differs between num_threads settings):
-  /// 0 when the run resolved to the sequential engine, equal to
-  /// `rounds` when the parallel engine was engaged. Exists so harnesses
-  /// can assert — without a clock — that a run intended to be parallel
-  /// actually took the parallel path (tools/check_bench_regression
-  /// gates this for bench_parallel_scaling, catching silent fallbacks
-  /// that byte-identity alone can never catch).
-  std::uint64_t parallel_rounds = 0;
-  /// Apply batches (one per rule, per round, with pending triggers)
-  /// whose parallel stages — candidate build and dedup probes, or the
-  /// restricted variant's pre-checks — ran on the worker pool. Engine
-  /// telemetry with the same status as parallel_rounds — outside the
-  /// byte-identity contract, 0 for sequential runs — and the same
-  /// purpose: tools/check_bench_regression gates it to catch a parallel
-  /// apply path silently falling back to serial.
-  std::uint64_t parallel_apply_batches = 0;
-  /// Apply batches whose per-predicate segment commit ran on the worker
-  /// pool — the stage the per-predicate storage split exists for:
-  /// batched candidates are probed per (segment, shard) owner and
-  /// committed per segment owner concurrently, with only the canonical
-  /// cross-predicate numbering and the merge callbacks left serial.
-  /// Engine telemetry with the same status as parallel_apply_batches —
-  /// outside the byte-identity contract, 0 for sequential runs — and
-  /// the same purpose: tools/check_bench_regression gates it on every
-  /// machine to catch the concurrent-commit path silently falling back
-  /// to the serial one.
-  std::uint64_t parallel_commit_batches = 0;
   /// Number of collect groups in the reliance schedule the run walked
   /// (see ChaseOptions::use_reliances): |Σ| when every rule is its own
   /// group, smaller when independent rules share one, 0 when reliance
-  /// scheduling is off. A property of Σ alone — identical at every
-  /// thread count and for every variant/engine ablation — which is why
-  /// the CLI may print it next to the byte-identical stats.
+  /// scheduling is off. A property of Σ alone — identical for every
+  /// variant/engine ablation — which is why the CLI may print it next to
+  /// the byte-identical stats.
   std::uint64_t reliance_groups = 0;
-  /// Rounds in which at least one multi-rule collect group's seed tasks
-  /// ran pooled across rules. Engine telemetry with the same status as
-  /// parallel_rounds — outside the byte-identity contract, 0 for
-  /// sequential runs and for schedules whose groups are all singletons —
-  /// and the same purpose: tools/check_bench_regression gates it so a
-  /// cross-rule path silently degrading to per-rule collect is caught
-  /// without a clock.
-  std::uint64_t cross_rule_parallel_rounds = 0;
+  /// Inert: always 0. The chase has one serial code path; these three
+  /// names remain only so that callers that still read them (the
+  /// perfbench pool probe) compile.
+  std::uint64_t parallel_rounds = 0;
+  std::uint64_t parallel_apply_batches = 0;
+  std::uint64_t parallel_commit_batches = 0;
 };
 
 /// The result of a chase run: the constructed instance (equal to

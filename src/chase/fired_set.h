@@ -41,13 +41,9 @@ class KeySpan {
 /// appends into two vectors instead of a node allocation per key and a
 /// bucket-array rehash per doubling of every shard.
 ///
-/// Concurrency contract (unchanged from the sharded predecessor): during
-/// a pooled collect region the set is strictly read-only — workers call
-/// Contains, all inserts happen in the serial canonical merge after the
-/// barrier — so the table needs no locks to be shared, and membership
-/// answers are independent of worker assignment. Byte-identity holds
-/// trivially: only membership is ever observed, never iteration order,
-/// so the probe layout is not part of the deterministic contract.
+/// Byte-identity holds trivially: only membership is ever observed,
+/// never iteration order, so the probe layout is not part of the
+/// deterministic contract.
 ///
 /// Slots are epoch-tagged: a slot is live iff its tag equals the set's
 /// current epoch, so Reset() is one counter bump — O(1), touching no
@@ -61,8 +57,7 @@ class FlatFiredSet {
  public:
   FlatFiredSet() : slots_(kInitialSlots) {}
 
-  /// True iff `key` was inserted in the current epoch. Safe to call
-  /// concurrently with other readers (but not with Insert/Reset).
+  /// True iff `key` was inserted in the current epoch.
   bool Contains(KeySpan key) const {
     const std::uint64_t h = HashKey(key);
     const std::size_t mask = slots_.size() - 1;

@@ -45,17 +45,16 @@ class ChaseObserver {
     (void)atoms;
   }
 
-  /// The serial null-binding pass bound the labelled nulls of one
-  /// trigger of TGD `tgd_index`: `nulls[i]` is the null (possibly
-  /// re-found, not fresh) for the rule's i-th sorted existential
-  /// variable, `frontier` the trigger's h(fr(σ)) the null depths derive
-  /// from. Called in canonical trigger order for every variant and
-  /// thread count, so a recording observer sees a deterministic
-  /// provenance stream. On a depth-budget breach the partial binding —
-  /// breaching null included — is still reported before OnDone; this is
-  /// the hook the MFA rung's self-fed-null witness is reconstructed
-  /// from. Terms are plain values; resolve depths and names through the
-  /// run's core::SymbolScope.
+  /// The null-binding pass bound the labelled nulls of one trigger of
+  /// TGD `tgd_index`: `nulls[i]` is the null (possibly re-found, not
+  /// fresh) for the rule's i-th sorted existential variable, `frontier`
+  /// the trigger's h(fr(σ)) the null depths derive from. Called in
+  /// canonical trigger order for every variant, so a recording observer
+  /// sees a deterministic provenance stream. On a depth-budget breach
+  /// the partial binding — breaching null included — is still reported
+  /// before OnDone; this is the hook the MFA rung's self-fed-null
+  /// witness is reconstructed from. Terms are plain values; resolve
+  /// depths and names through the run's core::SymbolScope.
   virtual void OnNullsBound(std::uint32_t tgd_index,
                             const core::Term* nulls, std::size_t num_nulls,
                             const core::Term* frontier,

@@ -122,7 +122,7 @@ JoinPlan PlanJoin(const tgd::Tgd& rule);
 /// ties go to the earlier atom. Enumeration order — and hence the
 /// probe count — is a function of the conjunction and the instance.
 ///
-/// Not thread-safe (the buffers are the finder's); give each worker its
+/// Not thread-safe (the buffers are the finder's); give each thread its
 /// own finder over the shared, frozen instance.
 class HomomorphismFinder {
  public:

@@ -3,7 +3,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_set>
@@ -12,19 +11,9 @@
 #include "core/atom.h"
 #include "core/position_index.h"
 #include "core/symbol_table.h"
-#include "util/thread_pool.h"
 
 namespace nuchase {
 namespace core {
-
-/// One tuple of a batched insert (Instance::InsertTupleBatch): the atom
-/// `pred(buffer[begin], ..., buffer[begin + arity - 1])` over the
-/// caller's shared candidate term buffer.
-struct BatchTuple {
-  PredicateId pred = kInvalidPredicate;
-  std::uint64_t begin = 0;
-  std::uint32_t arity = 0;
-};
 
 /// A (finite prefix of an) instance: a duplicate-free, insertion-ordered
 /// set of atoms over constants and nulls, stored columnar ("VLog-style")
@@ -34,8 +23,8 @@ struct BatchTuple {
 ///     arena (fixed-size extents of 2^extent_log2 terms, default 2^16;
 ///     immobile unique_ptr<Term[]> blocks; tuples never straddle an
 ///     extent boundary — short tail gaps are padded per segment and
-///     excluded from every accounting number), its own group of dedup
-///     shards, its own per-(position, term) join index (one flat
+///     excluded from every accounting number), its own dedup table,
+///     its own per-(position, term) join index (one flat
 ///     PositionTable per argument position), its own
 ///     insertion-ordered atom list, and its own delta watermark;
 ///   - a global directory of AtomRefs (predicate + offset *within that
@@ -45,14 +34,8 @@ struct BatchTuple {
 ///     layered structure (join indexes, delta lists, the chase's
 ///     forest) speaks global AtomIndexes only;
 ///   - dedup is per-segment open addressing keyed by the
-///     (predicate, tuple) hash — the HIGH bits pick the shard within
-///     the segment's group, the low bits the slot — probing tuples
-///     directly in the segment arena. Contains / Find / Insert never
-///     materialize an Atom;
-///   - the per-predicate split is what makes the batched insert's
-///     commit parallel: distinct predicates touch disjoint segments,
-///     so workers that own disjoint predicates append and index their
-///     candidates concurrently (see InsertTupleBatch).
+///     (predicate, tuple) hash, probing tuples directly in the segment
+///     arena. Contains / Find / Insert never materialize an Atom.
 ///
 /// Atoms are exposed as AtomView handles (see core/atom.h): views point
 /// straight into the immobile extent blocks, so they stay valid across
@@ -63,15 +46,10 @@ struct BatchTuple {
 /// for the accessors the join kernel uses — FindTuple / ContainsTuple,
 /// atom(), TupleData(), AtomsWithPredicate, AtomsWithTermAt,
 /// DeltaAtomsWithPredicate, size(), PredicateArity — none of them
-/// mutate anything, not even lazily. This is the contract the parallel
-/// trigger engine relies on: during a collect region (and during the
-/// apply phase's read-only pre-checks) the instance is frozen and every
-/// worker probes it read-only. Two exceptions are NOT safe
+/// mutate anything, not even lazily. Two exceptions are NOT safe
 /// concurrently: ActiveDomain() (lazily catches a mutable cache up)
 /// and, of course, any non-const method; no mutation may overlap any
-/// read. InsertTupleBatch is a mutation: its internal hash/probe/commit
-/// stages run on the caller's pool, but the call as a whole must be
-/// exclusive, like any other insert.
+/// read.
 class Instance {
  public:
   /// Terms per extent = 2^kDefaultExtentLog2. 2^16 terms = 256 KiB per
@@ -80,13 +58,6 @@ class Instance {
   /// segment, so a workload's footprint scales with the predicates it
   /// actually populates.
   static constexpr std::uint32_t kDefaultExtentLog2 = 16;
-
-  /// Dedup shards per segment. Shard = high bits of the tuple hash;
-  /// slot = low bits. 8 shards per predicate keep single-predicate
-  /// batches (the insert-heavy shape) probing in parallel while the
-  /// cross-predicate batches parallelize over segments anyway.
-  static constexpr std::uint32_t kShardBits = 3;
-  static constexpr std::uint32_t kNumShards = 1u << kShardBits;
 
   Instance() : Instance(kDefaultExtentLog2) {}
 
@@ -114,51 +85,6 @@ class Instance {
   std::pair<AtomIndex, bool> Insert(const Atom& atom) {
     return InsertTuple(atom.predicate, atom.terms());
   }
-
-  /// Batched insert — the apply phase of the parallel chase engine.
-  /// Processes `tuples` (whose terms live in the caller's `buffer`)
-  /// exactly as the equivalent InsertTuple loop would, in six stages:
-  ///
-  ///   1. hash every tuple (parallel over tuples);
-  ///   2. create the segment of every predicate the batch touches
-  ///      (serial — the parallel stages never resize the directory);
-  ///   3. probe the dedup shards (parallel: each (segment, shard) pair
-  ///      is hash-assigned to one worker, which walks the batch in
-  ///      order, claiming slots for first occurrences with placeholder
-  ///      marks and growing its own shards locally — no two workers
-  ///      ever touch the same shard);
-  ///   4. assign global AtomIndexes to the fresh tuples, serially in
-  ///      batch order — the canonical cross-predicate merge order, the
-  ///      exact numbering the sequential InsertTuple loop would have
-  ///      produced;
-  ///   5. commit per predicate (parallel: each segment is hash-assigned
-  ///      to one worker, which appends its predicate's fresh tuples to
-  ///      the segment arena in batch order, patches the claimed slots
-  ///      to their global indexes, and extends the segment's atom list
-  ///      and position index — disjoint segments, no shared writes);
-  ///   6. merge serially in batch order: extend the global AtomRef
-  ///      directory and run the caller's callback.
-  ///
-  /// `on_merged(pos, index, fresh)` is called once per tuple, in batch
-  /// order, after that tuple's global index is final; returning false
-  /// stops the merge — the not-yet-reported tuples are rolled back
-  /// (segment arenas truncated, indexes popped, claimed slots scrubbed)
-  /// so the instance is exactly as if the batch had ended there. While
-  /// the callback runs, size()/atom() expose exactly the merged prefix;
-  /// the per-predicate and position indexes may transiently include
-  /// later tuples of the same batch (they are committed segment-side
-  /// before the serial walk) — callers that need the pure prefix read
-  /// through size(), as the chase engine does. Returns the number of
-  /// tuples merged.
-  ///
-  /// Stages 1, 3 and 5 run on `pool` when it has more than one worker,
-  /// inline otherwise; the result — indexes, arena bytes, dedup
-  /// verdicts, callback sequence — is byte-identical either way, and
-  /// identical to the sequential InsertTuple loop.
-  std::size_t InsertTupleBatch(
-      const Term* buffer, const std::vector<BatchTuple>& tuples,
-      util::ThreadPool* pool,
-      const std::function<bool(std::size_t, AtomIndex, bool)>& on_merged);
 
   bool ContainsTuple(PredicateId pred, TermSpan terms) const {
     AtomIndex ignored;
@@ -234,8 +160,8 @@ class Instance {
 
   /// All atom indexes with predicate `pred` and term `t` at position
   /// `pos`, ascending. The span points into the segment's position
-  /// table: it stays valid until the next insert (or batch rollback) —
-  /// the join kernel reads it while the instance is frozen.
+  /// table: it stays valid until the next insert — the join kernel
+  /// reads it while the instance is frozen.
   IndexSpan AtomsWithTermAt(PredicateId pred, std::uint32_t pos,
                             Term t) const {
     if (pred >= segments_.size() || segments_[pred] == nullptr) return {};
@@ -281,25 +207,11 @@ class Instance {
 
  private:
   static constexpr AtomIndex kEmptySlot = 0xffffffffu;
-  /// During InsertTupleBatch's probe stage, a claimed-but-not-merged
-  /// slot holds kPendingBit | batch position; the commit patches it to
-  /// the real AtomIndex (or the rollback scrubs it on early stop).
-  static constexpr AtomIndex kPendingBit = 0x80000000u;
   // Arity sentinel for segments that exist but have no tuples yet.
   static constexpr std::uint32_t kUnknownArity = 0xffffffffu;
 
-  /// One dedup shard: an open-addressing table of AtomIndexes whose
-  /// slot is taken from the LOW bits of the tuple hash (the shard id
-  /// uses the high bits, so the two are independent).
-  struct Shard {
-    std::vector<AtomIndex> slots;
-    std::size_t mask = 0;    // slots.size() - 1 (power of two)
-    std::size_t entries = 0; // arena atoms + pending placeholders
-  };
-
   /// Everything one predicate owns. Segments are heap-allocated and
-  /// never move once created, so the parallel batch stages can touch
-  /// disjoint segments while the directory vector itself stays frozen.
+  /// never move once created.
   struct Segment {
     // Extent-sharded term arena: tuples appended back to back, local
     // offsets, padding at extent boundaries (excluded from used_terms).
@@ -308,8 +220,10 @@ class Instance {
     std::uint64_t used_terms = 0;  // stored terms (excl. padding)
     // Fixed arity, learned at the first insert.
     std::uint32_t arity = kUnknownArity;
-    // This predicate's dedup shard group.
-    Shard shards[kNumShards];
+    // The dedup table: open addressing over this predicate's global
+    // indexes, slot = low bits of the tuple hash, power-of-two size
+    // (empty until the first insert). It holds exactly `atoms`.
+    std::vector<AtomIndex> dedup;
     // Global indexes of this predicate's atoms, insertion order — both
     // the AtomsWithPredicate list and the delta watermark's substrate.
     std::vector<AtomIndex> atoms;
@@ -323,18 +237,6 @@ class Instance {
     std::vector<AtomIndex> delta_curr;
     std::size_t delta_next_mark = 0;
   };
-
-  static std::uint32_t ShardOf(std::size_t hash) {
-    return static_cast<std::uint32_t>(
-        hash >> (sizeof(std::size_t) * 8 - kShardBits));
-  }
-
-  /// Deterministic hash the batch stages assign segment (and
-  /// segment-shard) ownership with: worker w owns predicate p iff
-  /// (PredOwner(p) [+ shard]) % workers == w.
-  static std::uint32_t PredOwner(PredicateId pred) {
-    return static_cast<std::uint32_t>(util::Mix64(pred));
-  }
 
   const Term* TuplePtr(const Segment& seg, std::uint64_t offset) const {
     return seg.extents[offset >> extent_log2_].get() +
@@ -350,22 +252,15 @@ class Instance {
     assert(seg->arity == n && "predicate arity is fixed per Instance");
   }
 
-  /// Probes `shard` (of `pred`'s segment) for (pred, terms) with its
+  /// Probes `seg`'s (non-empty) dedup table for (pred, terms) with its
   /// precomputed hash. Returns the slot holding the matching atom's
-  /// index, or the empty slot where it would be inserted. `batch`
-  /// non-null enables matching pending placeholders against the batch
-  /// being inserted.
-  std::size_t ProbeShard(const Shard& shard, PredicateId pred,
-                         TermSpan terms, std::size_t hash,
-                         const Term* buffer,
-                         const std::vector<BatchTuple>* batch) const;
+  /// index, or the empty slot where it would be inserted.
+  std::size_t Probe(const Segment& seg, PredicateId pred, TermSpan terms,
+                    std::size_t hash) const;
 
-  /// Grows `shard` (doubling) and re-seats its entries: arena atoms
-  /// first, then pending placeholders in batch order (their hashes are
-  /// read from batch_hashes_) — the seating order that keeps an
-  /// early-stopped batch scrubbable (no kept entry's probe chain ever
-  /// crosses a later placeholder's slot).
-  void GrowShard(Segment* seg, Shard* shard);
+  /// Doubles `seg`'s dedup table and re-seats every atom of the
+  /// segment.
+  void GrowDedup(Segment* seg);
 
   /// Appends a tuple to `seg`'s arena (padding to the next extent if
   /// the current one cannot hold it whole) and returns its local
@@ -373,20 +268,11 @@ class Instance {
   /// the target region is fresh, so the copy is safe either way.
   std::uint64_t AppendTuple(Segment* seg, const Term* src, std::uint32_t n);
 
-  /// Segment-side bookkeeping shared by InsertTuple and the batch
-  /// commit stage: records the freshly appended tuple (already in the
-  /// segment arena at `offset`, already numbered `idx`) in the
-  /// segment's atom list and position index.
+  /// Records the freshly appended tuple (already in the segment arena at
+  /// `offset`, already numbered `idx`) in the segment's atom list and
+  /// position index.
   void RecordTuple(Segment* seg, AtomIndex idx, std::uint64_t offset,
                    std::uint32_t n);
-
-  /// Undoes the segment-side commits of the batch tuples after `kept`
-  /// (exclusive) when the merge callback stopped early: scrubs their
-  /// dedup slots, pops their index entries, truncates their segment
-  /// arenas. Walks backwards so every popped entry is at its list's
-  /// tail.
-  void RollBackBatch(const std::vector<BatchTuple>& tuples,
-                     std::size_t kept);
 
   bool TupleAt(AtomIndex idx, PredicateId pred, TermSpan terms) const {
     const AtomRef& ref = refs_[idx];
@@ -407,21 +293,8 @@ class Instance {
 
   // The global-index indirection: AtomIndex -> (predicate, local
   // offset, arity). Assigned in insertion order across all predicates,
-  // stable forever. This directory is the `size()` authority and the
-  // only structure the serial merge stage appends to.
+  // stable forever. This directory is the `size()` authority.
   std::vector<AtomRef> refs_;
-
-  // Scratch for InsertTupleBatch (member so repeated batches reuse the
-  // allocations): per-tuple hashes and probe verdicts.
-  struct BatchVerdict {
-    std::uint8_t kind = 0;   // 0 fresh, 1 existing, 2 dup-of-batch
-    std::uint32_t ref = 0;   // existing AtomIndex / earlier batch pos
-    std::uint64_t slot = 0;  // claimed slot (kind 0)
-    std::uint64_t offset = 0;  // local arena offset once committed (kind 0)
-  };
-  std::vector<std::size_t> batch_hashes_;
-  std::vector<BatchVerdict> batch_verdicts_;
-  std::vector<AtomIndex> batch_indexes_;
 
   // Active-domain cache: `domain_` lists every distinct term of the
   // first `domain_scanned_` atoms' tuples in first-occurrence order

@@ -56,15 +56,13 @@ class IndexSpan {
 /// Most (position, term) lists of a chase are that short, so the index
 /// costs one table per position instead of a node and a vector per key.
 ///
-/// Lists only ever grow at the tail (Append) or shrink at the tail
-/// (PopBack, the batch rollback), so they stay ascending. An entry whose
-/// list empties keeps its key: entries are never removed, which keeps
-/// every probe chain intact without tombstones.
+/// Lists only ever grow, at the tail (Append), so they stay ascending,
+/// and entries are never removed, so no probe chain needs tombstones.
 ///
 /// Find is const and touches nothing, so concurrent readers are safe
 /// between mutations. A span from Find is invalidated by the next
-/// Append or PopBack on the same table (the table may rehash, and a
-/// list may move between its entry and the heap).
+/// Append on the same table (the table may rehash, and a list may move
+/// from its entry to the heap).
 class PositionTable {
  public:
   PositionTable() = default;
@@ -127,20 +125,6 @@ class PositionTable {
     e.store.heap[e.count++] = idx;
   }
 
-  /// Removes `idx`, which must be the last atom of `t`'s list.
-  void PopBack(Term t, AtomIndex idx) {
-    Entry& e = Locate(t.bits());
-    assert(e.key == t.bits() && e.count > 0 &&
-           e.data()[e.count - 1] == idx && "pop of a non-tail atom");
-    (void)idx;
-    --e.count;
-    if (e.count == kInline) {
-      AtomIndex* heap = e.store.heap;
-      std::copy(heap, heap + kInline, e.store.inline_atoms);
-      delete[] heap;
-    }
-  }
-
  private:
   static constexpr std::uint32_t kEmptyKey = 0xffffffffu;  // kind 3
   static constexpr std::uint32_t kInline = 4;
@@ -150,7 +134,7 @@ class PositionTable {
     std::uint32_t key = kEmptyKey;
     std::uint32_t count = 0;
     // count <= kInline: the list is inline_atoms[0, count);
-    // count > kInline: it is heap[0, count), of Capacity(count) or more.
+    // count > kInline: it is heap[0, count), of Capacity(count).
     union Store {
       AtomIndex inline_atoms[kInline];
       AtomIndex* heap;
@@ -161,9 +145,8 @@ class PositionTable {
     }
   };
 
-  /// The smallest spill capacity a list of `count` > kInline atoms may
-  /// have: a power of two, at least kFirstSpill. A list that shrank may
-  /// hold more; Append then reallocates early, which is harmless.
+  /// The spill capacity of a list of `count` > kInline atoms: the
+  /// smallest power of two that holds it, at least kFirstSpill.
   static std::uint32_t Capacity(std::uint32_t count) {
     std::uint32_t cap = kFirstSpill;
     while (cap < count) cap *= 2;

@@ -33,10 +33,8 @@ inline constexpr PredicateId kInvalidPredicate = 0xffffffffu;
 /// printing) is safe to read concurrently as long as nothing mutates
 /// the scope — a frozen SymbolTable is therefore fully thread-shared.
 /// MakeNull and the interning methods mutate and must stay
-/// single-threaded per scope; the chase engine honours this by
-/// allocating nulls only in its serialized apply phase (its parallel
-/// collect workers never touch the scope), and concurrent runs get
-/// isolation from per-run SymbolOverlays rather than locks.
+/// single-threaded per scope; concurrent chase runs get isolation from
+/// per-run SymbolOverlays rather than locks.
 class SymbolScope {
  public:
   virtual ~SymbolScope() = default;

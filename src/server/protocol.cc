@@ -179,9 +179,8 @@ RequestParse ParseRequest(const std::string& line) {
                     &req.deadline_ms, id, &out)) {
       return out;
     }
-    n = req.num_threads;
+    // Accepted for older clients and ignored; still range-checked.
     if (!ReadNumber(*parsed, "threads", 256, &n, id, &out)) return out;
-    req.num_threads = static_cast<std::uint32_t>(n);
     if (!ReadBool(*parsed, "payload", &req.payload, id, &out) ||
         !ReadBool(*parsed, "events", &req.events, id, &out)) {
       return out;
@@ -271,10 +270,6 @@ std::string SerializeRequest(const ChaseRequest& request) {
   }
   if (request.deadline_ms) {
     AppendMember(&out, "deadline_ms", request.deadline_ms, &first);
-  }
-  if (request.num_threads != chase::kNumThreadsDefault) {
-    AppendMember(&out, "threads",
-                 static_cast<std::uint64_t>(request.num_threads), &first);
   }
   if (request.payload) AppendMember(&out, "payload", true, &first);
   if (request.events) AppendMember(&out, "events", true, &first);

@@ -44,9 +44,9 @@ const char* ErrorCodeName(ErrorCode code);
 /// --- Request frames (client -> server) ---
 
 /// `chase`: run a chase of the submitted program. Budget fields left at
-/// 0 mean "server default"; `threads` follows SessionOptions semantics
-/// except that its absence (kNumThreadsDefault) defers to the server's
-/// --threads flag rather than the environment.
+/// 0 mean "server default". The wire member `threads` (0-256) is still
+/// accepted, so that older clients keep working, and has no effect: the
+/// chase has one serial code path.
 struct ChaseRequest {
   std::string id;     ///< Client-chosen correlation id; required.
   std::string rules;  ///< Program text (rules + facts); required.
@@ -55,7 +55,6 @@ struct ChaseRequest {
   std::uint32_t max_depth = 0;
   std::uint64_t max_rounds = 0;
   std::uint64_t deadline_ms = 0;
-  std::uint32_t num_threads = chase::kNumThreadsDefault;
   bool payload = false;  ///< Include the sorted instance in the result.
   bool events = false;   ///< Stream per-round event frames.
 };

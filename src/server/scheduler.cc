@@ -7,15 +7,12 @@ namespace nuchase {
 namespace server {
 
 RequestScheduler::RequestScheduler(const Options& options)
-    : max_queue_(options.max_queue),
-      pool_(std::max(1u, options.max_inflight)) {
-  // The pool is fork/join — Run() from one thread at a time — so a
-  // dedicated dispatcher enters one Run() region for the scheduler's
-  // whole lifetime and the workers inside it become the request loop.
-  // Spawned last: WorkerLoop must only ever see a finished object.
-  dispatcher_ = std::thread([this] {
-    pool_.Run([this](unsigned w) { WorkerLoop(w); });
-  });
+    : max_queue_(options.max_queue) {
+  const unsigned n = std::max(1u, options.max_inflight);
+  workers_.reserve(n);
+  for (unsigned w = 0; w < n; ++w) {
+    workers_.emplace_back([this, w] { WorkerLoop(w); });
+  }
 }
 
 RequestScheduler::~RequestScheduler() { Shutdown(); }
@@ -40,7 +37,9 @@ void RequestScheduler::Shutdown() {
     shutdown_ = true;
   }
   work_cv_.notify_all();
-  if (dispatcher_.joinable()) dispatcher_.join();
+  for (std::thread& worker : workers_) {
+    if (worker.joinable()) worker.join();
+  }
 }
 
 void RequestScheduler::WorkerLoop(unsigned worker) {

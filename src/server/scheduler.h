@@ -7,23 +7,18 @@
 #include <functional>
 #include <mutex>
 #include <thread>
-
-#include "util/thread_pool.h"
+#include <vector>
 
 namespace nuchase {
 namespace server {
 
-/// Multiplexes M queued requests over one shared util::ThreadPool with
-/// admission control — the serving layer's backpressure valve.
+/// Multiplexes M queued requests over `max_inflight` worker threads
+/// with admission control — the serving layer's backpressure valve.
 ///
-/// util::ThreadPool is a fork/join primitive (one Run() region at a
-/// time, workers parked between regions), so the scheduler pins it open:
-/// a private dispatcher thread enters a single long-lived Run() region
-/// whose workers loop pulling whole requests off the queue until
-/// shutdown. Each worker owns one request end to end (the chase inside
-/// may spin up its own inner pool when the request asked for
-/// per-request threads); request-level concurrency is exactly
-/// `max_inflight` — the pool's worker count.
+/// The workers are plain threads started in the constructor; each loops
+/// pulling whole requests off one shared queue until shutdown and owns
+/// each request end to end. Request-level concurrency is exactly
+/// `max_inflight`.
 ///
 /// Admission is synchronous and happens on the caller's (reader)
 /// thread: Submit() either enqueues and returns true, or — when
@@ -33,15 +28,14 @@ namespace server {
 /// max_inflight + max_queue requests are admitted at once.
 ///
 /// Telemetry: `max_overlap` records the peak number of requests
-/// executing simultaneously — the clock-free engagement proof (in the
-/// spirit of ChaseStats::parallel_rounds) that concurrent requests
-/// actually overlapped on the pool rather than degrading to a serial
-/// queue; bench_server's gate in tools/check_bench_regression reads it
+/// executing simultaneously — the clock-free engagement proof that
+/// concurrent requests actually overlapped on the workers rather than
+/// degrading to a serial queue; bench_server's gate in tools/check_bench_regression reads it
 /// through the stats frame and is never skipped.
 class RequestScheduler {
  public:
   struct Options {
-    unsigned max_inflight = 4;    ///< Pool workers = concurrent requests.
+    unsigned max_inflight = 4;    ///< Workers = concurrent requests.
     std::size_t max_queue = 64;   ///< Waiting requests before overload.
   };
 
@@ -53,7 +47,7 @@ class RequestScheduler {
   RequestScheduler(const RequestScheduler&) = delete;
   RequestScheduler& operator=(const RequestScheduler&) = delete;
 
-  /// Queues `task` for execution on some pool worker. False when the
+  /// Queues `task` for execution on some worker. False when the
   /// queue is full (or the scheduler is shutting down) — the caller
   /// owns the overload rejection. The task runs exactly once, with its
   /// worker index; it must not throw.
@@ -63,8 +57,6 @@ class RequestScheduler {
   /// and joins the workers. Idempotent. Queued tasks are executed, not
   /// dropped: every admitted request was promised a terminal frame.
   void Shutdown();
-
-  unsigned workers() const { return pool_.workers(); }
 
   struct Stats {
     std::uint64_t submitted = 0;   ///< Admitted tasks.
@@ -81,7 +73,6 @@ class RequestScheduler {
   void WorkerLoop(unsigned worker);
 
   std::size_t max_queue_;
-  util::ThreadPool pool_;
 
   mutable std::mutex mu_;
   std::condition_variable work_cv_;
@@ -91,7 +82,7 @@ class RequestScheduler {
 
   /// Joined by Shutdown; spawned last in the constructor so the worker
   /// loop only ever sees fully-constructed state.
-  std::thread dispatcher_;
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace server

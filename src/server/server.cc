@@ -380,12 +380,6 @@ void Server::RunChaseTask(Connection* conn,
       .set_deadline_ms(remaining_ms)
       .set_cancel(&live->token);
   if (request.max_atoms > 0) options.set_max_atoms(request.max_atoms);
-  // An unset `threads` takes the server's --threads flag, never the
-  // NUCHASE_THREADS environment: both branches set an explicit count,
-  // and explicit counts beat the environment by the engine contract.
-  options.set_num_threads(request.num_threads == chase::kNumThreadsDefault
-                              ? options_.default_threads
-                              : request.num_threads);
   EventStreamer streamer(transport, request.id);
   if (request.events) options.set_observer(&streamer);
 

@@ -20,17 +20,14 @@ namespace server {
 
 /// Server-wide knobs, mapped 1:1 from nuchase_server's flags.
 struct ServerOptions {
-  /// Requests chasing concurrently (= the shared pool's workers).
+  /// Requests chasing concurrently (= the scheduler's worker threads).
   unsigned max_inflight = 4;
   /// Requests waiting beyond that before admission rejects (overloaded).
   std::size_t max_queue = 64;
   /// Parsed programs the LRU cache retains.
   std::size_t cache_size = 64;
-  /// Chase worker threads for requests that leave `threads` unset.
-  /// Follows chase::ChaseOptions::num_threads semantics (1 = sequential,
-  /// 0 = hardware concurrency, N = exactly N) except that the engine's
-  /// NUCHASE_THREADS environment override never applies — a daemon's
-  /// behavior must come from its flags, not its inherited environment.
+  /// Inert: the chase has one serial code path. Kept so that embedders
+  /// written against the former parallel engine (perfbench) compile.
   std::uint32_t default_threads = 1;
   /// Longest accepted request line in bytes; longer lines are answered
   /// with an `oversized-frame` error and skipped (connection survives).

@@ -25,9 +25,7 @@ util::StatusOr<AdvisorReport> Advise(core::SymbolTable* symbols,
     LadderResult local_ladder;
     const LadderResult* ladder = options.ladder;
     if (ladder == nullptr) {
-      LadderOptions lopt;
-      lopt.mfa.num_threads = options.chase.num_threads;
-      local_ladder = RunLadder(*symbols, tgds, db, lopt);
+      local_ladder = RunLadder(*symbols, tgds, db);
       ladder = &local_ladder;
     }
     if (ladder->verdict == Decision::kTerminates) {

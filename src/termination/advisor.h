@@ -38,7 +38,7 @@ struct AdvisorReport {
 struct AdvisorOptions {
   /// Every chase the advisor runs (the bounded-chase fallback and the
   /// materialization) starts from these options: engine switches,
-  /// worker count, atom budget, deadline, hooks, and precomputed plans
+  /// atom budget, deadline, hooks, and precomputed plans
   /// and reliances for Σ. The decision-relevant fields are reset first
   /// (see DecisionChaseOptions). A cancelled materialization surfaces
   /// as ResourceExhausted. No pointer is owned; all must outlive the

@@ -109,7 +109,6 @@ MfaResult CheckMfa(const core::SymbolTable& symbols, const tgd::TgdSet& tgds,
   copt.variant = chase::ChaseVariant::kSemiOblivious;
   copt.max_atoms = options.max_atoms;
   copt.max_depth = depth_limit;
-  copt.num_threads = options.num_threads;
   copt.observer = &provenance;
   chase::ChaseResult run = chase::RunChase(&scratch, tgds, *critical, copt);
 

@@ -63,8 +63,6 @@ struct MfaOptions {
   /// depth level per null and each level is labelled by one of the
   /// |existentials| (rule, variable) pairs.
   std::uint32_t max_depth = 0;
-  /// Worker count for the chase (results byte-identical either way).
-  std::uint32_t num_threads = chase::kNumThreadsDefault;
 };
 
 /// The MFA rung of the acyclicity ladder: chases the critical database

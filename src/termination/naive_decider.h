@@ -41,8 +41,8 @@ struct NaiveDecision {
 /// `engine` with the fields a termination decision owns reset: the
 /// semi-oblivious variant (Definition 3.1, whose result is unique), no
 /// depth or round budget, no forest, and Σ-order firing. Everything
-/// else — atom budget, engine switches, worker count, deadline, hooks,
-/// plans, reliances — is kept. Every chase run by DecideByChase and
+/// else — atom budget, engine switches, deadline, hooks, plans,
+/// reliances — is kept. Every chase run by DecideByChase and
 /// the advisor starts from this.
 chase::ChaseOptions DecisionChaseOptions(const chase::ChaseOptions& engine);
 
@@ -54,8 +54,8 @@ chase::ChaseOptions DecisionChaseOptions(const chase::ChaseOptions& engine);
 ///     exceeds |D|·f_C(Σ) atoms;
 ///   - report kUnknown when only the hard practical cap stopped the run
 ///     (possible for guarded sets, whose bounds overflow quickly).
-/// `engine` carries the engine switches, worker count, deadline, hooks
-/// and precomputed plans into the bounded run; the decision-relevant
+/// `engine` carries the engine switches, deadline, hooks and
+/// precomputed plans into the bounded run; the decision-relevant
 /// fields are owned by the procedure (DecisionChaseOptions, then the
 /// depth and atom budgets above).
 NaiveDecision DecideByChase(core::SymbolTable* symbols,

@@ -34,8 +34,8 @@ Workload MakeExample71(core::SymbolTable* symbols);
 /// (so Σ ∉ CT).
 Workload MakeDepthFamilyInfinite(core::SymbolTable* symbols);
 
-/// The wide depth family — the recursive workload the parallel trigger
-/// engine scales on. Proposition 4.5's rule extended with a third,
+/// The wide depth family — a recursive workload with wide rounds.
+/// Proposition 4.5's rule extended with a third,
 /// frontier-free body atom, over `width` disjoint chains instead of one:
 ///
 ///   Σ = { R(x,y), P(x,z,v), S(x,u) → ∃w P(y,w,z) }
@@ -48,11 +48,10 @@ Workload MakeDepthFamilyInfinite(core::SymbolTable* symbols);
 /// layer: the round's delta holds width·payloads P-atoms, each seeding
 /// a join that probes its node's `noise` S-atoms, and the `noise`
 /// homomorphisms per trigger collapse to one firing (u is not in the
-/// frontier). That gives the parallel engine exactly what it has to be
-/// good at — wide rounds of independent delta seeds, per-seed join work
-/// that dominates the sequential apply phase, and duplicate candidates
-/// that the canonical merge must collapse — while rounds stay a
-/// constant width (the chains are disjoint, so nothing compounds).
+/// frontier). That gives wide rounds of independent delta seeds,
+/// per-seed join work that dominates the apply phase, and duplicate
+/// homomorphisms that the fired set must collapse — while rounds stay
+/// a constant width (the chains are disjoint, so nothing compounds).
 /// Null depth still grows by one per layer, as in the narrow family:
 /// the propagated payload position carries the previous round's null.
 /// The chase terminates with width·payloads·layers derived atoms after

@@ -3,7 +3,7 @@
 // its own (the other suites keep the default allocator):
 //
 //   - a warmed-up HomomorphismFinder enumerates without allocating;
-//   - a threads=1 Session::Chase of the University workload makes
+//   - a Session::Chase of the University workload makes
 //     fewer than 0.5 heap allocations per stored atom.
 #include <gtest/gtest.h>
 
@@ -112,8 +112,7 @@ TEST(AllocationTest, UniversityChaseStaysUnderHalfAnAllocationPerAtom) {
   auto program = api::Program::Create(std::move(symbols), std::move(w.tgds),
                                       std::move(w.database));
   ASSERT_TRUE(program.ok()) << program.status().ToString();
-  const api::Session session(*program,
-                             api::SessionOptions().set_num_threads(1));
+  const api::Session session(*program);
 
   const std::uint64_t before = Allocations();
   auto run = session.Chase();

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 
 #include "chase/chase.h"
@@ -375,37 +374,6 @@ TEST(NullStoreTest, DepthIsOnePlusMaxFrontierDepth) {
   // Empty frontier: depth 1 (= 1 + max(∅ ∪ {0})).
   core::Term n4 = single("Q").arg(0);
   EXPECT_EQ(symbols.depth(n4), 1u);
-}
-
-/// NUCHASE_THREADS hygiene: the strict parser rejects every malformed
-/// spelling (including the whitespace-prefixed one bare strtoul used to
-/// accept as 4 workers), the resolver falls back to sequential, and the
-/// warning is emitted once per process — not once per chase, which on a
-/// CI shard would be thousands of identical lines.
-TEST(ResolveNumThreadsTest, InvalidEnvWarnsOnceAndRunsSequential) {
-  const char* saved = std::getenv("NUCHASE_THREADS");
-  std::string saved_value = saved != nullptr ? saved : "";
-  setenv("NUCHASE_THREADS", " 4", /*overwrite=*/1);
-  ChaseOptions options;  // num_threads left at the overridable default
-  ::testing::internal::CaptureStderr();
-  std::uint32_t first = ResolveNumThreads(options);
-  std::uint32_t second = ResolveNumThreads(options);
-  std::string err = ::testing::internal::GetCapturedStderr();
-  if (saved != nullptr) {
-    setenv("NUCHASE_THREADS", saved_value.c_str(), /*overwrite=*/1);
-  } else {
-    unsetenv("NUCHASE_THREADS");
-  }
-  EXPECT_EQ(first, 1u);
-  EXPECT_EQ(second, 1u);
-  std::size_t first_hit = err.find("invalid NUCHASE_THREADS");
-  ASSERT_NE(first_hit, std::string::npos) << err;
-  EXPECT_EQ(err.find("invalid NUCHASE_THREADS", first_hit + 1),
-            std::string::npos)
-      << err;
-  // An explicit setting always beats the environment, valid or not.
-  options.num_threads = 3;
-  EXPECT_EQ(ResolveNumThreads(options), 3u);
 }
 
 TEST(SubstitutionTest, ApplyLeavesUnboundVariables) {

@@ -1,6 +1,6 @@
 # End-to-end test for tools/nuchase_cli and tools/nuchase_lint, run via
 #   cmake -DNUCHASE_CLI=<exe> -DNUCHASE_LINT=<exe> -DWORK_DIR=<dir>
-#         -DREPO_DIR=<src> -P cli_end_to_end.cmake
+#         -DREPO_DIR=<src> [-DNUCHASE_LOADGEN=<exe>] -P cli_end_to_end.cmake
 # Drives classify/decide/chase/rewrite on the quickstart ontology,
 # asserts on exit codes and key output lines, and compares the
 # examples/programs/ outputs byte-for-byte against tests/golden/ so
@@ -74,13 +74,21 @@ run_cli(out 2 chase --max-atoms=abc "${PROGRAM_FILE}")
 run_cli(out 2 chase --max-rounds= "${PROGRAM_FILE}")
 run_cli(out 2 chase --max-depth=12x "${PROGRAM_FILE}")
 run_cli(out 2 chase --deadline-ms=-5 "${PROGRAM_FILE}")
-run_cli(out 2 chase --threads=two "${PROGRAM_FILE}")
-run_cli(out 2 chase --threads=257 "${PROGRAM_FILE}")
 run_cli(out 2 chase --max-rounds=99999999999999999999 "${PROGRAM_FILE}")
 run_cli(out 2 chase --max-depth=4294967296 "${PROGRAM_FILE}")
 # Removed flags are unknown options (exit 2), never silently ignored.
 run_cli(out 2 chase --extent-log2=8 "${PROGRAM_FILE}")
 run_cli(out 2 chase --no-position-index "${PROGRAM_FILE}")
+run_cli(out 2 chase --threads=1 "${PROGRAM_FILE}")
+run_cli(out 2 chase --threads=4 "${PROGRAM_FILE}")
+if(NUCHASE_LOADGEN)
+  execute_process(COMMAND "${NUCHASE_LOADGEN}" --port=1 --threads=1
+      OUTPUT_QUIET ERROR_QUIET RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "nuchase_loadgen --threads=1: exit ${rc}, "
+        "expected 2")
+  endif()
+endif()
 # The well-formed spellings of the same budgets still work.
 run_cli(out 0 chase --max-rounds=50 --max-depth=10 "${PROGRAM_FILE}")
 expect_line("${out}" "outcome:    terminated" "chase with budgets")
@@ -148,27 +156,14 @@ run_golden(witness_race.tgd witness_race_decide.txt 1 decide)
 run_golden(witness_race.tgd witness_race_chase.txt 0
     chase --variant=restricted --print)
 
-# Parallel-engine purity: --threads=N must reproduce the sequential
-# goldens byte-for-byte, stats lines included — every counter the CLI
-# prints is deterministic across thread counts.
-foreach(prog quickstart data_exchange datalog_tc)
-  run_golden(${prog}.tgd ${prog}_chase.txt 0 chase --print --threads=4)
-endforeach()
-
-run_golden(witness_race.tgd witness_race_chase.txt 0
-    chase --variant=restricted --print --threads=3)
-
 # Restraint-guided firing order (restricted variant): plain Σ-order
 # diverges on the committed order-sensitivity program (round-limit
 # prefix pinned as a golden), --restraint-order terminates — in fewer
-# rounds, with a smaller instance — and stays byte-identical across
-# thread counts like every other schedule.
+# rounds, with a smaller instance.
 run_golden(restraint_order.tgd restraint_order_sigma.txt 1
     chase --variant=restricted --max-rounds=6)
 run_golden(restraint_order.tgd restraint_order_guided.txt 0
     chase --variant=restricted --restraint-order --print)
-run_golden(restraint_order.tgd restraint_order_guided.txt 0
-    chase --variant=restricted --restraint-order --print --threads=2)
 
 # Reliance-scheduling purity: --no-reliances must reproduce the chase
 # byte-for-byte — instance and every stats line — except the schedule
@@ -202,52 +197,6 @@ foreach(prog quickstart data_exchange datalog_tc)
   check_reliance_purity(${prog})
 endforeach()
 check_reliance_purity(witness_race --variant=restricted)
-check_reliance_purity(witness_race --variant=restricted --threads=3)
-
-# NUCHASE_THREADS hygiene: a malformed value (including the
-# whitespace-prefixed spelling bare strtoul used to accept) must warn
-# once on stderr and fall back to sequential — stdout stays golden.
-foreach(bad_threads "garbage" " 4" "+4" "0x8" "257")
-  execute_process(
-      COMMAND ${CMAKE_COMMAND} -E env "NUCHASE_THREADS=${bad_threads}"
-          "${NUCHASE_CLI}" chase --print
-          "${REPO_DIR}/examples/programs/quickstart.tgd"
-      OUTPUT_VARIABLE stdout
-      ERROR_VARIABLE stderr
-      RESULT_VARIABLE rc)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR
-        "NUCHASE_THREADS='${bad_threads}': exit ${rc}\n${stderr}")
-  endif()
-  file(READ "${REPO_DIR}/tests/golden/quickstart_chase.txt" expected)
-  if(NOT stdout STREQUAL expected)
-    message(FATAL_ERROR
-        "NUCHASE_THREADS='${bad_threads}' changed stdout:\n${stdout}")
-  endif()
-  string(FIND "${stderr}" "ignoring invalid NUCHASE_THREADS" pos)
-  if(pos EQUAL -1)
-    message(FATAL_ERROR
-        "NUCHASE_THREADS='${bad_threads}': expected a warning on "
-        "stderr, got:\n${stderr}")
-  endif()
-endforeach()
-# A well-formed value engages silently and reproduces the golden.
-execute_process(
-    COMMAND ${CMAKE_COMMAND} -E env "NUCHASE_THREADS=4"
-        "${NUCHASE_CLI}" chase --print
-        "${REPO_DIR}/examples/programs/quickstart.tgd"
-    OUTPUT_VARIABLE stdout
-    ERROR_VARIABLE stderr
-    RESULT_VARIABLE rc)
-file(READ "${REPO_DIR}/tests/golden/quickstart_chase.txt" expected)
-if(NOT rc EQUAL 0 OR NOT stdout STREQUAL expected)
-  message(FATAL_ERROR "NUCHASE_THREADS=4: exit ${rc}\n${stdout}")
-endif()
-string(FIND "${stderr}" "NUCHASE_THREADS" pos)
-if(NOT pos EQUAL -1)
-  message(FATAL_ERROR
-      "NUCHASE_THREADS=4 must not warn, got:\n${stderr}")
-endif()
 
 # Ablation purity: the full-scan engine must materialize the identical
 # instance; only the engine/joins stat lines may differ.
@@ -319,13 +268,9 @@ run_lint_golden(lint_showcase.tgd lint_showcase_lint.txt 1)
 run_lint_golden(lint_showcase.tgd lint_showcase_lint_json.txt 1
     --format=json)
 
-# Byte-determinism: a second run, and runs under different --threads
-# values (the MFA rung chases the critical instance in parallel), must
-# reproduce the goldens exactly.
+# Byte-determinism: a second run must reproduce the golden exactly.
 run_lint_golden(lint_showcase.tgd lint_showcase_lint_json.txt 1
     --format=json)
-run_lint_golden(mfa_ladder.tgd mfa_ladder_lint.txt 0 --threads=2)
-run_lint_golden(mfa_ladder.tgd mfa_ladder_lint.txt 0 --threads=3)
 
 # A clean SL program exits 0 and reports the per-class procedure.
 run_lint(out 0 "${PROGRAM_FILE}")
@@ -350,9 +295,7 @@ expect_line("${out}" "NU007 warning" "lint --list-ids")
 
 # Exit 2: usage errors — bad flag values, unknown options, a missing
 # operand, and an unreadable file.
-run_lint(out 2 --threads=abc ja_ladder.tgd)
-run_lint(out 2 --threads=257 ja_ladder.tgd)
-run_lint(out 2 --threads= ja_ladder.tgd)
+run_lint(out 2 --threads=2 ja_ladder.tgd)
 run_lint(out 2 --format=xml ja_ladder.tgd)
 run_lint(out 2 --bogus ja_ladder.tgd)
 run_lint(out 2)

@@ -3,19 +3,21 @@
 // byte-identical instances for every chase variant, on seeded random
 // workloads and on hand-picked programs that stress the restricted
 // variant's order sensitivity. Plus accounting tests for the new
-// ChaseStats counters.
+// ChaseStats counters, and a check that a thread count requested
+// through api::SessionOptions leaves every result unchanged.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "api/program.h"
+#include "api/session.h"
 #include "chase/chase.h"
 #include "core/symbol_table.h"
 #include "core/term.h"
 #include "tgd/classify.h"
 #include "tgd/parser.h"
-#include "workload/depth_family.h"
 #include "workload/random_tgds.h"
 
 namespace nuchase {
@@ -46,7 +48,7 @@ constexpr chase::ChaseVariant kVariants[] = {
     chase::ChaseVariant::kRestricted,
 };
 
-/// Runs one (variant, use_delta, num_threads, use_reliances) cell on a
+/// Runs one (variant, use_delta, use_reliances) cell on a
 /// fresh parse/generation of the same workload, so null naming cannot leak
 /// between cells through the symbol table.
 struct CellResult {
@@ -56,15 +58,18 @@ struct CellResult {
 
 class DeltaDiffRandomTest : public ::testing::TestWithParam<DiffParams> {
  protected:
-  CellResult RunCell(chase::ChaseVariant variant, bool use_delta,
-                     std::uint32_t num_threads = 1,
-                     bool use_reliances = true) {
-    core::SymbolTable symbols;
+  workload::Workload MakeWorkload(core::SymbolTable* symbols) {
     workload::RandomTgdOptions options;
     options.seed = GetParam().seed;
     options.target = GetParam().clazz;
     options.name_tag = GetParam().seed;
-    workload::Workload w = workload::MakeRandomWorkload(&symbols, options);
+    return workload::MakeRandomWorkload(symbols, options);
+  }
+
+  CellResult RunCell(chase::ChaseVariant variant, bool use_delta,
+                     bool use_reliances = true) {
+    core::SymbolTable symbols;
+    workload::Workload w = MakeWorkload(&symbols);
     chase::ChaseOptions copt;
     copt.variant = variant;
     // Small enough that the quadratic full-scan baseline stays fast on
@@ -72,7 +77,6 @@ class DeltaDiffRandomTest : public ::testing::TestWithParam<DiffParams> {
     // firing sequence, so the comparison is exact at any cutoff.
     copt.max_atoms = 4000;
     copt.use_delta = use_delta;
-    copt.num_threads = num_threads;
     copt.use_reliances = use_reliances;
     CellResult cell;
     cell.result = chase::RunChase(&symbols, w.tgds, w.database, copt);
@@ -108,19 +112,64 @@ TEST_P(DeltaDiffRandomTest, AllAblationCellsAgree) {
   }
 }
 
-/// The parallel trigger engine must be invisible in the output: for
-/// every variant, N workers sharding each round's delta produce the
-/// byte-identical instance and the identical deterministic counters
-/// (triggers, join probes, storage bytes) as the sequential engine.
-/// Thread counts cover an even shard, an odd one (uneven chunking), and
-/// more workers than most rounds have seeds.
+/// The chase has one serial code path, so a thread count requested
+/// through api::SessionOptions::set_num_threads must change nothing:
+/// for every variant, a Session run at 0, 2 and 8 requested threads
+/// reproduces the direct RunChase reference — byte-identical instance,
+/// identical deterministic counters — and reports every parallel_*
+/// counter as 0.
 TEST_P(DeltaDiffRandomTest, ParallelThreadsAreByteIdentical) {
+  core::SymbolTable symbols;
+  workload::Workload w = MakeWorkload(&symbols);
+  auto program = api::Program::Create(std::move(symbols), std::move(w.tgds),
+                                      std::move(w.database));
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
   for (chase::ChaseVariant variant : kVariants) {
     CellResult reference = RunCell(variant, /*use_delta=*/true);
-    for (std::uint32_t num_threads : {2u, 3u, 8u}) {
-      CellResult cell = RunCell(variant, /*use_delta=*/true, num_threads);
+    for (std::uint32_t num_threads : {0u, 2u, 8u}) {
+      auto run = api::Session(*program, api::SessionOptions()
+                                            .set_variant(variant)
+                                            .set_max_atoms(4000)
+                                            .set_num_threads(num_threads))
+                     .Chase();
       std::string label = std::string(chase::ChaseVariantName(variant)) +
                           " threads=" + std::to_string(num_threads);
+      ASSERT_TRUE(run.ok()) << label << ": " << run.status().ToString();
+      const chase::ChaseStats& stats = run->stats();
+      const chase::ChaseStats& want = reference.result.stats;
+      EXPECT_EQ(run->outcome(), reference.result.outcome) << label;
+      EXPECT_EQ(run->ToSortedString(), reference.sorted) << label;
+      EXPECT_EQ(stats.triggers_fired, want.triggers_fired) << label;
+      EXPECT_EQ(stats.triggers_satisfied, want.triggers_satisfied)
+          << label;
+      EXPECT_EQ(stats.join_probes, want.join_probes) << label;
+      EXPECT_EQ(stats.delta_atoms_scanned, want.delta_atoms_scanned)
+          << label;
+      EXPECT_EQ(stats.rounds, want.rounds) << label;
+      EXPECT_EQ(stats.arena_bytes, want.arena_bytes) << label;
+      EXPECT_EQ(stats.peak_atoms, want.peak_atoms) << label;
+      EXPECT_EQ(stats.parallel_rounds, 0u) << label;
+      EXPECT_EQ(stats.parallel_apply_batches, 0u) << label;
+      EXPECT_EQ(stats.parallel_commit_batches, 0u) << label;
+    }
+  }
+}
+
+/// The reliance-driven cross-rule schedule must be invisible in the
+/// output: reliances on and off reproduce the no-reliances reference —
+/// byte-identical instance and identical deterministic counters
+/// (including join_probes and delta_atoms_scanned, the two a
+/// mis-scheduled group walk would skew first) — for every variant. (The
+/// name predates the removal of the parallel engine, whose thread
+/// counts were a second axis here.)
+TEST_P(DeltaDiffRandomTest, RelianceSchedulingIsParallelInvariant) {
+  for (chase::ChaseVariant variant : kVariants) {
+    CellResult reference = RunCell(variant, /*use_delta=*/true,
+                                   /*use_reliances=*/false);
+    for (bool use_reliances : {true, false}) {
+      CellResult cell = RunCell(variant, /*use_delta=*/true, use_reliances);
+      std::string label = std::string(chase::ChaseVariantName(variant)) +
+                          " reliances=" + (use_reliances ? "on" : "off");
       EXPECT_EQ(cell.result.outcome, reference.result.outcome) << label;
       EXPECT_EQ(cell.sorted, reference.sorted) << label;
       EXPECT_EQ(cell.result.stats.triggers_fired,
@@ -143,86 +192,11 @@ TEST_P(DeltaDiffRandomTest, ParallelThreadsAreByteIdentical) {
       EXPECT_EQ(cell.result.stats.peak_atoms,
                 reference.result.stats.peak_atoms)
           << label;
-      // Engagement telemetry (outside the identity contract): the
-      // sequential reference must never report parallel apply batches,
-      // and a multi-threaded run that applied at least one trigger must
-      // have taken the parallel apply path — byte-identity alone cannot
-      // catch a silent fallback to the serial code.
-      EXPECT_EQ(reference.result.stats.parallel_apply_batches, 0u)
-          << label;
-      EXPECT_EQ(reference.result.stats.parallel_commit_batches, 0u)
-          << label;
-      if (cell.result.stats.triggers_fired +
-              cell.result.stats.triggers_satisfied >
-          0) {
-        EXPECT_GT(cell.result.stats.parallel_apply_batches, 0u) << label;
-      }
-      // Per-predicate segment commits ride the batch-insert path, which
-      // only the semi-oblivious and oblivious variants take (the
-      // restricted variant inserts serially between head re-checks).
-      if (variant == chase::ChaseVariant::kRestricted) {
-        EXPECT_EQ(cell.result.stats.parallel_commit_batches, 0u) << label;
-      } else if (cell.result.stats.triggers_fired > 0) {
-        EXPECT_GT(cell.result.stats.parallel_commit_batches, 0u) << label;
-      }
-    }
-  }
-}
-
-/// The reliance-driven cross-rule scheduler must be invisible in the
-/// output: reliances {on, off} × threads {1, 2, 8} all reproduce the
-/// sequential no-reliances reference — byte-identical instance and
-/// identical deterministic counters (including join_probes and
-/// delta_atoms_scanned, the two a mis-scheduled group collect would
-/// skew first) — for every variant. cross_rule_parallel_rounds is
-/// engagement telemetry: it must stay 0 whenever the scheduler is off
-/// or the run is sequential.
-TEST_P(DeltaDiffRandomTest, RelianceSchedulingIsParallelInvariant) {
-  for (chase::ChaseVariant variant : kVariants) {
-    CellResult reference = RunCell(variant, /*use_delta=*/true,
-                                   /*num_threads=*/1,
-                                   /*use_reliances=*/false);
-    for (bool use_reliances : {true, false}) {
-      for (std::uint32_t num_threads : {1u, 2u, 8u}) {
-        CellResult cell = RunCell(variant, /*use_delta=*/true, num_threads,
-                                  use_reliances);
-        std::string label =
-            std::string(chase::ChaseVariantName(variant)) +
-            " reliances=" + (use_reliances ? "on" : "off") +
-            " threads=" + std::to_string(num_threads);
-        EXPECT_EQ(cell.result.outcome, reference.result.outcome) << label;
-        EXPECT_EQ(cell.sorted, reference.sorted) << label;
-        EXPECT_EQ(cell.result.stats.triggers_fired,
-                  reference.result.stats.triggers_fired)
-            << label;
-        EXPECT_EQ(cell.result.stats.triggers_satisfied,
-                  reference.result.stats.triggers_satisfied)
-            << label;
-        EXPECT_EQ(cell.result.stats.join_probes,
-                  reference.result.stats.join_probes)
-            << label;
-        EXPECT_EQ(cell.result.stats.delta_atoms_scanned,
-                  reference.result.stats.delta_atoms_scanned)
-            << label;
-        EXPECT_EQ(cell.result.stats.rounds, reference.result.stats.rounds)
-            << label;
-        EXPECT_EQ(cell.result.stats.arena_bytes,
-                  reference.result.stats.arena_bytes)
-            << label;
-        EXPECT_EQ(cell.result.stats.peak_atoms,
-                  reference.result.stats.peak_atoms)
-            << label;
-        // reliance_groups is Σ metadata (never workload-dependent);
-        // cross-rule rounds require the scheduler AND a worker pool.
-        if (!use_reliances) {
-          EXPECT_EQ(cell.result.stats.reliance_groups, 0u) << label;
-        } else {
-          EXPECT_GT(cell.result.stats.reliance_groups, 0u) << label;
-        }
-        if (!use_reliances || num_threads == 1) {
-          EXPECT_EQ(cell.result.stats.cross_rule_parallel_rounds, 0u)
-              << label;
-        }
+      // reliance_groups is Σ metadata (never workload-dependent).
+      if (!use_reliances) {
+        EXPECT_EQ(cell.result.stats.reliance_groups, 0u) << label;
+      } else {
+        EXPECT_GT(cell.result.stats.reliance_groups, 0u) << label;
       }
     }
   }
@@ -288,118 +262,10 @@ TEST(DeltaDiffDirectedTest, RestrictedOrderSensitiveProgramsAgree) {
   }
 }
 
-/// Cross-worker duplicate collapse: on the wide depth family every
-/// trigger is discoverable through `noise` homomorphisms whose seeds
-/// may land in different workers' shards; the canonical merge must
-/// collapse them exactly as the sequential `fired` set does, for all
-/// three variants (the oblivious one diverges on this family, so the
-/// atom budget cuts it — the canonical firing sequence makes the
-/// comparison exact at any cutoff).
-TEST(DeltaDiffDirectedTest, WideDepthFamilyParallelAgrees) {
-  for (chase::ChaseVariant variant : kVariants) {
-    CellResult cells[2];
-    const std::uint32_t threads[2] = {1, 4};
-    for (int i = 0; i < 2; ++i) {
-      core::SymbolTable symbols;
-      workload::Workload w = workload::MakeWideDepthFamily(
-          &symbols, /*layers=*/6, /*width=*/4, /*payloads=*/3,
-          /*noise=*/5);
-      chase::ChaseOptions copt;
-      copt.variant = variant;
-      copt.max_atoms = 3000;
-      copt.num_threads = threads[i];
-      cells[i].result = chase::RunChase(&symbols, w.tgds, w.database,
-                                        copt);
-      cells[i].sorted = cells[i].result.instance.ToSortedString(symbols);
-    }
-    std::string label = chase::ChaseVariantName(variant);
-    EXPECT_EQ(cells[0].result.outcome, cells[1].result.outcome) << label;
-    EXPECT_EQ(cells[0].sorted, cells[1].sorted) << label;
-    EXPECT_EQ(cells[0].result.stats.triggers_fired,
-              cells[1].result.stats.triggers_fired)
-        << label;
-    EXPECT_EQ(cells[0].result.stats.join_probes,
-              cells[1].result.stats.join_probes)
-        << label;
-  }
-}
-
-/// The apply phase parallelizes even for run shapes the collect phase
-/// refuses (here: the full-scan baseline, use_delta = false). Such runs
-/// must report zero parallel_rounds but a nonzero parallel apply count,
-/// and stay byte-identical to the sequential engine — the apply stages
-/// are the only pooled work they do.
-TEST(DeltaDiffDirectedTest, ApplyOnlyParallelIsByteIdentical) {
-  for (chase::ChaseVariant variant : kVariants) {
-    CellResult reference;
-    {
-      core::SymbolTable symbols;
-      workload::Workload w = workload::MakeWideDepthFamily(
-          &symbols, /*layers=*/6, /*width=*/4, /*payloads=*/3,
-          /*noise=*/5);
-      chase::ChaseOptions copt;
-      copt.variant = variant;
-      copt.max_atoms = 3000;
-      copt.use_delta = false;
-      copt.num_threads = 1;
-      reference.result = chase::RunChase(&symbols, w.tgds, w.database,
-                                         copt);
-      reference.sorted = reference.result.instance.ToSortedString(symbols);
-    }
-    ASSERT_GT(reference.result.stats.triggers_fired, 0u);
-    for (std::uint32_t num_threads : {2u, 3u, 8u}) {
-      core::SymbolTable symbols;
-      workload::Workload w = workload::MakeWideDepthFamily(
-          &symbols, /*layers=*/6, /*width=*/4, /*payloads=*/3,
-          /*noise=*/5);
-      chase::ChaseOptions copt;
-      copt.variant = variant;
-      copt.max_atoms = 3000;
-      copt.use_delta = false;
-      copt.num_threads = num_threads;
-      chase::ChaseResult r = chase::RunChase(&symbols, w.tgds, w.database,
-                                             copt);
-      std::string label = std::string(chase::ChaseVariantName(variant)) +
-                          " threads=" + std::to_string(num_threads);
-      EXPECT_EQ(r.outcome, reference.result.outcome) << label;
-      EXPECT_EQ(r.instance.ToSortedString(symbols), reference.sorted)
-          << label;
-      EXPECT_EQ(r.stats.triggers_fired,
-                reference.result.stats.triggers_fired)
-          << label;
-      EXPECT_EQ(r.stats.triggers_satisfied,
-                reference.result.stats.triggers_satisfied)
-          << label;
-      EXPECT_EQ(r.stats.join_probes, reference.result.stats.join_probes)
-          << label;
-      EXPECT_EQ(r.stats.arena_bytes, reference.result.stats.arena_bytes)
-          << label;
-      // Collect stays sequential without the delta engine; only the
-      // apply stages ran on the pool.
-      EXPECT_EQ(r.stats.parallel_rounds, 0u) << label;
-      EXPECT_GT(r.stats.parallel_apply_batches, 0u) << label;
-      // Same split for the per-predicate segment commits: pooled for
-      // the batch-inserting variants, structurally absent (not merely
-      // unpooled) for the restricted one.
-      if (variant == chase::ChaseVariant::kRestricted) {
-        EXPECT_EQ(r.stats.parallel_commit_batches, 0u) << label;
-      } else {
-        EXPECT_GT(r.stats.parallel_commit_batches, 0u) << label;
-      }
-    }
-    EXPECT_EQ(reference.result.stats.parallel_rounds, 0u);
-    EXPECT_EQ(reference.result.stats.parallel_apply_batches, 0u);
-    EXPECT_EQ(reference.result.stats.parallel_commit_batches, 0u);
-  }
-}
-
-/// Independent recursive rule families (disjoint predicates, so the
-/// whole Σ is one collect group) are the shape the cross-rule scheduler
-/// exists for: a multi-threaded run must take the group-collect path in
-/// every multi-seed round (cross_rule_parallel_rounds engagement — byte
-/// identity alone cannot catch a silent fallback to rule-at-a-time),
-/// while staying byte- and counter-identical to the sequential and the
-/// reliances-off runs.
+/// Independent recursive rule families (disjoint predicates) form one
+/// collect group spanning all three rules: with reliances on the round
+/// walks that cross-rule group, and the result stays byte- and
+/// counter-identical to the reliances-off, rule-at-a-time run.
 TEST(DeltaDiffDirectedTest, IndependentFamiliesEngageCrossRuleCollect) {
   const char* text =
       "A(a1, a2). A(a2, a3). A(a3, a4). A(a4, a5). MA(a1).\n"
@@ -409,71 +275,44 @@ TEST(DeltaDiffDirectedTest, IndependentFamiliesEngageCrossRuleCollect) {
       "B(x, y), MB(x) -> MB(y).\n"
       "C(x, y), MC(x) -> MC(y).";
   for (chase::ChaseVariant variant : kVariants) {
-    chase::ChaseResult reference;
-    std::string reference_sorted;
-    struct Cell {
-      std::uint32_t num_threads;
-      bool use_reliances;
-    };
-    const Cell cells[] = {
-        {1, false}, {1, true}, {2, true}, {8, true}, {4, false}};
-    for (const Cell& c : cells) {
+    chase::ChaseResult runs[2];
+    std::string sorted[2];
+    for (bool use_reliances : {false, true}) {
       core::SymbolTable symbols;
       auto p = tgd::ParseProgram(&symbols, text);
       ASSERT_TRUE(p.ok()) << p.status().ToString();
       chase::ChaseOptions copt;
       copt.variant = variant;
-      copt.num_threads = c.num_threads;
-      copt.use_reliances = c.use_reliances;
-      chase::ChaseResult r =
+      copt.use_reliances = use_reliances;
+      runs[use_reliances] =
           chase::RunChase(&symbols, p->tgds, p->database, copt);
-      std::string label = std::string(chase::ChaseVariantName(variant)) +
-                          " threads=" + std::to_string(c.num_threads) +
-                          " reliances=" + (c.use_reliances ? "on" : "off");
-      EXPECT_EQ(r.outcome, chase::ChaseOutcome::kTerminated) << label;
-      std::string sorted = r.instance.ToSortedString(symbols);
-      if (c.num_threads == 1 && !c.use_reliances) {
-        reference = std::move(r);
-        reference_sorted = std::move(sorted);
-        continue;
-      }
-      EXPECT_EQ(sorted, reference_sorted) << label;
-      EXPECT_EQ(r.stats.triggers_fired, reference.stats.triggers_fired)
-          << label;
-      EXPECT_EQ(r.stats.triggers_satisfied,
-                reference.stats.triggers_satisfied)
-          << label;
-      EXPECT_EQ(r.stats.join_probes, reference.stats.join_probes)
-          << label;
-      EXPECT_EQ(r.stats.delta_atoms_scanned,
-                reference.stats.delta_atoms_scanned)
-          << label;
-      EXPECT_EQ(r.stats.rounds, reference.stats.rounds) << label;
-      EXPECT_EQ(r.stats.arena_bytes, reference.stats.arena_bytes)
-          << label;
-      if (c.use_reliances) {
-        // Disjoint families: one group spanning all three rules.
-        EXPECT_EQ(r.stats.reliance_groups, 1u) << label;
-        if (c.num_threads > 1) {
-          EXPECT_GT(r.stats.cross_rule_parallel_rounds, 0u) << label;
-        } else {
-          EXPECT_EQ(r.stats.cross_rule_parallel_rounds, 0u) << label;
-        }
-      } else {
-        EXPECT_EQ(r.stats.reliance_groups, 0u) << label;
-        EXPECT_EQ(r.stats.cross_rule_parallel_rounds, 0u) << label;
-      }
+      sorted[use_reliances] = runs[use_reliances].instance.ToSortedString(
+          symbols);
     }
+    const std::string label = chase::ChaseVariantName(variant);
+    const chase::ChaseResult& off = runs[0];
+    const chase::ChaseResult& on = runs[1];
+    EXPECT_EQ(on.outcome, chase::ChaseOutcome::kTerminated) << label;
+    EXPECT_EQ(off.outcome, chase::ChaseOutcome::kTerminated) << label;
+    EXPECT_EQ(sorted[1], sorted[0]) << label;
+    EXPECT_EQ(on.stats.triggers_fired, off.stats.triggers_fired) << label;
+    EXPECT_EQ(on.stats.triggers_satisfied, off.stats.triggers_satisfied)
+        << label;
+    EXPECT_EQ(on.stats.join_probes, off.stats.join_probes) << label;
+    EXPECT_EQ(on.stats.delta_atoms_scanned, off.stats.delta_atoms_scanned)
+        << label;
+    EXPECT_EQ(on.stats.rounds, off.stats.rounds) << label;
+    EXPECT_EQ(on.stats.arena_bytes, off.stats.arena_bytes) << label;
+    // Disjoint families: one group spanning all three rules.
+    EXPECT_EQ(on.stats.reliance_groups, 1u) << label;
+    EXPECT_EQ(off.stats.reliance_groups, 0u) << label;
   }
 }
 
-/// Null-id exhaustion must surface as a clean kResourceExhausted through
-/// the staged apply path at every thread count: same outcome, same
-/// deterministic counters, and the same (untorn) instance prefix as the
-/// sequential engine, with earlier triggers of the failing batch
-/// committed and nothing after the failure point. The overlay's
-/// assumed-base-nulls budget trips the 2^30 Term-index cap after three
-/// allocations instead of a billion.
+/// Null-id exhaustion must surface as a clean kResourceExhausted: the
+/// earlier triggers of the failing batch are committed and nothing after
+/// the failure point. The overlay's assumed-base-nulls budget trips the
+/// 2^30 Term-index cap after three allocations instead of a billion.
 TEST(DeltaDiffDirectedTest, ResourceExhaustionIsThreadCountInvariant) {
   // Six facts, one single-round rule allocating one null per firing: the
   // fourth binding in the batch exhausts a budget of three.
@@ -483,47 +322,27 @@ TEST(DeltaDiffDirectedTest, ResourceExhaustionIsThreadCountInvariant) {
       "R(x, y) -> S(y, z).";
   constexpr std::uint32_t kNullBudget = 3;
   for (chase::ChaseVariant variant : kVariants) {
-    chase::ChaseResult reference;
-    std::string reference_sorted;
-    for (std::uint32_t num_threads : {1u, 2u, 8u}) {
-      core::SymbolTable symbols;
-      auto p = tgd::ParseProgram(&symbols, text);
-      ASSERT_TRUE(p.ok()) << p.status().ToString();
-      core::SymbolOverlay overlay(
-          symbols, core::Term::kIndexMask + 1 - kNullBudget);
-      chase::ChaseOptions copt;
-      copt.variant = variant;
-      copt.num_threads = num_threads;
-      chase::ChaseResult r =
-          chase::RunChase(&overlay, p->tgds, p->database, copt);
-      std::string label = std::string(chase::ChaseVariantName(variant)) +
-                          " threads=" + std::to_string(num_threads);
-      EXPECT_EQ(r.outcome, chase::ChaseOutcome::kResourceExhausted)
-          << label;
-      // Exactly the three in-budget nulls were interned and committed:
-      // the instance holds the six facts plus one S atom per successful
-      // binding, whatever the thread count.
-      EXPECT_EQ(overlay.num_nulls() -
-                    (core::Term::kIndexMask + 1 - kNullBudget),
-                kNullBudget)
-          << label;
-      EXPECT_EQ(r.instance.size(), 6u + kNullBudget) << label;
-      std::string sorted = r.instance.ToSortedString(overlay);
-      if (num_threads == 1) {
-        reference = std::move(r);
-        reference_sorted = std::move(sorted);
-        continue;
-      }
-      EXPECT_EQ(sorted, reference_sorted) << label;
-      EXPECT_EQ(r.stats.triggers_fired, reference.stats.triggers_fired)
-          << label;
-      EXPECT_EQ(r.stats.triggers_satisfied,
-                reference.stats.triggers_satisfied)
-          << label;
-      EXPECT_EQ(r.stats.arena_bytes, reference.stats.arena_bytes)
-          << label;
-      EXPECT_EQ(r.stats.peak_atoms, reference.stats.peak_atoms) << label;
-    }
+    core::SymbolTable symbols;
+    auto p = tgd::ParseProgram(&symbols, text);
+    ASSERT_TRUE(p.ok()) << p.status().ToString();
+    core::SymbolOverlay overlay(
+        symbols, core::Term::kIndexMask + 1 - kNullBudget);
+    chase::ChaseOptions copt;
+    copt.variant = variant;
+    chase::ChaseResult r =
+        chase::RunChase(&overlay, p->tgds, p->database, copt);
+    const std::string label = chase::ChaseVariantName(variant);
+    EXPECT_EQ(r.outcome, chase::ChaseOutcome::kResourceExhausted) << label;
+    // Exactly the three in-budget nulls were interned and committed:
+    // the instance holds the six facts plus one S atom per successful
+    // binding, and the failing trigger counts as fired.
+    EXPECT_EQ(overlay.num_nulls() -
+                  (core::Term::kIndexMask + 1 - kNullBudget),
+              kNullBudget)
+        << label;
+    EXPECT_EQ(r.instance.size(), 6u + kNullBudget) << label;
+    EXPECT_EQ(r.stats.triggers_fired, kNullBudget + 1) << label;
+    EXPECT_EQ(r.stats.peak_atoms, 6u + kNullBudget) << label;
   }
 }
 

@@ -5,7 +5,9 @@
 // patterns, 0-ary atoms, pre-bound slots, seeded runs under the
 // old-only restriction, and early stop — with the position index on
 // and off. A chase of a rule wider than 64 atoms and 64 variables pins
-// that no width cap exists anywhere on the path.
+// that no width cap exists anywhere on the path, and a hub term with a
+// long (predicate, position, term) list pins that joins read the whole
+// list, in the kernel and in the chase.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -289,14 +291,11 @@ TEST(KernelWidthTest, RuleWiderThanSixtyFourAtomsAndVariables) {
   struct Shape {
     ChaseVariant variant;
     bool use_delta;
-    std::uint32_t threads;
   };
-  for (const Shape& shape :
-       {Shape{ChaseVariant::kSemiOblivious, true, 1},
-        Shape{ChaseVariant::kSemiOblivious, false, 1},
-        Shape{ChaseVariant::kSemiOblivious, true, 2},
-        Shape{ChaseVariant::kOblivious, true, 1},
-        Shape{ChaseVariant::kRestricted, true, 1}}) {
+  for (const Shape& shape : {Shape{ChaseVariant::kSemiOblivious, true},
+                             Shape{ChaseVariant::kSemiOblivious, false},
+                             Shape{ChaseVariant::kOblivious, true},
+                             Shape{ChaseVariant::kRestricted, true}}) {
     core::SymbolTable symbols;
     auto program = tgd::ParseProgram(&symbols, text);
     ASSERT_TRUE(program.ok()) << program.status().ToString();
@@ -307,7 +306,6 @@ TEST(KernelWidthTest, RuleWiderThanSixtyFourAtomsAndVariables) {
     ChaseOptions options;
     options.variant = shape.variant;
     options.use_delta = shape.use_delta;
-    options.num_threads = shape.threads;
     ChaseResult result =
         RunChase(&symbols, program->tgds, program->database, options);
     ASSERT_TRUE(result.Terminated());
@@ -335,6 +333,91 @@ TEST(KernelWidthTest, RuleWiderThanSixtyFourAtomsAndVariables) {
     EXPECT_EQ(got, want);
     std::sort(nulls.begin(), nulls.end());
     EXPECT_EQ(std::unique(nulls.begin(), nulls.end()), nulls.end());
+  }
+}
+
+/// Atoms E(h, v_i) and E(o, w_j) — the hub h's list at position 0 holds
+/// kHubEdges atoms, past the position table's 4 inline slots and its 8,
+/// 16 and 32-atom spill capacities — plus F(v_i) for every i. The other
+/// source o makes E's per-predicate list longer than h's position list,
+/// so a join that has bound x = h takes its candidates from the list.
+constexpr std::uint32_t kHubEdges = 44;
+constexpr std::uint32_t kOtherEdges = 20;
+
+std::string HubFacts() {
+  std::string text;
+  for (std::uint32_t i = 0; i < kHubEdges; ++i) {
+    const std::string v = "v" + std::to_string(i);
+    text += "E(h, " + v + "). F(" + v + ").\n";
+  }
+  for (std::uint32_t j = 0; j < kOtherEdges; ++j) {
+    text += "E(o, w" + std::to_string(j) + ").\n";
+  }
+  return text;
+}
+
+TEST(KernelLongListTest, IndexedJoinReadsTheWholePositionList) {
+  Case c;
+  auto program = tgd::ParseProgram(&c.symbols, HubFacts());
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  for (const Atom& fact : program->database.facts()) {
+    if (c.instance.Insert(fact).second) c.instance_atoms.push_back(fact);
+  }
+  const core::PredicateId e = *c.symbols.FindPredicate("E");
+  const core::PredicateId f = *c.symbols.FindPredicate("F");
+  const Term h = *c.symbols.InternConstant("h");
+  EXPECT_EQ(c.instance.AtomsWithTermAt(e, 0, h).size(), kHubEdges);
+  const Term x = c.symbols.InternVariable("x");
+  const Term y = c.symbols.InternVariable("y");
+
+  // E(h, y), F(y) through the constant, and E(x, y), F(y) with x
+  // pre-bound to h: both must find all kHubEdges homomorphisms.
+  const std::vector<std::vector<Atom>> queries = {
+      {Atom(e, {h, y}), Atom(f, {y})},
+      {Atom(e, {x, y}), Atom(f, {y})},
+  };
+  for (std::size_t qi = 0; qi < queries.size(); ++qi) {
+    const SlotConjunction q = CompileConjunction(queries[qi]);
+    Hom prebound(q.num_slots(), kUnbound);
+    if (qi == 1) prebound[q.SlotOf(x)] = h;
+    const std::vector<Hom> want = BruteForce(c, q, prebound, -1, 0);
+    ASSERT_EQ(want.size(), kHubEdges) << "query " << qi;
+    for (bool use_index : {true, false}) {
+      std::uint64_t probes = 0;
+      std::vector<Hom> got =
+          Kernel(c, q, prebound, -1, 0, use_index, SIZE_MAX, &probes);
+      std::sort(got.begin(), got.end());
+      EXPECT_EQ(got, want) << "query " << qi << " index " << use_index;
+    }
+  }
+}
+
+/// The chase of S(x), E(x, y), F(y) -> T(y) over S(h) and the hub
+/// facts: in round one only the S(h) seed may join (every later body
+/// position is restricted to pre-delta atoms for the E and F seeds), so
+/// every T atom comes from reading h's whole E list.
+TEST(KernelLongListTest, ChaseReadsTheWholePositionList) {
+  const std::string text =
+      HubFacts() + "S(h).\nS(x), E(x, y), F(y) -> T(y).\n";
+  for (ChaseVariant variant : {ChaseVariant::kSemiOblivious,
+                               ChaseVariant::kOblivious,
+                               ChaseVariant::kRestricted}) {
+    for (bool use_delta : {true, false}) {
+      core::SymbolTable symbols;
+      auto program = tgd::ParseProgram(&symbols, text);
+      ASSERT_TRUE(program.ok()) << program.status().ToString();
+      ChaseOptions options;
+      options.variant = variant;
+      options.use_delta = use_delta;
+      const ChaseResult result =
+          RunChase(&symbols, program->tgds, program->database, options);
+      ASSERT_TRUE(result.Terminated());
+      const core::PredicateId t = *symbols.FindPredicate("T");
+      EXPECT_EQ(result.instance.AtomsWithPredicate(t).size(), kHubEdges)
+          << ChaseVariantName(variant) << " delta " << use_delta;
+      EXPECT_EQ(result.stats.triggers_fired, kHubEdges)
+          << ChaseVariantName(variant) << " delta " << use_delta;
+    }
   }
 }
 

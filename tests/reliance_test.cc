@@ -96,8 +96,7 @@ TEST_F(RelianceTest, CollectGroupsSplitOnForwardFeeds) {
 TEST_F(RelianceTest, IndependentFamiliesShareOneGroup) {
   // Three recursive rules over disjoint predicate families: each rule
   // feeds only itself (a harmless self-loop), so the greedy partition
-  // keeps all of Σ in a single group — the shape the cross-rule
-  // parallel collect exists for.
+  // keeps all of Σ in a single group.
   tgd::TgdSet tgds = ParseRules(
       "A(x, y), MA(x) -> MA(y)."
       "B(x, y), MB(x) -> MB(y)."
@@ -224,33 +223,11 @@ TEST(RelianceProgramTest, RestraintOrderTerminatesOrderSensitiveChase) {
   EXPECT_EQ(guided->stats().rounds, 2u);
   EXPECT_EQ(guided->instance().size(), 2u);
   EXPECT_EQ(guided->stats().reliance_groups, 2u);
-
-  // The guided schedule is deterministic and thread-invariant even
-  // though it is not Σ-order: every worker count reproduces the same
-  // instance and the same deterministic counters.
-  for (std::uint32_t threads : {2u, 8u}) {
-    auto cell = api::Session(
-                    *program,
-                    api::SessionOptions()
-                        .set_variant(chase::ChaseVariant::kRestricted)
-                        .set_restraint_order(true)
-                        .set_num_threads(threads))
-                    .Chase();
-    ASSERT_TRUE(cell.ok());
-    EXPECT_EQ(cell->outcome(), chase::ChaseOutcome::kTerminated);
-    EXPECT_EQ(cell->ToSortedString(), guided->ToSortedString());
-    EXPECT_EQ(cell->stats().triggers_fired,
-              guided->stats().triggers_fired);
-    EXPECT_EQ(cell->stats().triggers_satisfied,
-              guided->stats().triggers_satisfied);
-    EXPECT_EQ(cell->stats().join_probes, guided->stats().join_probes);
-    EXPECT_EQ(cell->stats().rounds, guided->stats().rounds);
-  }
 }
 
 TEST(RelianceProgramTest, RelianceGroupsStatIsSchedulerMetadata) {
   // reliance_groups is a pure function of Σ, reported whenever the
-  // scheduler is on (any thread count) and zero when ablated away.
+  // scheduler is on and zero when ablated away.
   auto program = api::Program::Parse(
       "Emp(alice, sales).\n"
       "Emp(x, d) -> Dept(d). Dept(d) -> Mgr(d, m). "

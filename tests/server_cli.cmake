@@ -69,8 +69,7 @@ run_server(out 2 --stdio --max-queue=two)
 run_server(out 2 --stdio --max-queue=1000001)
 run_server(out 2 --stdio --cache-size=0)
 run_server(out 2 --stdio --cache-size=)
-run_server(out 2 --stdio --threads=257)
-run_server(out 2 --stdio --threads=4.5)
+run_server(out 2 --stdio --threads=1)
 run_server(out 2 --stdio --max-line-bytes=10)
 run_server(out 2 --stdio --max-line-bytes=1073741825)
 
@@ -95,7 +94,7 @@ expect_line("${out}" "\"type\":\"stats\"" "stdio stats")
 set(PING_FILE "${WORK_DIR}/ping.jsonl")
 file(WRITE "${PING_FILE}" "{\"type\":\"ping\"}\n")
 run_server(out 0 --stdio --max-inflight=2 --max-queue=0 --cache-size=1
-    --threads=2 --max-line-bytes=4096 INPUT "${PING_FILE}")
+    --max-line-bytes=4096 INPUT "${PING_FILE}")
 expect_line("${out}" "\"type\":\"pong\"" "stdio with flags")
 
 message(STATUS "server_cli: all flag and transcript checks passed")

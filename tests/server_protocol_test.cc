@@ -70,7 +70,6 @@ TEST(ProtocolTest, ChaseRequestRoundTripsEveryField) {
   request.max_depth = 9;
   request.max_rounds = 77;
   request.deadline_ms = 2500;
-  request.num_threads = 4;
   request.payload = true;
   request.events = true;
 
@@ -85,7 +84,6 @@ TEST(ProtocolTest, ChaseRequestRoundTripsEveryField) {
   EXPECT_EQ(got.max_depth, request.max_depth);
   EXPECT_EQ(got.max_rounds, request.max_rounds);
   EXPECT_EQ(got.deadline_ms, request.deadline_ms);
-  EXPECT_EQ(got.num_threads, request.num_threads);
   EXPECT_EQ(got.payload, request.payload);
   EXPECT_EQ(got.events, request.events);
 }
@@ -100,11 +98,22 @@ TEST(ProtocolTest, ChaseRequestDefaultsSurviveTheWire) {
   EXPECT_EQ(got.variant, chase::ChaseVariant::kSemiOblivious);
   EXPECT_EQ(got.max_atoms, 0u);
   EXPECT_EQ(got.deadline_ms, 0u);
-  // "threads unset" must survive: the server substitutes its own
-  // default, and that decision belongs to the server, not the wire.
-  EXPECT_EQ(got.num_threads, chase::kNumThreadsDefault);
   EXPECT_FALSE(got.payload);
   EXPECT_FALSE(got.events);
+}
+
+TEST(ProtocolTest, ChaseRequestAcceptsAndIgnoresThreads) {
+  // Older clients send `threads`; any value in 0-256 parses (257 is an
+  // invalid-options error, below) and changes nothing.
+  for (const char* threads : {"0", "1", "8", "256"}) {
+    RequestParse parsed = ParseRequest(
+        std::string("{\"type\":\"chase\",\"id\":\"t\",\"rules\":\"P(a).\","
+                    "\"threads\":") +
+        threads + "}");
+    ASSERT_TRUE(parsed.ok) << threads << ": " << parsed.message;
+    EXPECT_EQ(parsed.frame.chase.id, "t");
+    EXPECT_EQ(parsed.frame.chase.rules, "P(a).");
+  }
 }
 
 TEST(ProtocolTest, ControlFramesRoundTrip) {

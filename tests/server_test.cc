@@ -8,8 +8,8 @@
 // because the worker is provably busy — not because the test got
 // lucky); and the determinism matrix drives real TCP connections
 // concurrently, requiring byte-identical payloads across client
-// threads, scheduler widths and chase thread counts, pinned to the
-// answer a direct api::Session run produces.
+// threads and scheduler widths, pinned to the answer a direct
+// api::Session run produces.
 #include <gtest/gtest.h>
 
 #include <condition_variable>
@@ -502,48 +502,43 @@ TEST(ServerTcpTest, DeterministicPayloadsAcrossTheConcurrencyMatrix) {
   const std::string expected = reference->ToSortedString();
   ASSERT_FALSE(expected.empty());
 
-  // Scheduler width x per-request chase threads. Every payload from
-  // every client in every cell must equal the direct single-threaded
-  // api::Session answer, byte for byte.
+  // Every scheduler width: every payload from every client must equal
+  // the direct api::Session answer, byte for byte.
   for (unsigned workers : {1u, 4u}) {
-    for (std::uint32_t threads : {1u, 4u}) {
-      ServerOptions options;
-      options.max_inflight = workers;
-      LiveServer live(options);
-      constexpr int kClients = 4;
-      constexpr int kRequests = 3;
-      std::vector<std::string> mismatches(kClients);
-      std::vector<std::thread> pool;
-      for (int c = 0; c < kClients; ++c) {
-        pool.emplace_back([&, c] {
-          auto client = Client::Connect(live.listener->port());
-          if (!client.ok()) {
-            mismatches[c] = client.status().ToString();
+    ServerOptions options;
+    options.max_inflight = workers;
+    LiveServer live(options);
+    constexpr int kClients = 4;
+    constexpr int kRequests = 3;
+    std::vector<std::string> mismatches(kClients);
+    std::vector<std::thread> pool;
+    for (int c = 0; c < kClients; ++c) {
+      pool.emplace_back([&, c] {
+        auto client = Client::Connect(live.listener->port());
+        if (!client.ok()) {
+          mismatches[c] = client.status().ToString();
+          return;
+        }
+        for (int r = 0; r < kRequests; ++r) {
+          ChaseRequest request = MakeChase(
+              "c" + std::to_string(c) + "-" + std::to_string(r), rules);
+          request.payload = true;
+          auto outcome = client->RunChase(request);
+          if (!outcome.ok() || !outcome->ok) {
+            mismatches[c] = "request failed";
             return;
           }
-          for (int r = 0; r < kRequests; ++r) {
-            ChaseRequest request = MakeChase(
-                "c" + std::to_string(c) + "-" + std::to_string(r), rules);
-            request.payload = true;
-            request.num_threads = threads;
-            auto outcome = client->RunChase(request);
-            if (!outcome.ok() || !outcome->ok) {
-              mismatches[c] = "request failed";
-              return;
-            }
-            if (outcome->result.payload != expected) {
-              mismatches[c] = "payload diverged";
-              return;
-            }
+          if (outcome->result.payload != expected) {
+            mismatches[c] = "payload diverged";
+            return;
           }
-        });
-      }
-      for (std::thread& t : pool) t.join();
-      for (int c = 0; c < kClients; ++c) {
-        EXPECT_EQ(mismatches[c], "")
-            << "client " << c << " at workers=" << workers
-            << " threads=" << threads;
-      }
+        }
+      });
+    }
+    for (std::thread& t : pool) t.join();
+    for (int c = 0; c < kClients; ++c) {
+      EXPECT_EQ(mismatches[c], "")
+          << "client " << c << " at workers=" << workers;
     }
   }
 }

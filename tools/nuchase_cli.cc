@@ -57,11 +57,6 @@ int Usage(const char* argv0) {
                "(default off)\n"
                "  --deadline-ms=N   stop (outcome cancelled) after N ms "
                "of wall clock\n"
-               "  --threads=N       chase worker threads (1 = "
-               "sequential,\n"
-               "                    0 = one per hardware thread); "
-               "results are\n"
-               "                    byte-identical for every N\n"
                "  --print           also print the materialized atoms\n"
                "  --no-reliances    schedule every rule alone (ablation; "
                "results\n"
@@ -151,16 +146,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* out) {
         return false;
       }
       out->session.set_deadline_ms(n);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      // 0 is the meaningful "all hardware threads" setting here, so
-      // garbage must error rather than fall through to the most
-      // aggressive value.
-      unsigned long long n = 0;
-      if (!util::ParseCountFlag("--threads", arg.c_str() + 10, 0, 256,
-                                &n)) {
-        return false;
-      }
-      out->session.set_num_threads(static_cast<std::uint32_t>(n));
     } else if (arg.rfind("--mode=", 0) == 0) {
       out->mode = arg.substr(7);
     } else if (arg.rfind("--", 0) == 0) {
@@ -264,8 +249,8 @@ int Chase(const api::Session& session, const CliOptions& options) {
   std::printf("engine:     %s, position-indexed\n",
               copt.use_delta ? "delta (semi-naive)" : "full-scan");
   // The schedule line is a pure function of Σ and the flags — never of
-  // the thread count or the delta ablation — so goldens stay stable
-  // across every identity-preserving knob.
+  // the delta ablation — so goldens stay stable across every
+  // identity-preserving knob.
   if (copt.use_reliances) {
     std::printf("schedule:   reliances on, %llu rule groups%s\n",
                 static_cast<unsigned long long>(stats.reliance_groups),

@@ -16,9 +16,7 @@
 //   2  usage errors: unknown option, malformed flag value, missing file
 //
 // Output is byte-deterministic for a given input: findings come out in
-// catalog-ID then rule order, and --threads only parallelizes the MFA
-// rung's critical-instance chase, which is thread-invariant by the
-// engine contract.
+// catalog-ID then rule order.
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -30,7 +28,6 @@
 
 #include "nuchase/nuchase.h"
 #include "tgd/classify.h"
-#include "util/parse.h"
 
 namespace nuchase {
 namespace {
@@ -41,9 +38,6 @@ int Usage(const char* argv0) {
                "\n"
                "options:\n"
                "  --format=human|json  report format (default human)\n"
-               "  --threads=N          workers for the MFA rung's chase\n"
-               "                       (output is byte-identical for "
-               "every N)\n"
                "  --list-ids           print the diagnostic catalog and "
                "exit\n"
                "\n"
@@ -58,7 +52,6 @@ struct LintOptions {
   std::string file;
   bool json = false;
   bool list_ids = false;
-  std::uint32_t num_threads = chase::kNumThreadsDefault;
 };
 
 bool ParseArgs(int argc, char** argv, LintOptions* out) {
@@ -76,13 +69,6 @@ bool ParseArgs(int argc, char** argv, LintOptions* out) {
         std::fprintf(stderr, "unknown format '%s'\n", v.c_str());
         return false;
       }
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      unsigned long long n = 0;
-      if (!util::ParseCountFlag("--threads", arg.c_str() + 10, 0, 256,
-                                &n)) {
-        return false;
-      }
-      out->num_threads = static_cast<std::uint32_t>(n);
     } else if (arg.rfind("--", 0) == 0) {
       std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
       return false;
@@ -253,9 +239,7 @@ int Main(int argc, char** argv) {
     return 1;
   }
 
-  api::Session session(
-      *program,
-      api::SessionOptions().set_num_threads(options.num_threads));
+  api::Session session(*program);
   auto analyzed = session.Analyze();
   if (!analyzed.ok()) {
     std::fprintf(stderr, "analyze: %s\n",

@@ -14,16 +14,15 @@
 //
 //   * zero protocol errors — every frame must parse, belong to the
 //     request that is in flight, and terminate with a result;
-//   * byte-identity — every result payload across every client, client
-//     count and thread count must be byte-identical (the server-side
+//   * byte-identity — every result payload across every client and
+//     client count must be byte-identical (the server-side
 //     determinism contract, observed from the wire);
 //   * --require-overlap=N — server-reported max_overlap (the peak
 //     number of concurrently-executing chases) must reach N. The proof
 //     is engineered, not hoped for: before the sweep the harness parks
 //     one non-terminating chase on the scheduler and cancels it after,
 //     so any completed sweep request overlapped with it by
-//     construction — a clock-free engagement proof in the spirit of
-//     ChaseStats::parallel_rounds.
+//     construction — a clock-free engagement proof.
 //
 // --min-rate=R additionally demands the best sweep row achieve R req/s.
 #include <signal.h>
@@ -70,9 +69,7 @@ int Usage(const char* argv0) {
                "  --max-inflight=N    forwarded to a spawned server "
                "(default 4)\n"
                "  --max-queue=N       forwarded to a spawned server "
-               "(default 64)\n"
-               "  --threads=N         forwarded to a spawned server "
-               "(default 1)\n",
+               "(default 64)\n",
                argv0);
   return 2;
 }
@@ -106,7 +103,6 @@ struct LoadgenOptions {
   unsigned require_overlap = 0;
   unsigned max_inflight = 4;
   unsigned max_queue = 64;
-  unsigned threads = 1;
 };
 
 /// A server child spawned with --port=0; the port is parsed from its
@@ -137,10 +133,8 @@ bool SpawnServer(const LoadgenOptions& options, SpawnedServer* out) {
         "--max-inflight=" + std::to_string(options.max_inflight);
     const std::string queue =
         "--max-queue=" + std::to_string(options.max_queue);
-    const std::string threads =
-        "--threads=" + std::to_string(options.threads);
     ::execl(options.spawn_server.c_str(), options.spawn_server.c_str(),
-            "--port=0", inflight.c_str(), queue.c_str(), threads.c_str(),
+            "--port=0", inflight.c_str(), queue.c_str(),
             static_cast<char*>(nullptr));
     std::perror("exec nuchase_server");
     ::_exit(127);
@@ -284,12 +278,6 @@ int Main(int argc, char** argv) {
         return 2;
       }
       options.max_queue = static_cast<unsigned>(n);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      if (!util::ParseCountFlag("--threads", arg.c_str() + 10, 0, 256,
-                                &n)) {
-        return 2;
-      }
-      options.threads = static_cast<unsigned>(n);
     } else {
       std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
       return 2;

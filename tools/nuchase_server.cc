@@ -45,10 +45,6 @@ int Usage(const char* argv0) {
                "                    admission rejects (default 64)\n"
                "  --cache-size=N    parsed programs the LRU cache holds\n"
                "                    (default 64, N >= 1)\n"
-               "  --threads=N       chase workers for requests that leave\n"
-               "                    'threads' unset (default 1 = "
-               "sequential,\n"
-               "                    0 = one per hardware thread)\n"
                "  --max-line-bytes=N  longest accepted frame line "
                "(default\n"
                "                    1048576, N in [1024, 1073741824])\n",
@@ -114,12 +110,6 @@ int Main(int argc, char** argv) {
         return 2;
       }
       options.cache_size = static_cast<std::size_t>(n);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      if (!util::ParseCountFlag("--threads", arg.c_str() + 10, 0, 256,
-                                &n)) {
-        return 2;
-      }
-      options.default_threads = static_cast<std::uint32_t>(n);
     } else if (arg.rfind("--max-line-bytes=", 0) == 0) {
       if (!util::ParseCountFlag("--max-line-bytes", arg.c_str() + 17, 1024,
                                 1073741824, &n)) {
