@@ -78,7 +78,8 @@ class Program {
 
   /// The reliance graph over Σ (computed at parse; shared by all
   /// sessions): positive and restraint reliances plus the ordered
-  /// collect-group partition the chase schedules rounds by.
+  /// collect-group partition a restraint-order chase schedules rounds
+  /// by.
   const graph::RelianceGraph& reliances() const { return *a_->reliances; }
 
   /// d_C(Σ) (Section 5); +inf when Σ is not guarded.

@@ -64,10 +64,6 @@ struct SessionOptions {
     chase.use_delta = on;
     return *this;
   }
-  SessionOptions& set_use_reliances(bool on) {
-    chase.use_reliances = on;
-    return *this;
-  }
   SessionOptions& set_restraint_order(bool on) {
     chase.restraint_order = on;
     return *this;

@@ -180,9 +180,9 @@ enum class BindResult {
   kResourceExhausted,  ///< The scope ran out of null ids.
 };
 
-/// Binds the `num_existential` existential variables of one trigger —
-/// the unit of work of the apply phase's binding pass — to fresh nulls,
-/// appended to `*out` in σ's sorted existential order.
+/// Binds the `num_existential` existential variables of one firing
+/// trigger to fresh nulls, appended to `*out` in σ's sorted existential
+/// order.
 ///
 /// Definition 3.1 names the null for z of trigger (σ, h) ⊥^z_{σ, h|fr(σ)}
 /// (oblivious: ⊥^z_{σ, h}): its identity is a function of the fired-set
@@ -222,10 +222,9 @@ BindResult BindFreshNulls(core::SymbolScope* symbols,
   return BindResult::kOk;
 }
 
-/// Where one term of a head tuple comes from: a frontier image or a
-/// bound existential null (read from the trigger's run of the pass-1
-/// null buffer). TGD atoms are constant-free (tgd.h), so these two
-/// sources are exhaustive.
+/// Where one term of a head tuple comes from: a frontier image or one
+/// of the trigger's bound existential nulls. TGD atoms are
+/// constant-free (tgd.h), so these two sources are exhaustive.
 struct HeadSlot {
   bool existential;
   std::uint32_t index;
@@ -354,63 +353,60 @@ ChaseResult RunChase(core::SymbolScope* symbols, const tgd::TgdSet& tgds,
     plans = &local_plans;
   }
 
-  // Cross-rule schedule: the reliance graph's ordered collect-group
-  // partition (api::Program supplies a graph precomputed at parse time;
-  // standalone runs build their own — a one-off linear pass over Σ).
-  // With reliance scheduling off, every rule is its own group, and the
-  // round loop walks the same partition shape either way.
-  std::optional<graph::RelianceGraph> local_reliances;
-  const graph::RelianceGraph* reliances = nullptr;
-  std::vector<std::vector<tgd::RuleIndex>> singleton_groups;
-  const std::vector<std::vector<tgd::RuleIndex>>* groups =
-      &singleton_groups;
-  if (options.use_reliances && !rules_overflow) {
-    reliances = options.reliances;
+  // The round walks Σ as an ordered partition into collect groups:
+  // `walk` lists every rule once, and group g is walk[group_end[g-1],
+  // group_end[g]). Every run walks the singleton partition in Σ-order,
+  // except restraint mode (restricted variant, opt-in, NOT identity-
+  // preserving — see ChaseOptions::restraint_order): there the groups
+  // are the reliance graph's collect groups (api::Program supplies a
+  // graph precomputed at parse time; standalone runs build their own),
+  // each listed restrainers-first. The order is a pure function of Σ,
+  // so the mode stays deterministic even though it deliberately differs
+  // from Σ-order.
+  const bool restraint_mode = options.restraint_order &&
+                              options.variant == ChaseVariant::kRestricted &&
+                              !rules_overflow;
+  std::vector<tgd::RuleIndex> walk;
+  std::vector<std::size_t> group_end;
+  std::size_t max_group = num_rules == 0 ? 0 : 1;
+  walk.reserve(num_rules);
+  if (restraint_mode) {
+    std::optional<graph::RelianceGraph> local_reliances;
+    const graph::RelianceGraph* reliances = options.reliances;
     if (reliances == nullptr || reliances->num_rules() != num_rules) {
       local_reliances.emplace(tgds);
       reliances = &*local_reliances;
     }
-    groups = &reliances->CollectGroups();
-    result.stats.reliance_groups = groups->size();
-  } else {
-    singleton_groups.reserve(num_rules);
-    for (tgd::RuleIndex ti = 0; ti < num_rules; ++ti) {
-      singleton_groups.push_back({ti});
+    for (const std::vector<tgd::RuleIndex>& group :
+         reliances->CollectGroups()) {
+      const std::vector<tgd::RuleIndex> order =
+          reliances->RestraintOrder(group);
+      walk.insert(walk.end(), order.begin(), order.end());
+      group_end.push_back(walk.size());
+      max_group = std::max(max_group, group.size());
     }
-  }
-  // Restraint-guided mode (restricted variant, opt-in, NOT identity-
-  // preserving — see ChaseOptions::restraint_order): precompute every
-  // group's restrainers-first apply order once. The order is a pure
-  // function of Σ, so the mode stays deterministic even though it
-  // deliberately differs from Σ-order.
-  const bool restraint_mode =
-      options.use_reliances && options.restraint_order &&
-      options.variant == ChaseVariant::kRestricted &&
-      reliances != nullptr;
-  std::vector<std::vector<tgd::RuleIndex>> restraint_orders;
-  if (restraint_mode) {
-    restraint_orders.reserve(groups->size());
-    for (const std::vector<tgd::RuleIndex>& group : *groups) {
-      restraint_orders.push_back(reliances->RestraintOrder(group));
+  } else {
+    group_end.reserve(num_rules);
+    for (tgd::RuleIndex ti = 0; ti < num_rules; ++ti) {
+      walk.push_back(ti);
+      group_end.push_back(walk.size());
     }
   }
 
   std::size_t delta_begin = 0;
   std::size_t delta_end = instance.size();
-  // Scratch of the fused path (collect one rule, apply it, move on) and
-  // the per-rule pending lists of the restraint path (collect a whole
-  // group, then apply its rules in restraint order). Reused across
-  // rounds: collecting allocates only while a list outgrows its
-  // high-water mark.
-  PendingList pending;
-  std::vector<PendingList> rule_pending(restraint_mode ? num_rules : 0);
-  // Per-rule staging of the collect phase's join probes. The restraint
-  // path collects a whole group before any member applies, but the
-  // fused reference schedule counts a rule's collect work only when the
-  // walk reaches that rule — so the staged probes fold into the stats
-  // immediately before each apply. An atom-budget trip mid-group then
-  // never counts collects the fused walk would not have run.
-  std::vector<std::uint64_t> collect_probes(num_rules, 0);
+  // One pending list per position within a group (a single list
+  // outside restraint mode), reused across groups and rounds:
+  // collecting allocates only while a list outgrows its high-water
+  // mark.
+  std::vector<PendingList> pending(max_group);
+  // Per-position staging of the collect phase's join probes. A group
+  // collects every member before any applies, but the rule-by-rule walk
+  // counts a rule's collect work only when it reaches that rule — so the
+  // staged probes fold into the stats immediately before each apply. An
+  // atom-budget trip mid-group then never counts collects the
+  // rule-by-rule walk would not have run.
+  std::vector<std::uint64_t> collect_probes(max_group, 0);
   // Scratch tuple for the allocation-free probe/insert fast path: every
   // h(atom) is instantiated into this buffer and handed to the instance
   // as a span; no Atom is materialized anywhere in the loop. `key` is
@@ -433,7 +429,7 @@ ChaseResult RunChase(core::SymbolScope* symbols, const tgd::TgdSet& tgds,
   for (tgd::RuleIndex ti = 0; ti < num_rules; ++ti) {
     head_plans.push_back(PlanHead(tgds.tgd(ti)));
   }
-  std::vector<Term> bound_nulls;             // pass-1 nulls, E per trigger
+  std::vector<Term> bound_nulls;             // the firing trigger's nulls
   std::vector<std::uint8_t> head_satisfied;  // restricted pre-checks
 
   // The loop reports its outcome; the observer's OnDone fires on every
@@ -446,13 +442,16 @@ ChaseResult RunChase(core::SymbolScope* symbols, const tgd::TgdSet& tgds,
   // while its index vectors are being iterated. The semi-naive engine
   // only joins through the previous round's delta; the naive baseline
   // re-enumerates everything and lets the `fired` set discard the
-  // stale finds. Leaves `pending` in canonical (PendingBefore) order;
-  // returns false when the run was interrupted.
-  auto collect_rule = [&](tgd::RuleIndex ti, PendingList& pending) {
+  // stale finds. Leaves `list` in canonical (PendingBefore) order and
+  // the join probes in `*probes`; returns false when the run was
+  // interrupted.
+  auto collect_rule = [&](tgd::RuleIndex ti, PendingList& list,
+                          std::uint64_t* probes) {
     const tgd::Tgd& rule = tgds.tgd(ti);
     const JoinPlan& plan = (*plans)[ti];
-    collect_probes[ti] = 0;
-    finder.set_probe_counter(&collect_probes[ti]);
+    list.Clear();
+    *probes = 0;
+    finder.set_probe_counter(probes);
     auto on_match = [&](const Term* h) {
       if (interrupted || stop_requested()) {
         interrupted = true;
@@ -496,7 +495,7 @@ ChaseResult RunChase(core::SymbolScope* symbols, const tgd::TgdSet& tgds,
           guard_image = gi;
         }
       }
-      AppendPending(plan, ti, oblivious, h, guard_image, &pending);
+      AppendPending(plan, ti, oblivious, h, guard_image, &list);
       return true;
     };
 
@@ -529,47 +528,8 @@ ChaseResult RunChase(core::SymbolScope* symbols, const tgd::TgdSet& tgds,
     // Both engines find the same trigger set per round, in different
     // orders; sort into canonical order so the firing order (and the
     // restricted-chase result) is engine-independent.
-    SortPending(&pending);
+    SortPending(&list);
     return true;
-  };
-
-  // Inserts one firing trigger's head atoms — built from its frontier
-  // images and its bound nulls — grows the forest, enforces the atom
-  // budget and reports OnFire. The caller has already counted the
-  // trigger as fired. Returns kTerminated when the run may continue.
-  auto insert_heads = [&](const HeadPlan& hplan, const PendingTrigger& trig,
-                          const Term* frontier_images,
-                          const Term* nulls) -> ChaseOutcome {
-    scratch.resize(hplan.terms_per_trigger);
-    hplan.Fill(frontier_images, nulls, scratch.data());
-    for (const HeadTuple& tuple : hplan.tuples) {
-      auto [idx, fresh] = instance.InsertTuple(
-          tuple.pred,
-          core::TermSpan(scratch.data() + tuple.begin, tuple.arity));
-      if (fresh && options.build_forest) {
-        std::uint32_t atom_depth = 0;
-        for (Term term : instance.atom(idx).terms()) {
-          atom_depth = std::max(atom_depth, symbols->depth(term));
-        }
-        if (trig.guard_image == PendingTrigger::kNoGuard) {
-          result.forest.AddFloating(idx, atom_depth);
-        } else {
-          result.forest.AddChild(idx, trig.guard_image, atom_depth);
-        }
-      }
-      if (instance.size() > options.max_atoms) {
-        // The budget-tripping trigger did fire: keep the observer's
-        // OnFire tally equal to triggers_fired.
-        if (options.observer != nullptr) {
-          options.observer->OnFire(trig.tgd_index, instance.size());
-        }
-        return ChaseOutcome::kAtomLimit;
-      }
-    }
-    if (options.observer != nullptr) {
-      options.observer->OnFire(trig.tgd_index, instance.size());
-    }
-    return ChaseOutcome::kTerminated;
   };
 
   // --- Apply: one rule's canonical pending list, in canonical order. ---
@@ -583,44 +543,33 @@ ChaseResult RunChase(core::SymbolScope* symbols, const tgd::TgdSet& tgds,
     const HeadPlan& hplan = head_plans[ti];
     const std::size_t num_frontier = rule.frontier().size();
     const std::size_t num_existential = rule.existential().size();
-    // The debug check of BindFreshNulls' naming argument.
-    auto check_fresh_null_key = [&](const PendingTrigger& trig) {
-#ifndef NDEBUG
-      FiredKeyOf(trig, list.ImagesOf(trig), plan, oblivious, &key);
-      const bool fresh = bound_null_keys.Insert(key);
-      assert(fresh && "a fired-set key bound its nulls twice");
-      (void)fresh;
-#else
-      (void)trig;
-#endif
+    const bool restricted = options.variant == ChaseVariant::kRestricted;
+    // Restricted chase: a trigger is applied only if no extension
+    // h' ⊇ h|fr(σ) already maps head(σ) into the instance — the
+    // compiled head enumerated with the frontier slots pre-bound.
+    auto head_satisfied_now = [&](const PendingTrigger& trig) {
+      const Term* images = list.ImagesOf(trig);
+      head_finder.Begin(plan.head);
+      for (std::size_t i = 0; i < num_frontier; ++i) {
+        head_finder.Bind(plan.frontier_slots[i], images[i]);
+      }
+      bool satisfied = false;
+      head_finder.Run([&](const Term*) {
+        satisfied = true;
+        return false;  // stop at the first
+      });
+      return satisfied;
     };
-    if (options.variant == ChaseVariant::kRestricted) {
-      // Restricted chase: a trigger is applied only if no extension
-      // h' ⊇ h|fr(σ) already maps head(σ) into the instance — the
-      // compiled head enumerated with the frontier slots pre-bound.
-      auto head_satisfied_now = [&](const PendingTrigger& trig) {
-        const Term* images = list.ImagesOf(trig);
-        head_finder.Begin(plan.head);
-        for (std::size_t i = 0; i < num_frontier; ++i) {
-          head_finder.Bind(plan.frontier_slots[i], images[i]);
-        }
-        bool satisfied = false;
-        head_finder.Run([&](const Term*) {
-          satisfied = true;
-          return false;  // stop at the first
-        });
-        return satisfied;
-      };
-      //
-      // Pre-check: decide head satisfaction for every pending trigger
-      // against the batch-start instance. Satisfaction is monotone —
-      // the atom set only grows — so a "satisfied" verdict is final;
-      // only not-yet-satisfied verdicts can be flipped by atoms this
-      // very batch inserts, and the fire loop re-checks exactly those,
-      // exactly when an insert has happened. Skip/fire decisions
-      // therefore match a walk that checks every trigger just before
-      // firing it; join_probes is defined by this two-step schedule.
-      const std::uint64_t frozen_size = instance.size();
+    // Restricted pre-check: decide head satisfaction for every pending
+    // trigger against the batch-start instance. Satisfaction is
+    // monotone — the atom set only grows — so a "satisfied" verdict is
+    // final; only not-yet-satisfied verdicts can be flipped by atoms
+    // this very batch inserts, and the fire loop re-checks exactly
+    // those, exactly when an insert has happened. Skip/fire decisions
+    // therefore match a walk that checks every trigger just before
+    // firing it; join_probes is defined by this two-step schedule.
+    const std::uint64_t frozen_size = instance.size();
+    if (restricted) {
       head_satisfied.assign(pending.size(), 0);
       for (std::size_t t = 0; t < pending.size(); ++t) {
         head_satisfied[t] = head_satisfied_now(pending[t]) ? 1 : 0;
@@ -628,18 +577,22 @@ ChaseResult RunChase(core::SymbolScope* symbols, const tgd::TgdSet& tgds,
         // applying (or skipping) any of this batch's triggers.
         if (head_finder.interrupted()) return ChaseOutcome::kCancelled;
       }
+    }
 
-      // Fire loop (canonical order): skip or fire.
-      for (std::size_t t = 0; t < pending.size(); ++t) {
-        const PendingTrigger& trig = pending[t];
-        const Term* frontier_images = list.ImagesOf(trig);
-        if (stop_requested()) return ChaseOutcome::kCancelled;
+    // Fire loop (canonical order): each trigger binds its nulls and
+    // inserts its heads before the next one starts, so a run stopped by
+    // a budget has bound nulls for exactly the triggers it fired.
+    for (std::size_t t = 0; t < pending.size(); ++t) {
+      const PendingTrigger& trig = pending[t];
+      const Term* frontier_images = list.ImagesOf(trig);
+      if (stop_requested()) return ChaseOutcome::kCancelled;
+      if (restricted) {
         bool satisfied = head_satisfied[t] != 0;
         if (!satisfied && instance.size() > frozen_size) {
-          // Atoms inserted by earlier triggers of this batch may
-          // have satisfied the head since the pre-check; once
-          // satisfied, monotonicity keeps the trigger satisfied
-          // forever, so the `fired` entry can stand.
+          // Atoms inserted by earlier triggers of this batch may have
+          // satisfied the head since the pre-check; once satisfied,
+          // monotonicity keeps the trigger satisfied forever, so the
+          // `fired` entry can stand.
           satisfied = head_satisfied_now(trig);
           if (head_finder.interrupted()) return ChaseOutcome::kCancelled;
         }
@@ -647,98 +600,68 @@ ChaseResult RunChase(core::SymbolScope* symbols, const tgd::TgdSet& tgds,
           ++result.stats.triggers_satisfied;
           continue;
         }
-        ++result.stats.triggers_fired;
-        check_fresh_null_key(trig);
-        bound_nulls.clear();
-        const BindResult bind = BindFreshNulls(
-            symbols, num_existential, frontier_images, num_frontier,
-            options.max_depth, &bound_nulls, &result.stats.max_depth);
-        if (options.observer != nullptr && !bound_nulls.empty()) {
-          options.observer->OnNullsBound(ti, bound_nulls.data(),
-                                         bound_nulls.size(),
-                                         frontier_images, num_frontier);
-        }
-        if (bind != BindResult::kOk) {
-          // Depth budget breached, or null ids wrapped past Term's
-          // index space: stop with a consistent prefix. The trigger
-          // was counted as fired; keep OnFire parity.
-          if (options.observer != nullptr) {
-            options.observer->OnFire(trig.tgd_index, instance.size());
-          }
-          return bind == BindResult::kDepthLimit
-                     ? ChaseOutcome::kDepthLimit
-                     : ChaseOutcome::kResourceExhausted;
-        }
-        const ChaseOutcome oc =
-            insert_heads(hplan, trig, frontier_images, bound_nulls.data());
-        if (oc != ChaseOutcome::kTerminated) return oc;
       }
-    } else {
-      // Semi-oblivious / oblivious: every pending trigger fires.
-      //
-      // Pass 1 (canonical order): bind every trigger's existential
-      // nulls. Null names are functional in the firing key, so binding
-      // in canonical trigger order is the functional naming. A depth or
-      // id-space failure truncates the batch — earlier triggers still
-      // apply, and the failure is reported after they do (first error
-      // in canonical order wins).
-      std::size_t batch_n = pending.size();
-      ChaseOutcome stop_outcome = ChaseOutcome::kTerminated;
+      ++result.stats.triggers_fired;
+#ifndef NDEBUG
+      // The debug check of BindFreshNulls' naming argument.
+      FiredKeyOf(trig, frontier_images, plan, oblivious, &key);
+      const bool fresh_key = bound_null_keys.Insert(key);
+      assert(fresh_key && "a fired-set key bound its nulls twice");
+      (void)fresh_key;
+#endif
       bound_nulls.clear();
-      for (std::size_t t = 0; t < pending.size(); ++t) {
-        const PendingTrigger& trig = pending[t];
-        const Term* frontier_images = list.ImagesOf(trig);
-        const std::size_t bound_before = bound_nulls.size();
-        check_fresh_null_key(trig);
-        const BindResult bind = BindFreshNulls(
-            symbols, num_existential, frontier_images, num_frontier,
-            options.max_depth, &bound_nulls, &result.stats.max_depth);
-        if (options.observer != nullptr &&
-            bound_nulls.size() > bound_before) {
-          options.observer->OnNullsBound(
-              ti, bound_nulls.data() + bound_before,
-              bound_nulls.size() - bound_before, frontier_images,
-              num_frontier);
-        }
-        if (bind != BindResult::kOk) {
-          batch_n = t;
-          stop_outcome = bind == BindResult::kDepthLimit
-                             ? ChaseOutcome::kDepthLimit
-                             : ChaseOutcome::kResourceExhausted;
-          break;
-        }
+      const BindResult bind = BindFreshNulls(
+          symbols, num_existential, frontier_images, num_frontier,
+          options.max_depth, &bound_nulls, &result.stats.max_depth);
+      if (options.observer != nullptr && !bound_nulls.empty()) {
+        options.observer->OnNullsBound(ti, bound_nulls.data(),
+                                       bound_nulls.size(), frontier_images,
+                                       num_frontier);
       }
-
-      // Pass 2 (canonical order): fire the bound triggers.
-      for (std::size_t t = 0; t < batch_n; ++t) {
-        if (stop_requested()) return ChaseOutcome::kCancelled;
-        ++result.stats.triggers_fired;
-        const ChaseOutcome oc =
-            insert_heads(hplan, pending[t], list.ImagesOf(pending[t]),
-                         bound_nulls.data() + t * num_existential);
-        if (oc != ChaseOutcome::kTerminated) return oc;
-      }
-      if (stop_outcome != ChaseOutcome::kTerminated) {
-        // The pass-1 failure at pending[batch_n] is this batch's first
-        // error in canonical order (every earlier trigger applied
-        // cleanly). The tripping trigger did fire; keep OnFire parity.
-        ++result.stats.triggers_fired;
+      if (bind != BindResult::kOk) {
+        // Depth budget breached, or null ids wrapped past Term's index
+        // space: stop with a consistent prefix. The trigger was counted
+        // as fired; keep OnFire parity.
         if (options.observer != nullptr) {
-          options.observer->OnFire(pending[batch_n].tgd_index,
-                                   instance.size());
+          options.observer->OnFire(ti, instance.size());
         }
-        return stop_outcome;
+        return bind == BindResult::kDepthLimit
+                   ? ChaseOutcome::kDepthLimit
+                   : ChaseOutcome::kResourceExhausted;
+      }
+      // Head tuples, built from the frontier images and the bound nulls;
+      // the forest and the atom budget are handled per atom.
+      scratch.resize(hplan.terms_per_trigger);
+      hplan.Fill(frontier_images, bound_nulls.data(), scratch.data());
+      for (const HeadTuple& tuple : hplan.tuples) {
+        auto [idx, fresh] = instance.InsertTuple(
+            tuple.pred,
+            core::TermSpan(scratch.data() + tuple.begin, tuple.arity));
+        if (fresh && options.build_forest) {
+          std::uint32_t atom_depth = 0;
+          for (Term term : instance.atom(idx).terms()) {
+            atom_depth = std::max(atom_depth, symbols->depth(term));
+          }
+          if (trig.guard_image == PendingTrigger::kNoGuard) {
+            result.forest.AddFloating(idx, atom_depth);
+          } else {
+            result.forest.AddChild(idx, trig.guard_image, atom_depth);
+          }
+        }
+        if (instance.size() > options.max_atoms) {
+          // The budget-tripping trigger did fire: keep the observer's
+          // OnFire tally equal to triggers_fired.
+          if (options.observer != nullptr) {
+            options.observer->OnFire(ti, instance.size());
+          }
+          return ChaseOutcome::kAtomLimit;
+        }
+      }
+      if (options.observer != nullptr) {
+        options.observer->OnFire(ti, instance.size());
       }
     }
     return ChaseOutcome::kTerminated;
-  };
-
-  // Fold one rule's staged collect probes into the stats, at the exact
-  // point where the fused reference walk has just finished that rule's
-  // collect: immediately before its apply.
-  auto fold_collect_probes = [&](tgd::RuleIndex ti) {
-    result.stats.join_probes += collect_probes[ti];
-    collect_probes[ti] = 0;
   };
 
   while (delta_begin < delta_end) {
@@ -757,36 +680,24 @@ ChaseResult RunChase(core::SymbolScope* symbols, const tgd::TgdSet& tgds,
       options.observer->OnRound(progress);
     }
 
-    // The round walks the ordered group partition of Σ (every rule its
-    // own group when reliance scheduling is off). Two shapes:
-    //   restraint -- collect every member against the group-start
-    //                instance, then apply in restraint order;
-    //   fused     -- collect a rule, apply it, move on (inside a group
-    //                this is byte-identical to collecting the whole
-    //                group first, by the group invariant).
-    for (std::size_t g = 0; g < groups->size(); ++g) {
-      const std::vector<tgd::RuleIndex>& group = (*groups)[g];
-      if (restraint_mode && group.size() > 1) {
-        for (tgd::RuleIndex ti : group) {
-          rule_pending[ti].Clear();
-          if (!collect_rule(ti, rule_pending[ti])) {
-            return ChaseOutcome::kCancelled;
-          }
-        }
-        for (tgd::RuleIndex ti : restraint_orders[g]) {
-          fold_collect_probes(ti);
-          const ChaseOutcome oc = apply_rule(ti, rule_pending[ti]);
-          if (oc != ChaseOutcome::kTerminated) return oc;
-        }
-      } else {
-        for (tgd::RuleIndex ti : group) {
-          pending.Clear();
-          if (!collect_rule(ti, pending)) return ChaseOutcome::kCancelled;
-          fold_collect_probes(ti);
-          const ChaseOutcome oc = apply_rule(ti, pending);
-          if (oc != ChaseOutcome::kTerminated) return oc;
+    // Each group collects every member against the group-start
+    // instance, then applies them in walk order. A member's staged
+    // collect probes fold into the stats immediately before its apply,
+    // where the rule-by-rule walk would have counted them.
+    std::size_t begin = 0;
+    for (std::size_t end : group_end) {
+      for (std::size_t k = 0; k < end - begin; ++k) {
+        if (!collect_rule(walk[begin + k], pending[k],
+                          &collect_probes[k])) {
+          return ChaseOutcome::kCancelled;
         }
       }
+      for (std::size_t k = 0; k < end - begin; ++k) {
+        result.stats.join_probes += collect_probes[k];
+        const ChaseOutcome oc = apply_rule(walk[begin + k], pending[k]);
+        if (oc != ChaseOutcome::kTerminated) return oc;
+      }
+      begin = end;
     }
 
     delta_begin = delta_end;

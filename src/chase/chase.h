@@ -95,28 +95,21 @@ struct ChaseOptions {
   /// been computed from the same TgdSet (one entry per TGD, same order);
   /// when null the run plans its own. Not owned; must outlive the run.
   const JoinPlanSet* plans = nullptr;
-  /// Cross-rule scheduling switch. When true (default) the round loop
-  /// walks Σ as the reliance graph's ordered collect-group partition
-  /// instead of rule by rule, and reports the partition's size in
-  /// ChaseStats::reliance_groups. The groups' guarantee (no forward
-  /// Feeds edge inside a group; see graph::RelianceGraph) makes the walk
-  /// indistinguishable from the rule-by-rule one, instance bytes and
-  /// every other ChaseStats counter included. Its one effect on the
-  /// result is through restraint_order, which needs it.
-  bool use_reliances = true;
-  /// Restricted variant only, and NOT identity-preserving: apply each
-  /// collect group's triggers in the reliance graph's restraint order
-  /// (restrainers first) instead of Σ-order, so heads that satisfy
-  /// sibling rules' heads land first and those siblings' triggers are
-  /// skipped as inactive. Changes which restricted chase is computed —
-  /// deliberately: on order-sensitive programs it terminates in fewer
-  /// rounds (or terminates where Σ-order diverges). The chosen order is
-  /// still deterministic. Requires use_reliances; ignored by the other
-  /// two variants, whose result does not depend on firing order.
+  /// Restricted variant only, and NOT identity-preserving: walk Σ as
+  /// the reliance graph's ordered collect-group partition (see
+  /// graph::RelianceGraph) and apply each group's triggers in its
+  /// restraint order (restrainers first) instead of Σ-order, so heads
+  /// that satisfy sibling rules' heads land first and those siblings'
+  /// triggers are skipped as inactive. Changes which restricted chase is
+  /// computed — deliberately: on order-sensitive programs it terminates
+  /// in fewer rounds (or terminates where Σ-order diverges). The chosen
+  /// order is still deterministic. Ignored by the other two variants,
+  /// whose result does not depend on firing order; every other run
+  /// walks Σ rule by rule.
   bool restraint_order = false;
   /// Optional precomputed reliance graph for Σ (api::Program computes
   /// one at parse time). Must have been built from the same TgdSet;
-  /// when null, a run that needs one (use_reliances) builds its own.
+  /// when null, a run that needs one (restraint_order) builds its own.
   /// Not owned; must outlive the run.
   const graph::RelianceGraph* reliances = nullptr;
 };
@@ -144,7 +137,11 @@ struct ChaseStats {
   /// (not active in the Definition 3.1 sense) and therefore skipped.
   std::uint64_t triggers_satisfied = 0;
   std::uint64_t rounds = 0;          ///< Breadth-first rounds executed.
-  std::uint32_t max_depth = 0;       ///< maxdepth over all created terms.
+  /// maxdepth (Definition 4.3) over the returned instance: the depth of
+  /// its deepest null, 0 when it holds none. The one exception is the
+  /// trigger a budget stops: its bound nulls count even where they were
+  /// not inserted (the null that breaches max_depth never is).
+  std::uint32_t max_depth = 0;
   std::uint64_t database_atoms = 0;  ///< |D|.
   /// Delta atoms used as join seeds (semi-naive engine only; stays 0
   /// when ChaseOptions::use_delta is false).
@@ -162,13 +159,6 @@ struct ChaseStats {
   /// Largest number of atoms the instance held during the run (the
   /// instance only grows, so this equals its final size).
   std::uint64_t peak_atoms = 0;
-  /// Number of collect groups in the reliance schedule the run walked
-  /// (see ChaseOptions::use_reliances): |Σ| when every rule is its own
-  /// group, smaller when independent rules share one, 0 when reliance
-  /// scheduling is off. A property of Σ alone — identical for every
-  /// variant/engine ablation — which is why the CLI may print it next to
-  /// the byte-identical stats.
-  std::uint64_t reliance_groups = 0;
   /// Inert: always 0. The chase has one serial code path; these three
   /// names remain only so that callers that still read them (the
   /// perfbench pool probe) compile.

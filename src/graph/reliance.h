@@ -31,19 +31,19 @@ namespace graph {
 ///       trigger restricted-inactive — the lever behind the restricted
 ///       variant's restraint-guided firing order.
 ///
-/// The cross-rule scheduler consumes two derived artifacts. CollectGroups
-/// partitions Σ, in Σ-order, into maximal contiguous groups with no
-/// FORWARD Feeds edge inside a group (r < s in one group ⇒ ¬Feeds(r, s)):
-/// collecting every member against the group-start instance then applying
-/// in Σ-order is indistinguishable from the sequential interleaving —
-/// not just in the trigger sets (Positive would suffice for that) but in
-/// the per-predicate candidate lists every join probe walks, which is
-/// what keeps ChaseStats::join_probes identical with reliances on or
-/// off. Backward edges and self-loops are harmless: under either
-/// schedule rule r's collect precedes every apply of the rules ≥ r it
-/// could feed. RestraintOrder orders one group's applies restrainers-
-/// first (Σ-order tiebreak) for the restricted variant's opt-in
-/// restraint-guided mode.
+/// The restricted variant's opt-in restraint-guided mode
+/// (chase::ChaseOptions::restraint_order) consumes two derived
+/// artifacts. CollectGroups partitions Σ, in Σ-order, into maximal
+/// contiguous groups with no FORWARD Feeds edge inside a group (r < s in
+/// one group ⇒ ¬Feeds(r, s)): collecting every member against the
+/// group-start instance then applying in Σ-order is indistinguishable
+/// from the rule-by-rule interleaving — not just in the trigger sets
+/// (Positive would suffice for that) but in the per-predicate candidate
+/// lists every join probe walks, ChaseStats::join_probes included.
+/// Backward edges and self-loops are harmless: under either schedule
+/// rule r's collect precedes every apply of the rules ≥ r it could feed.
+/// RestraintOrder orders one group's applies restrainers-first (Σ-order
+/// tiebreak).
 ///
 /// SccIds exposes the condensation of the Feeds graph (computed through
 /// its rule–predicate bipartite expansion, so construction stays linear

