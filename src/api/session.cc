@@ -20,14 +20,11 @@ termination::AdvisorOptions Session::MakeAdvisorOptions(
   termination::AdvisorOptions aopt;
   aopt.chase = MakeChaseOptions();
   aopt.materialize = materialize;
-  aopt.max_types = options_.max_types;
   // Point the advisor at the Program's memoized analysis artifacts: the
-  // ladder run for general Σ, the class decision for SL/L/G. The
-  // syntactic cache holds a default-budget run, so it is bypassed when
-  // the session raised or lowered max_types.
+  // ladder run for general Σ, the class decision for SL/L/G.
   if (program_.tgd_class() == tgd::TgdClass::kGeneral) {
     aopt.ladder = &program_.ladder();
-  } else if (options_.max_types == SessionOptions{}.max_types) {
+  } else {
     const auto& syntactic = program_.syntactic();
     if (syntactic.ok()) aopt.syntactic = &*syntactic;
   }
@@ -83,17 +80,7 @@ util::StatusOr<AnalyzeResult> Session::Analyze() const {
   const auto& syntactic = program_.syntactic();
   if (!syntactic.ok()) return syntactic.status();
   out.decision = syntactic->decision;
-  switch (out.tgd_class) {
-    case tgd::TgdClass::kSimpleLinear:
-      out.method = "weak-acyclicity";
-      break;
-    case tgd::TgdClass::kLinear:
-      out.method = "simplification+WA";
-      break;
-    default:
-      out.method = "linearization+simplification+WA";
-      break;
-  }
+  out.method = termination::SyntacticMethodName(out.tgd_class);
   return out;
 }
 

@@ -37,8 +37,6 @@ struct SessionOptions {
   chase::ChaseOptions chase;
   /// Advise(): materialize chase(D,Σ) when the decision is kTerminates.
   bool materialize = true;
-  /// Advise()/Decide(): budget for guarded linearization.
-  std::uint64_t max_types = 100000;
 
   SessionOptions& set_variant(chase::ChaseVariant v) {
     chase.variant = v;
@@ -78,10 +76,6 @@ struct SessionOptions {
   }
   SessionOptions& set_materialize(bool on) {
     materialize = on;
-    return *this;
-  }
-  SessionOptions& set_max_types(std::uint64_t n) {
-    max_types = n;
     return *this;
   }
   SessionOptions& set_observer(chase::ChaseObserver* o) {

@@ -508,7 +508,7 @@ ChaseResult RunChase(core::SymbolScope* symbols, const tgd::TgdSet& tgds,
       for (std::size_t seed_pos = 0;
            seed_pos < rule.body().size() && !interrupted; ++seed_pos) {
         core::PredicateId seed_pred = rule.body()[seed_pos].predicate;
-        const std::vector<AtomIndex>& seeds =
+        const core::IndexSpan seeds =
             instance.DeltaAtomsWithPredicate(seed_pred);
         result.stats.delta_atoms_scanned += seeds.size();
         const SlotConjunction& seeded = plan.seeded[seed_pos];

@@ -50,7 +50,7 @@ class TermSpan {
 };
 
 /// Hash of a (predicate, tuple) pair. The single hash recipe shared by
-/// the arena-probing dedup index of core::Instance and every caller that
+/// the row-probing dedup index of core::Instance and every caller that
 /// needs a tuple key — hashing a materialized Atom and hashing its span
 /// agree by construction. Every word passes through a full 64-bit mixer
 /// (splitmix64 finalizer): the open-addressing table indexes by the LOW
@@ -68,8 +68,8 @@ inline std::size_t TupleHash(PredicateId predicate, TermSpan terms) {
 /// (Section 2). This owning form is the working currency of *formulas* —
 /// TGD bodies and heads, query atoms, database facts — where tuples are
 /// small, long-lived and carry variables. Chase instances do NOT store
-/// Atoms: they keep all tuples in a flat arena (core::Instance) and hand
-/// out AtomView handles.
+/// Atoms: they keep all tuples in per-predicate row vectors
+/// (core::Instance) and hand out AtomView handles.
 struct Atom {
   PredicateId predicate = kInvalidPredicate;
   std::vector<Term> args;
@@ -113,21 +113,16 @@ struct AtomHash {
 };
 
 /// A stable, cheap handle to one atom of an Instance: its predicate plus
-/// the offset of its argument tuple *within that predicate's segment* —
-/// storage is partitioned by predicate, and the instance's directory of
-/// AtomRefs (indexed by global AtomIndex, assigned in insertion order
-/// across all predicates) is the global-index indirection that ties the
-/// partition back together; it is append-only and its entries never
-/// change. Each segment's arena is a sequence of fixed-size extents and
-/// tuples never straddle an extent boundary, so the local offset
-/// decomposes as (offset >> extent_log2, offset & extent_mask) — extent
-/// index plus slot — and the extent blocks themselves never move or
-/// reallocate: an AtomRef (and any pointer derived from it) stays valid
-/// for the lifetime of the instance regardless of later growth. The
-/// predicate's (fixed) arity rides along in otherwise-padding bytes so
-/// resolving a ref to its tuple costs one 16-byte load plus one
-/// segment/extent-table load — the join kernel probes millions of refs;
-/// further dependent lookups per probe are measurable.
+/// the offset of its argument tuple *within that predicate's row
+/// vector* (row number × arity) — storage is partitioned by predicate,
+/// and the instance's directory of AtomRefs (indexed by global
+/// AtomIndex, assigned in insertion order across all predicates) is the
+/// global-index indirection that ties the partition back together; it
+/// is append-only and its entries never change. The predicate's (fixed)
+/// arity rides along in otherwise-padding bytes so resolving a ref to
+/// its tuple costs one 16-byte load plus one segment load — the join
+/// kernel probes millions of refs; further dependent lookups per probe
+/// are measurable.
 struct AtomRef {
   std::uint64_t offset = 0;
   PredicateId predicate = kInvalidPredicate;
@@ -139,12 +134,11 @@ struct AtomRef {
 };
 
 /// A non-owning view of one stored atom: predicate + argument tuple read
-/// directly out of the owning instance's arena. The view holds a raw
-/// pointer into the tuple's extent block; extents never move or
-/// reallocate, so inserting into the instance does NOT invalidate
-/// previously obtained views — and neither does moving the owning
-/// Instance (the blocks travel with it). Only destroying the instance
-/// (or moving-from it and destroying the destination) does.
+/// directly out of the owning instance's row vector. The view holds a
+/// raw pointer into that vector, so it is valid until the next insert
+/// into the instance (which may grow the vector); moving the owning
+/// Instance keeps it valid. Resolve the atom index again after
+/// inserting.
 class AtomView {
  public:
   AtomView() : tuple_(nullptr) {}
@@ -156,8 +150,7 @@ class AtomView {
   Term arg(std::uint32_t i) const { return tuple_[i]; }
 
   /// The argument tuple as a raw span, pointing straight into the
-  /// tuple's extent block. Like the view itself, the span survives
-  /// later inserts into the owning instance (extents are immobile).
+  /// instance's rows; valid as long as the view is.
   TermSpan terms() const { return TermSpan(tuple_, arity_); }
 
   /// True iff every argument is a constant.
@@ -168,7 +161,7 @@ class AtomView {
     return true;
   }
 
-  /// Materializes an owning Atom (copying the tuple out of the arena).
+  /// Materializes an owning Atom (copying the tuple out of the rows).
   Atom ToAtom() const { return Atom(predicate_, terms().ToVector()); }
 
   /// Renders the atom with the given symbol table, e.g. "R(a, _:n3)".

@@ -7,86 +7,42 @@ namespace nuchase {
 namespace core {
 
 const std::vector<AtomIndex> Instance::kEmpty;
-constexpr AtomIndex Instance::kEmptySlot;
+constexpr std::uint32_t Instance::kEmptySlot;
 constexpr std::uint32_t Instance::kUnknownArity;
-constexpr std::uint32_t Instance::kDefaultExtentLog2;
 
 Instance::Segment& Instance::EnsureSegment(PredicateId pred) {
   if (pred >= segments_.size()) {
     segments_.resize(pred + 1);
   }
   if (segments_[pred] == nullptr) {
-    segments_[pred].reset(new Segment());
     // A segment born under delta tracking starts with its whole (empty)
-    // atom list in the "next" generation — delta_next_mark = 0 already.
+    // atom list in the "next" generation: both watermarks are 0.
+    segments_[pred].reset(new Segment());
   }
   return *segments_[pred];
 }
 
-std::size_t Instance::Probe(const Segment& seg, PredicateId pred,
-                            TermSpan terms, std::size_t hash) const {
+std::size_t Instance::Probe(const Segment& seg, TermSpan terms,
+                            std::size_t hash) const {
   const std::size_t mask = seg.dedup.size() - 1;
   std::size_t slot = hash & mask;
   while (true) {
-    const AtomIndex idx = seg.dedup[slot];
-    if (idx == kEmptySlot || TupleAt(idx, pred, terms)) return slot;
+    const std::uint32_t row = seg.dedup[slot];
+    if (row == kEmptySlot || seg.Row(row) == terms) return slot;
     slot = (slot + 1) & mask;
   }
 }
 
-void Instance::GrowDedup(Segment* seg) {
+void Instance::GrowDedup(Segment* seg, PredicateId pred) {
   const std::size_t new_size =
       seg->dedup.empty() ? 64 : seg->dedup.size() * 2;
   seg->dedup.assign(new_size, kEmptySlot);
   const std::size_t mask = new_size - 1;
-  for (AtomIndex idx : seg->atoms) {
-    const AtomRef& ref = refs_[idx];
-    std::size_t slot =
-        TupleHash(ref.predicate,
-                  TermSpan(TuplePtr(*seg, ref.offset), ref.arity)) &
-        mask;
+  const std::uint32_t rows = static_cast<std::uint32_t>(seg->atoms.size());
+  for (std::uint32_t row = 0; row < rows; ++row) {
+    std::size_t slot = TupleHash(pred, seg->Row(row)) & mask;
     while (seg->dedup[slot] != kEmptySlot) slot = (slot + 1) & mask;
-    seg->dedup[slot] = idx;
-  }
-}
-
-std::uint64_t Instance::AppendTuple(Segment* seg, const Term* src,
-                                    std::uint32_t n) {
-  assert(n <= extent_capacity_ && "tuple arity exceeds extent capacity");
-  if (n == 0) {
-    // 0-ary atoms store no terms; give them a valid (never
-    // dereferenced) address in the segment's extent 0.
-    if (seg->extents.empty()) {
-      seg->extents.emplace_back(new Term[extent_capacity_]);
-    }
-    return 0;
-  }
-  std::uint64_t within = seg->raw_next & extent_mask_;
-  if (within != 0 && extent_capacity_ - within < n) {
-    // The tuple would straddle the extent boundary: pad the tail (the
-    // padding terms are garbage and are never scanned — every reader
-    // walks the directory, not raw offsets) and start the next extent.
-    seg->raw_next += extent_capacity_ - within;
-  }
-  const std::uint64_t offset = seg->raw_next;
-  const std::uint64_t extent = offset >> extent_log2_;
-  if (extent == seg->extents.size()) {
-    seg->extents.emplace_back(new Term[extent_capacity_]);
-  }
-  std::copy(src, src + n,
-            seg->extents[extent].get() + (offset & extent_mask_));
-  seg->raw_next = offset + n;
-  seg->used_terms += n;
-  return offset;
-}
-
-void Instance::RecordTuple(Segment* seg, AtomIndex idx,
-                           std::uint64_t offset, std::uint32_t n) {
-  seg->atoms.push_back(idx);
-  if (seg->by_position.size() < n) seg->by_position.resize(n);
-  const Term* tuple = TuplePtr(*seg, offset);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    seg->by_position[i].Append(tuple[i], idx);
+    seg->dedup[slot] = row;
   }
 }
 
@@ -95,10 +51,10 @@ bool Instance::FindTuple(PredicateId pred, TermSpan terms,
   if (pred >= segments_.size() || segments_[pred] == nullptr) return false;
   const Segment& seg = *segments_[pred];
   if (seg.dedup.empty()) return false;
-  const AtomIndex idx = seg.dedup[Probe(seg, pred, terms,
-                                        TupleHash(pred, terms))];
-  if (idx == kEmptySlot) return false;
-  *index = idx;
+  const std::uint32_t row =
+      seg.dedup[Probe(seg, terms, TupleHash(pred, terms))];
+  if (row == kEmptySlot) return false;
+  *index = seg.atoms[row];
   return true;
 }
 
@@ -108,16 +64,29 @@ std::pair<AtomIndex, bool> Instance::InsertTuple(PredicateId pred,
   Segment& seg = EnsureSegment(pred);
   // Keep the table's load factor below ~0.75 (counting the insert to
   // come).
-  if ((seg.atoms.size() + 1) * 4 >= seg.dedup.size() * 3) GrowDedup(&seg);
-  const std::size_t slot = Probe(seg, pred, terms, hash);
-  if (seg.dedup[slot] != kEmptySlot) return {seg.dedup[slot], false};
+  if ((seg.atoms.size() + 1) * 4 >= seg.dedup.size() * 3) {
+    GrowDedup(&seg, pred);
+  }
+  const std::size_t slot = Probe(seg, terms, hash);
+  if (seg.dedup[slot] != kEmptySlot) {
+    return {seg.atoms[seg.dedup[slot]], false};
+  }
 
-  LearnArity(&seg, terms.size());
-  const std::uint64_t offset = AppendTuple(&seg, terms.data(), terms.size());
+  const std::uint32_t n = terms.size();
+  if (seg.arity == kUnknownArity) {
+    seg.arity = n;
+    seg.by_position.resize(n);
+  }
+  assert(seg.arity == n && "predicate arity is fixed per Instance");
+  const std::uint32_t row = static_cast<std::uint32_t>(seg.atoms.size());
   const AtomIndex idx = static_cast<AtomIndex>(refs_.size());
-  refs_.emplace_back(pred, offset, terms.size());
-  RecordTuple(&seg, idx, offset, terms.size());
-  seg.dedup[slot] = idx;
+  refs_.emplace_back(pred, seg.terms.size(), n);
+  seg.terms.insert(seg.terms.end(), terms.begin(), terms.end());
+  seg.atoms.push_back(idx);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    seg.by_position[i].Append(terms[i], idx);
+  }
+  seg.dedup[slot] = row;
   return {idx, true};
 }
 
@@ -125,10 +94,10 @@ void Instance::EnableDeltaTracking() {
   if (track_delta_) return;
   track_delta_ = true;
   // Atoms inserted before tracking began are not part of any
-  // generation: start every existing segment's "next" watermark at its
+  // generation: start every existing segment's generations at its
   // current tail.
   for (auto& seg : segments_) {
-    if (seg != nullptr) seg->delta_next_mark = seg->atoms.size();
+    if (seg != nullptr) seg->delta_begin = seg->delta_end = seg->atoms.size();
   }
 }
 
@@ -136,23 +105,11 @@ std::size_t Instance::AdvanceDelta() {
   delta_curr_size_ = 0;
   for (auto& seg : segments_) {
     if (seg == nullptr) continue;
-    if (!track_delta_) {
-      seg->delta_curr.clear();
-      seg->delta_next_mark = seg->atoms.size();
-      continue;
-    }
-    seg->delta_curr.assign(seg->atoms.begin() + seg->delta_next_mark,
-                           seg->atoms.end());
-    seg->delta_next_mark = seg->atoms.size();
-    delta_curr_size_ += seg->delta_curr.size();
+    seg->delta_begin = track_delta_ ? seg->delta_end : seg->atoms.size();
+    seg->delta_end = seg->atoms.size();
+    delta_curr_size_ += seg->delta_end - seg->delta_begin;
   }
   return delta_curr_size_;
-}
-
-const std::vector<AtomIndex>& Instance::DeltaAtomsWithPredicate(
-    PredicateId pred) const {
-  if (pred >= segments_.size() || segments_[pred] == nullptr) return kEmpty;
-  return segments_[pred]->delta_curr;
 }
 
 const std::vector<AtomIndex>& Instance::AtomsWithPredicate(
@@ -164,10 +121,10 @@ const std::vector<AtomIndex>& Instance::AtomsWithPredicate(
 const std::vector<Term>& Instance::ActiveDomain() const {
   // Catch the cache up over the atoms inserted since the last call;
   // tuples are walked in global insertion order, so first-occurrence
-  // order is deterministic (and extent padding is never visited).
+  // order is deterministic.
   for (; domain_scanned_ < refs_.size(); ++domain_scanned_) {
     const AtomRef& ref = refs_[domain_scanned_];
-    const Term* tuple = TuplePtr(*segments_[ref.predicate], ref.offset);
+    const Term* tuple = RowPtr(ref);
     for (std::uint32_t i = 0; i < ref.arity; ++i) {
       if (domain_seen_.insert(tuple[i]).second) {
         domain_.push_back(tuple[i]);

@@ -44,27 +44,12 @@ util::StatusOr<AdvisorReport> Advise(core::SymbolTable* symbols,
         options.syntactic->used_class == report.tgd_class) {
       decision = options.syntactic->decision;
     } else {
-      rewrite::LinearizeOptions lin_options;
-      lin_options.max_types = options.max_types;
-      util::StatusOr<SyntacticDecision> syn =
-          report.tgd_class == tgd::TgdClass::kGuarded
-              ? DecideGuarded(symbols, tgds, db, lin_options)
-              : Decide(symbols, tgds, db);
+      util::StatusOr<SyntacticDecision> syn = Decide(symbols, tgds, db);
       if (!syn.ok()) return syn.status();
       decision = syn->decision;
     }
     report.decision = decision;
-    switch (report.tgd_class) {
-      case tgd::TgdClass::kSimpleLinear:
-        report.method = "weak-acyclicity";
-        break;
-      case tgd::TgdClass::kLinear:
-        report.method = "simplification+WA";
-        break;
-      default:
-        report.method = "linearization+simplification+WA";
-        break;
-    }
+    report.method = SyntacticMethodName(report.tgd_class);
   }
 
   if (options.materialize && report.decision == Decision::kTerminates) {

@@ -46,8 +46,6 @@ struct AdvisorOptions {
   chase::ChaseOptions chase;
   /// Run the chase and attach the materialization when Σ ∈ CT_D.
   bool materialize = true;
-  /// Budget for guarded linearization.
-  std::uint64_t max_types = 100000;
   /// Optional precomputed analysis artifacts from a frozen
   /// api::Program (borrowed; must outlive the call): the acyclicity-
   /// ladder run consulted for general Σ before any bounded-chase

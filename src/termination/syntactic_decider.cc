@@ -127,5 +127,16 @@ util::StatusOr<SyntacticDecision> Decide(core::SymbolTable* symbols,
   return util::Status::Internal("unreachable");
 }
 
+const char* SyntacticMethodName(tgd::TgdClass cls) {
+  switch (cls) {
+    case tgd::TgdClass::kSimpleLinear:
+      return "weak-acyclicity";
+    case tgd::TgdClass::kLinear:
+      return "simplification+WA";
+    default:
+      return "linearization+simplification+WA";
+  }
+}
+
 }  // namespace termination
 }  // namespace nuchase

@@ -75,6 +75,12 @@ util::StatusOr<SyntacticDecision> Decide(core::SymbolTable* symbols,
                                          const tgd::TgdSet& tgds,
                                          const core::Database& db);
 
+/// Names the exact procedure Decide applies to an SL, L or G set
+/// ("weak-acyclicity", "simplification+WA",
+/// "linearization+simplification+WA"): the method string of
+/// api::AnalyzeResult and AdvisorReport for those classes.
+const char* SyntacticMethodName(tgd::TgdClass cls);
+
 /// Test hook: count of syntactic-decision computations (the bodies of
 /// the four Decide* procedures) since process start. The facade caching
 /// test pins that repeated Session::Decide/Advise calls over one frozen

@@ -228,7 +228,9 @@ TEST_F(AnalysisTest, LintRaisesEveryDiagnostic) {
       EXPECT_EQ(d.predicate, "Orphan");
       EXPECT_EQ(d.severity, analysis::Severity::kInfo);
     }
-    if (d.id == "NU005") EXPECT_EQ(d.rule, 3);
+    if (d.id == "NU005") {
+      EXPECT_EQ(d.rule, 3);
+    }
     EXPECT_FALSE(d.message.empty());
   }
 }
@@ -255,7 +257,9 @@ TEST_F(AnalysisTest, CatalogIsSortedUniqueAndCoversEmittedIds) {
   ASSERT_FALSE(catalog.empty());
   std::set<std::string> catalog_ids;
   for (std::size_t i = 0; i < catalog.size(); ++i) {
-    if (i > 0) EXPECT_LT(std::string(catalog[i - 1].id), catalog[i].id);
+    if (i > 0) {
+      EXPECT_LT(std::string(catalog[i - 1].id), catalog[i].id);
+    }
     catalog_ids.insert(catalog[i].id);
     EXPECT_NE(std::string(catalog[i].summary), "");
   }
@@ -270,7 +274,9 @@ TEST_F(AnalysisTest, CatalogIsSortedUniqueAndCoversEmittedIds) {
   for (const analysis::Diagnostic& d : Lint(p, symbols_)) {
     ASSERT_EQ(catalog_ids.count(d.id), 1u) << d.id;
     for (const analysis::DiagnosticSpec& spec : catalog) {
-      if (d.id == spec.id) EXPECT_EQ(d.severity, spec.severity);
+      if (d.id == spec.id) {
+        EXPECT_EQ(d.severity, spec.severity);
+      }
     }
   }
 }

@@ -339,14 +339,6 @@ TEST(SessionTest, StaticAnalysisIsComputedOncePerProgram) {
   api::Session second(*program);  // caches live on the Program, not the
   ASSERT_TRUE(second.Advise().ok());  // Session
   EXPECT_EQ(termination::DeciderInvocationsForTest().load(), before + 1);
-
-  // A session with a non-default linearization budget must bypass the
-  // default-budget cache (quickstart is SL, so the class decider runs
-  // again rather than serving a budget-mismatched memo).
-  api::Session custom(*program,
-                      api::SessionOptions().set_max_types(7));
-  ASSERT_TRUE(custom.Decide().ok());
-  EXPECT_EQ(termination::DeciderInvocationsForTest().load(), before + 2);
 }
 
 TEST(SessionTest, LadderIsComputedOncePerProgram) {

@@ -246,12 +246,6 @@ TEST(InstanceTest, AtomViewReadsTheArena) {
   EXPECT_TRUE(v0.IsFact());
   EXPECT_EQ(v1.predicate(), *s);
   EXPECT_EQ(v1.arity(), 1u);
-  // Views survive later growth: offsets are stable and the arena is
-  // resolved through the owning vector.
-  for (int i = 0; i < 1000; ++i) {
-    inst.Insert(Atom(*s, {*symbols.InternConstant("c" + std::to_string(i))}));
-  }
-  EXPECT_EQ(v0.arg(1), b);
   EXPECT_EQ(v1.arg(0), b);
 }
 
