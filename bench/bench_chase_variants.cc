@@ -108,63 +108,6 @@ void Sizes() {
   bench::PrintTable(table);
 }
 
-/// The delta-engine ablation crossed with the variants: every variant
-/// must produce the same materialization under both engines (the
-/// restricted one is the interesting case — its result depends on the
-/// firing order, which the engine keeps canonical), with the semi-naive
-/// engine probing far less on recursive rules.
-void DeltaAblation() {
-  util::Table table("delta engine ablation per variant (emp-mgr)",
-                    {"variant", "delta", "atoms", "time(s)",
-                     "join_probes", "delta_seeds", "same result"});
-  chase::ChaseVariant variants[3] = {chase::ChaseVariant::kRestricted,
-                                     chase::ChaseVariant::kSemiOblivious,
-                                     chase::ChaseVariant::kOblivious};
-  for (chase::ChaseVariant variant : variants) {
-    std::string reference;
-    for (bool use_delta : {true, false}) {
-      // Fresh symbols per cell: null names are interned, so a shared
-      // table would spoil the byte-identity check.
-      core::SymbolTable symbols;
-      auto tgds = tgd::ParseTgdSet(
-          &symbols,
-          "Emp(e, d) -> Dept(d). Emp(e, d) -> Mgr(d, m). "
-          "Mgr(d, m) -> Emp(m, d).");
-      if (!tgds.ok()) {
-        std::fprintf(stderr, "bench_chase_variants: bad emp-mgr rules: %s\n",
-                     tgds.status().ToString().c_str());
-        std::exit(1);
-      }
-      core::Database db;
-      for (std::uint64_t i = 0; i < 2000; ++i) {
-        (void)db.AddFact(&symbols, "Emp",
-                         {"e" + std::to_string(i),
-                          "d" + std::to_string(i % 10)});
-      }
-      chase::ChaseOptions options;
-      options.variant = variant;
-      // Modest budget: the oblivious variant diverges on this workload
-      // and the full-scan baseline is quadratic past the cutoff.
-      options.max_atoms = 60'000;
-      options.use_delta = use_delta;
-      bench::Stopwatch timer;
-      chase::ChaseResult r = chase::RunChase(&symbols, *tgds, db, options);
-      double seconds = timer.Seconds();
-      std::string sorted = r.instance.ToSortedString(symbols);
-      if (use_delta) reference = sorted;
-      table.AddRow({chase::ChaseVariantName(variant),
-                    use_delta ? "on" : "off",
-                    r.Terminated() ? std::to_string(r.instance.size())
-                                   : "infinite",
-                    bench::FormatSeconds(seconds),
-                    std::to_string(r.stats.join_probes),
-                    std::to_string(r.stats.delta_atoms_scanned),
-                    sorted == reference ? "yes" : "NO"});
-    }
-  }
-  bench::PrintTable(table);
-}
-
 void Hierarchy() {
   util::Table table(
       "termination hierarchy CT_obl <= CT_so <= CT_res (strict)",
@@ -299,7 +242,6 @@ int main() {
       "restricted <= semi-oblivious <= oblivious, in both materialized "
       "size and termination");
   nuchase::Sizes();
-  nuchase::DeltaAblation();
   nuchase::Hierarchy();
   nuchase::ProgramReuse();
   return 0;

@@ -1,11 +1,10 @@
-// A2 (ablation) — the semi-naive delta engine of the trigger search
-// (each round joins only through the previous round's delta, seeded via
-// the per-predicate delta index with a join order planned from the
-// delta atom) against the full-scan baseline. Both cells materialize
-// byte-identical instances; only join_probes and seconds differ. The
-// delta engine is the order-of-magnitude fix on recursive workloads
-// (datalog-tc, the Proposition 4.5 depth family), where the full scan
-// re-derives every round's matches from the whole instance.
+// A2 — the work of the semi-naive trigger search (each round joins
+// only through the previous round's delta, seeded from the delta atoms
+// of each body position with a join order planned from the seed) on a
+// join-heavy guarded rule and on recursive workloads (datalog-tc, the
+// Proposition 4.5 depth family). join_probes, delta_seeds and
+// arena_bytes are deterministic; tools/check_bench_regression gates on
+// the first and the last.
 #include <string>
 
 #include "bench/bench_util.h"
@@ -16,9 +15,8 @@
 namespace nuchase {
 namespace {
 
-/// Builds a fresh (symbols, Σ, D) for every cell — null names are
-/// interned in the symbol table, so sharing one table across runs would
-/// make byte-identical comparison impossible by construction.
+/// A fresh (symbols, Σ, D) per cell: null names are interned in the
+/// symbol table, so no cell sees another's nulls.
 struct Setup {
   core::SymbolTable symbols;
   tgd::TgdSet tgds;
@@ -26,51 +24,31 @@ struct Setup {
 };
 
 template <typename MakeSetup>
-void RunMatrix(const char* label, const MakeSetup& make_setup,
-               util::Table* table) {
-  std::string reference;
-  double delta_s = 0;
-  for (bool use_delta : {true, false}) {
-    Setup setup;
-    make_setup(&setup);
-    chase::ChaseOptions options;
-    options.max_atoms = 5'000'000;
-    options.use_delta = use_delta;
-    bench::Stopwatch timer;
-    chase::ChaseResult r =
-        chase::RunChase(&setup.symbols, setup.tgds, setup.db, options);
-    double seconds = timer.Seconds();
-
-    std::string sorted = r.instance.ToSortedString(setup.symbols);
-    if (use_delta) {
-      reference = sorted;
-      delta_s = seconds;
-    }
-    char speedup[32];
-    std::snprintf(speedup, sizeof(speedup), "%.1fx",
-                  delta_s > 0 ? seconds / delta_s : 0.0);
-    table->AddRow(
-        {label, std::to_string(setup.db.size()),
-         std::to_string(r.instance.size()),
-         use_delta ? "on" : "off",
-         bench::FormatSeconds(seconds),
-         std::to_string(r.stats.join_probes),
-         std::to_string(r.stats.delta_atoms_scanned),
-         std::to_string(r.stats.arena_bytes), speedup,
-         sorted == reference ? "yes" : "NO"});
-  }
+void RunCell(const char* label, const MakeSetup& make_setup,
+             util::Table* table) {
+  Setup setup;
+  make_setup(&setup);
+  chase::ChaseOptions options;
+  options.max_atoms = 5'000'000;
+  bench::Stopwatch timer;
+  chase::ChaseResult r =
+      chase::RunChase(&setup.symbols, setup.tgds, setup.db, options);
+  double seconds = timer.Seconds();
+  table->AddRow({label, std::to_string(setup.db.size()),
+                 std::to_string(r.instance.size()),
+                 bench::FormatSeconds(seconds),
+                 std::to_string(r.stats.join_probes),
+                 std::to_string(r.stats.delta_atoms_scanned),
+                 std::to_string(r.stats.arena_bytes)});
 }
 
 void Run() {
-  bench::PrintHeader(
-      "A2 bench_index_ablation",
-      "delta (semi-naive) vs full-scan ablation; "
-      "byte-identical output, different cost");
+  bench::PrintHeader("A2 bench_index_ablation",
+                     "semi-naive trigger search: join work and storage");
 
-  util::Table table("delta ablation",
-                    {"workload", "|D|", "atoms", "delta", "time(s)",
-                     "join_probes", "delta_seeds", "arena_bytes",
-                     "vs delta", "same result"});
+  util::Table table("delta engine",
+                    {"workload", "|D|", "atoms", "time(s)", "join_probes",
+                     "delta_seeds", "arena_bytes"});
 
   struct Scenario {
     const char* label;
@@ -86,8 +64,7 @@ void Run() {
 
   for (const Scenario& s : scenarios) {
     for (std::uint64_t size : {100u, 400u, 1600u}) {
-      // The full-scan cell of datalog-tc is quadratic in rounds; cap
-      // the input so the matrix stays minutes-free.
+      // datalog-tc's result is quadratic in |D|: cap the input.
       if (std::string(s.label) == "datalog-tc" && size > 400) continue;
       auto make_setup = [&](Setup* setup) {
         auto tgds = tgd::ParseTgdSet(&setup->symbols, s.rules);
@@ -116,7 +93,7 @@ void Run() {
           }
         }
       };
-      RunMatrix(s.label, make_setup, &table);
+      RunCell(s.label, make_setup, &table);
     }
   }
 
@@ -129,8 +106,8 @@ void Run() {
       setup->tgds = std::move(w.tgds);
       setup->db = std::move(w.database);
     };
-    RunMatrix(("depth-family-n" + std::to_string(n)).c_str(), make_setup,
-              &table);
+    RunCell(("depth-family-n" + std::to_string(n)).c_str(), make_setup,
+            &table);
   }
 
   bench::PrintTable(table);

@@ -88,6 +88,27 @@ util::StatusOr<DecideResult> Session::Decide(DecideMethod method) const {
   DecideResult out;
   out.tgd_class = program_.tgd_class();
 
+  // kAuto answers from the Program's memoized analyses where the
+  // advisor would: the class decision for SL/L/G, a certifying ladder
+  // for general Σ. Only the branches below run a decider.
+  if (method == DecideMethod::kAuto) {
+    if (out.tgd_class == tgd::TgdClass::kGeneral) {
+      const termination::LadderResult& ladder = program_.ladder();
+      if (ladder.verdict == termination::Decision::kTerminates) {
+        out.decision = ladder.verdict;
+        out.method = "ladder:" + ladder.rung;
+        return out;
+      }
+    } else {
+      const auto& syntactic = program_.syntactic();
+      if (syntactic.ok() && syntactic->used_class == out.tgd_class) {
+        out.decision = syntactic->decision;
+        out.method = termination::SyntacticMethodName(out.tgd_class);
+        return out;
+      }
+    }
+  }
+
   // The deciders rewrite Σ (simplification, linearization) and so intern
   // fresh symbols: give them a session-private copy of the frozen table.
   core::SymbolTable scratch = program_.symbols();

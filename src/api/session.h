@@ -58,10 +58,6 @@ struct SessionOptions {
     chase.deadline_ms = ms;
     return *this;
   }
-  SessionOptions& set_use_delta(bool on) {
-    chase.use_delta = on;
-    return *this;
-  }
   SessionOptions& set_restraint_order(bool on) {
     chase.restraint_order = on;
     return *this;

@@ -94,12 +94,12 @@ struct PendingList {
 
 /// Canonical within-round order: rule-major (Σ-order), then by frontier
 /// images, then body images (one lexicographic comparison of the image
-/// run: both halves have the rule's fixed lengths). Both engines
-/// (delta-seeded and full-scan) enumerate the same trigger set per
-/// round but in different orders; sorting before the apply phase makes
-/// the firing order — and hence the restricted-chase result —
-/// independent of the engine, so the ablation cells stay
-/// byte-identical.
+/// run: both halves have the rule's fixed lengths). The delta-seeded
+/// collect finds a round's triggers in seed and join-plan order;
+/// sorting before the apply phase makes the firing order — and hence
+/// null numbering and the restricted-chase result — a function of Σ,
+/// D and the round alone, which is what the brute-force reference
+/// chase of the tests reproduces.
 bool PendingBefore(const PendingTrigger& a, const Term* a_images,
                    const PendingTrigger& b, const Term* b_images) {
   if (a.tgd_index != b.tgd_index) return a.tgd_index < b.tgd_index;
@@ -326,12 +326,10 @@ ChaseResult RunChase(core::SymbolScope* symbols, const tgd::TgdSet& tgds,
                                                   : nullptr;
 
   result.stats.database_atoms = db.size();
-  if (options.use_delta) instance.EnableDeltaTracking();
   for (const Atom& fact : db.facts()) {
     auto [idx, fresh] = instance.Insert(fact);
     if (fresh && options.build_forest) result.forest.AddRoot(idx);
   }
-  if (options.use_delta) instance.AdvanceDelta();
 
   // Rule-index discipline: every rule loop below compares
   // tgd::RuleIndex against tgd::RuleIndex; the cap check makes the
@@ -393,8 +391,10 @@ ChaseResult RunChase(core::SymbolScope* symbols, const tgd::TgdSet& tgds,
     }
   }
 
-  std::size_t delta_begin = 0;
-  std::size_t delta_end = instance.size();
+  // The round's delta is the global index window [delta_begin,
+  // delta_end): the atoms the previous round inserted (round one: D).
+  AtomIndex delta_begin = 0;
+  AtomIndex delta_end = static_cast<AtomIndex>(instance.size());
   // One pending list per position within a group (a single list
   // outside restraint mode), reused across groups and rounds:
   // collecting allocates only while a list outgrows its high-water
@@ -439,11 +439,9 @@ ChaseResult RunChase(core::SymbolScope* symbols, const tgd::TgdSet& tgds,
 
   // --- Collect: one rule against the current instance. ---
   // Enumerates candidate homomorphisms without touching the instance
-  // while its index vectors are being iterated. The semi-naive engine
-  // only joins through the previous round's delta; the naive baseline
-  // re-enumerates everything and lets the `fired` set discard the
-  // stale finds. Leaves `list` in canonical (PendingBefore) order and
-  // the join probes in `*probes`; returns false when the run was
+  // while its index vectors are being iterated, joining only through
+  // the round's delta. Leaves `list` in canonical (PendingBefore) order
+  // and the join probes in `*probes`; returns false when the run was
   // interrupted.
   auto collect_rule = [&](tgd::RuleIndex ti, PendingList& list,
                           std::uint64_t* probes) {
@@ -456,30 +454,6 @@ ChaseResult RunChase(core::SymbolScope* symbols, const tgd::TgdSet& tgds,
       if (interrupted || stop_requested()) {
         interrupted = true;
         return false;  // stop enumerating; the run is being cancelled
-      }
-      // Round discipline for the naive baseline, mirroring the delta
-      // engine exactly: a trigger is collected in the round whose
-      // delta window contains its first (in body order) non-old
-      // atom. Homomorphisms made only of pre-window atoms were
-      // collected earlier; ones whose first non-old atom was
-      // inserted *this* round (by an earlier rule) are deferred —
-      // without being recorded as fired — so both engines apply the
-      // same triggers in the same rounds and stay byte-identical.
-      if (!options.use_delta) {
-        bool in_window = false;
-        for (std::size_t i = 0; i < plan.body.atoms.size(); ++i) {
-          AtomIndex idx = 0;
-          InstantiateInto(plan.body, i, h, &scratch);
-          if (!instance.FindTuple(plan.body.atoms[i].predicate,
-                                  core::TermSpan(scratch), &idx)) {
-            return true;  // unreachable: h maps the body into I
-          }
-          if (idx >= delta_begin) {  // first non-old atom
-            in_window = idx < delta_end;
-            break;
-          }
-        }
-        if (!in_window) return true;
       }
       BuildFiredKey(plan, ti, oblivious, h, &key);
       if (!fired.Insert(key)) return true;
@@ -499,35 +473,27 @@ ChaseResult RunChase(core::SymbolScope* symbols, const tgd::TgdSet& tgds,
       return true;
     };
 
-    if (options.use_delta) {
-      // Semi-naive: seed every join from a delta atom, through the
-      // per-predicate delta index and the precomputed join order;
-      // body positions before the seed are restricted to pre-delta
-      // atoms so each homomorphism is enumerated from exactly one
-      // seed.
-      for (std::size_t seed_pos = 0;
-           seed_pos < rule.body().size() && !interrupted; ++seed_pos) {
-        core::PredicateId seed_pred = rule.body()[seed_pos].predicate;
-        const core::IndexSpan seeds =
-            instance.DeltaAtomsWithPredicate(seed_pred);
-        result.stats.delta_atoms_scanned += seeds.size();
-        const SlotConjunction& seeded = plan.seeded[seed_pos];
-        for (AtomIndex a : seeds) {
-          if (interrupted) break;
-          finder.Begin(seeded);
-          finder.RunSeeded(a, static_cast<AtomIndex>(delta_begin),
-                           on_match);
-        }
+    // Seed every join from a delta atom of the seed position's
+    // predicate, through the precomputed join order. Body positions
+    // before the seed are restricted to pre-delta atoms, so each
+    // homomorphism is enumerated from exactly one seed: its first (in
+    // body order) atom at or past delta_begin. Positions after the seed
+    // may also match atoms earlier rules inserted this round; a
+    // homomorphism whose first non-old atom is one of those waits for
+    // the next round, whose delta holds it.
+    for (std::size_t seed_pos = 0;
+         seed_pos < rule.body().size() && !interrupted; ++seed_pos) {
+      const core::IndexSpan seeds = instance.AtomsWithPredicateIn(
+          rule.body()[seed_pos].predicate, delta_begin, delta_end);
+      result.stats.delta_atoms_scanned += seeds.size();
+      const SlotConjunction& seeded = plan.seeded[seed_pos];
+      for (AtomIndex a : seeds) {
+        if (interrupted) break;
+        finder.Begin(seeded);
+        finder.RunSeeded(a, delta_begin, on_match);
       }
-    } else {
-      // Naive baseline: re-enumerate every homomorphism from the full
-      // instance; `fired` discards the ones found in earlier rounds.
-      finder.Enumerate(plan.body, on_match);
     }
     if (interrupted || finder.interrupted()) return false;
-    // Both engines find the same trigger set per round, in different
-    // orders; sort into canonical order so the firing order (and the
-    // restricted-chase result) is engine-independent.
     SortPending(&list);
     return true;
   };
@@ -701,8 +667,7 @@ ChaseResult RunChase(core::SymbolScope* symbols, const tgd::TgdSet& tgds,
     }
 
     delta_begin = delta_end;
-    delta_end = instance.size();
-    if (options.use_delta) instance.AdvanceDelta();
+    delta_end = static_cast<AtomIndex>(instance.size());
   }
 
   return ChaseOutcome::kTerminated;

@@ -71,14 +71,6 @@ struct ChaseOptions {
   /// Record the guarded chase forest (Section 5). Requires every fired
   /// trigger's TGD to be guarded; non-guarded TGDs get no parent edge.
   bool build_forest = false;
-  /// Ablation switch for the semi-naive engine: when true (default),
-  /// each round matches TGD bodies only against joins containing at
-  /// least one atom from the previous round's delta, seeded through the
-  /// per-predicate delta index and a join order planned from the delta
-  /// atom. When false, every round re-enumerates all homomorphisms from
-  /// the full instance (the naive baseline); the (σ, h) dedup set keeps
-  /// the results byte-identical, only cost differs.
-  bool use_delta = true;
   /// If nonzero, stop (outcome kCancelled) once the run has lasted
   /// longer than this wall-clock budget. Polled at the same granularity
   /// as `cancel`.
@@ -143,18 +135,18 @@ struct ChaseStats {
   /// not inserted (the null that breaches max_depth never is).
   std::uint32_t max_depth = 0;
   std::uint64_t database_atoms = 0;  ///< |D|.
-  /// Delta atoms used as join seeds (semi-naive engine only; stays 0
-  /// when ChaseOptions::use_delta is false).
+  /// Delta atoms used as join seeds: per rule and body position, the
+  /// round's delta atoms of that position's predicate.
   std::uint64_t delta_atoms_scanned = 0;
   /// Unification attempts of a body/head atom against a candidate
   /// instance atom, over trigger search and the restricted variant's
-  /// head-satisfaction checks. Counted in both engines — the number
-  /// benches compare across the delta ablation.
+  /// head-satisfaction checks. The join-work counter
+  /// tools/check_bench_regression gates on.
   std::uint64_t join_probes = 0;
   /// Bytes of term storage the result instance's columnar arena holds
-  /// (used bytes, not capacity). Deterministic for a given atom set, so
-  /// identical across engine ablations — the storage-layer counter
-  /// tools/check_bench_regression gates on.
+  /// (used bytes, not capacity). A function of the atom set alone, so
+  /// the test suite's reference chase reproduces it — the storage-layer
+  /// counter tools/check_bench_regression gates on.
   std::uint64_t arena_bytes = 0;
   /// Largest number of atoms the instance held during the run (the
   /// instance only grows, so this equals its final size).

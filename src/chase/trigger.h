@@ -82,8 +82,7 @@ std::vector<std::size_t> PlanJoinOrder(const std::vector<core::Atom>& body,
 /// rule's slot map: body_variables() first (so slots [0, |body vars|)
 /// are h's body images in sorted-variable order), then existential().
 struct JoinPlan {
-  /// body(σ) in its own order: the naive collect, the guard image and
-  /// model checks.
+  /// body(σ) in its own order: the guard image and model checks.
   SlotConjunction body;
   /// seeded[p]: the body reordered by PlanJoinOrder(body, p), so the
   /// delta-seeded atom comes first and each following atom is maximally

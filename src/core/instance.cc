@@ -14,11 +14,7 @@ Instance::Segment& Instance::EnsureSegment(PredicateId pred) {
   if (pred >= segments_.size()) {
     segments_.resize(pred + 1);
   }
-  if (segments_[pred] == nullptr) {
-    // A segment born under delta tracking starts with its whole (empty)
-    // atom list in the "next" generation: both watermarks are 0.
-    segments_[pred].reset(new Segment());
-  }
+  if (segments_[pred] == nullptr) segments_[pred].reset(new Segment());
   return *segments_[pred];
 }
 
@@ -90,32 +86,19 @@ std::pair<AtomIndex, bool> Instance::InsertTuple(PredicateId pred,
   return {idx, true};
 }
 
-void Instance::EnableDeltaTracking() {
-  if (track_delta_) return;
-  track_delta_ = true;
-  // Atoms inserted before tracking began are not part of any
-  // generation: start every existing segment's generations at its
-  // current tail.
-  for (auto& seg : segments_) {
-    if (seg != nullptr) seg->delta_begin = seg->delta_end = seg->atoms.size();
-  }
-}
-
-std::size_t Instance::AdvanceDelta() {
-  delta_curr_size_ = 0;
-  for (auto& seg : segments_) {
-    if (seg == nullptr) continue;
-    seg->delta_begin = track_delta_ ? seg->delta_end : seg->atoms.size();
-    seg->delta_end = seg->atoms.size();
-    delta_curr_size_ += seg->delta_end - seg->delta_begin;
-  }
-  return delta_curr_size_;
-}
-
 const std::vector<AtomIndex>& Instance::AtomsWithPredicate(
     PredicateId pred) const {
   if (pred >= segments_.size() || segments_[pred] == nullptr) return kEmpty;
   return segments_[pred]->atoms;
+}
+
+IndexSpan Instance::AtomsWithPredicateIn(PredicateId pred, AtomIndex begin,
+                                         AtomIndex end) const {
+  const std::vector<AtomIndex>& atoms = AtomsWithPredicate(pred);
+  const auto first = std::lower_bound(atoms.begin(), atoms.end(), begin);
+  const auto last = std::lower_bound(first, atoms.end(), end);
+  return IndexSpan(atoms.data() + (first - atoms.begin()),
+                   static_cast<std::size_t>(last - first));
 }
 
 const std::vector<Term>& Instance::ActiveDomain() const {

@@ -21,14 +21,13 @@ namespace core {
 ///   - every predicate owns a *segment*: one row vector of terms (a
 ///     predicate has one fixed arity, so row r lives at
 ///     terms[r * arity]), its own dedup table, its own per-(position,
-///     term) join index (one flat PositionTable per argument position),
-///     its own insertion-ordered atom list, and its own delta
-///     watermarks;
+///     term) join index (one flat PositionTable per argument position)
+///     and its own insertion-ordered atom list;
 ///   - a global directory of AtomRefs (predicate + offset *within that
 ///     predicate's row vector*) maps AtomIndex to its tuple — the
 ///     global-index indirection. Indexes are assigned in insertion
 ///     order across all predicates and are stable forever; every
-///     layered structure (join indexes, delta lists, the chase's
+///     layered structure (join indexes, the chase's delta windows and
 ///     forest) speaks global AtomIndexes only;
 ///   - dedup is per-segment open addressing over local row numbers,
 ///     keyed by the (predicate, tuple) hash and probing the segment's
@@ -42,8 +41,8 @@ namespace core {
 ///
 /// Thread safety: between mutations, concurrent const reads are safe
 /// for the accessors the join kernel uses — FindTuple / ContainsTuple,
-/// atom(), TupleData(), AtomsWithPredicate, AtomsWithTermAt,
-/// DeltaAtomsWithPredicate, size(), PredicateArity — none of them
+/// atom(), TupleData(), AtomsWithPredicate, AtomsWithPredicateIn,
+/// AtomsWithTermAt, size(), PredicateArity — none of them
 /// mutate anything, not even lazily. Two exceptions are NOT safe
 /// concurrently: ActiveDomain() (lazily catches a mutable cache up)
 /// and, of course, any non-const method; no mutation may overlap any
@@ -111,35 +110,14 @@ class Instance {
     return arity == kUnknownArity ? 0 : arity;
   }
 
-  /// Turns on the per-predicate delta index used by the semi-naive chase
-  /// engine: every atom inserted after this call is part of the "next"
-  /// delta generation until AdvanceDelta() rotates it into the current
-  /// one. Off by default so non-chase users (query evaluation,
-  /// saturation) pay nothing — and because the generations are
-  /// watermarks into the segments' insertion-ordered atom lists, even
-  /// *on* it costs inserts nothing.
-  void EnableDeltaTracking();
-  bool delta_tracking_enabled() const { return track_delta_; }
-
-  /// Rotates the delta generations: the atoms inserted since the last
-  /// call become the current delta; the previous current delta is
-  /// discarded. Returns the number of atoms in the new current delta.
-  std::size_t AdvanceDelta();
-
-  /// Atom indexes of the current delta with the given predicate (empty if
-  /// none, or if delta tracking is disabled). Indexes are in insertion
-  /// order, mirroring AtomsWithPredicate restricted to the last
-  /// generation. The span points into the segment's atom list: it stays
-  /// valid until the next insert.
-  IndexSpan DeltaAtomsWithPredicate(PredicateId pred) const {
-    if (pred >= segments_.size() || segments_[pred] == nullptr) return {};
-    const Segment& seg = *segments_[pred];
-    return IndexSpan(seg.atoms.data() + seg.delta_begin,
-                     seg.delta_end - seg.delta_begin);
-  }
-
-  /// Number of atoms in the current delta generation.
-  std::size_t delta_size() const { return delta_curr_size_; }
+  /// Atom indexes with predicate `pred` in the global index window
+  /// [begin, end), ascending (empty if none). A segment's atom list is
+  /// ascending — global indexes are assigned at insert — so the window
+  /// is one contiguous run of it, found by two binary searches. This is
+  /// how the semi-naive chase reads a round's delta. The span points
+  /// into the segment's atom list: it stays valid until the next insert.
+  IndexSpan AtomsWithPredicateIn(PredicateId pred, AtomIndex begin,
+                                 AtomIndex end) const;
 
   /// All atom indexes with predicate `pred` and term `t` at position
   /// `pos`, ascending. The span points into the segment's position
@@ -204,18 +182,12 @@ class Instance {
     // low bits of the tuple hash, power-of-two size (empty until the
     // first insert). It holds every row.
     std::vector<std::uint32_t> dedup;
-    // Global indexes of this predicate's atoms by row, insertion order —
-    // both the AtomsWithPredicate list and the delta watermarks'
-    // substrate.
+    // Global indexes of this predicate's atoms by row, insertion order
+    // (hence ascending): the AtomsWithPredicate list.
     std::vector<AtomIndex> atoms;
     // by_position[pos]: term -> global indexes (sized to the arity at
     // the first insert).
     std::vector<PositionTable> by_position;
-    // Two-generation delta as watermarks into `atoms`: the current
-    // generation is atoms[delta_begin, delta_end), the next one
-    // atoms[delta_end ..). No per-insert work.
-    std::size_t delta_begin = 0;
-    std::size_t delta_end = 0;
   };
 
   const Term* RowPtr(const AtomRef& ref) const {
@@ -255,12 +227,6 @@ class Instance {
   mutable std::vector<Term> domain_;
   mutable std::unordered_set<Term> domain_seen_;
   mutable AtomIndex domain_scanned_ = 0;
-
-  // Delta tracking (semi-naive evaluation): the generations live in
-  // the segments as watermarks; this is just the switch and the
-  // current generation's total size.
-  bool track_delta_ = false;
-  std::size_t delta_curr_size_ = 0;
 
   static const std::vector<AtomIndex> kEmpty;
 };

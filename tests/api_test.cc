@@ -13,7 +13,9 @@
 #include <gtest/gtest.h>
 
 #include "nuchase/nuchase.h"
+#include "tgd/classify.h"
 #include "tgd/parser.h"
+#include "workload/random_tgds.h"
 
 namespace nuchase {
 namespace {
@@ -323,6 +325,36 @@ TEST(SessionTest, DecideAutoUpgradesGeneralViaLadder) {
   ASSERT_TRUE(by_auto.ok());
   EXPECT_EQ(by_auto->decision, termination::Decision::kTerminates);
   EXPECT_EQ(by_auto->method, "ladder:ja");
+}
+
+// kAuto answers from the Program's memoized analyses without running
+// the advisor; its verdict and method string must be the advisor's on
+// every class, the general one included.
+TEST(SessionTest, DecideAutoMatchesTheAdvisor) {
+  for (tgd::TgdClass clazz :
+       {tgd::TgdClass::kSimpleLinear, tgd::TgdClass::kLinear,
+        tgd::TgdClass::kGuarded, tgd::TgdClass::kGeneral}) {
+    for (std::uint32_t seed = 1; seed <= 4; ++seed) {
+      core::SymbolTable symbols;
+      workload::RandomTgdOptions options;
+      options.seed = seed;
+      options.target = clazz;
+      workload::Workload w = workload::MakeRandomWorkload(&symbols, options);
+      auto program = api::Program::Create(
+          std::move(symbols), std::move(w.tgds), std::move(w.database));
+      ASSERT_TRUE(program.ok()) << program.status().ToString();
+      api::Session session(*program,
+                           api::SessionOptions().set_materialize(false));
+      auto decided = session.Decide();
+      auto advised = session.Advise();
+      const std::string label = std::string(tgd::TgdClassName(clazz)) +
+                                " seed " + std::to_string(seed);
+      ASSERT_TRUE(decided.ok()) << label;
+      ASSERT_TRUE(advised.ok()) << label;
+      EXPECT_EQ(decided->decision, advised->report().decision) << label;
+      EXPECT_EQ(decided->method, advised->report().method) << label;
+    }
+  }
 }
 
 TEST(SessionTest, StaticAnalysisIsComputedOncePerProgram) {

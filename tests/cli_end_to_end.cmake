@@ -82,6 +82,7 @@ run_cli(out 2 chase --no-position-index "${PROGRAM_FILE}")
 run_cli(out 2 chase --threads=1 "${PROGRAM_FILE}")
 run_cli(out 2 chase --threads=4 "${PROGRAM_FILE}")
 run_cli(out 2 chase --no-reliances "${PROGRAM_FILE}")
+run_cli(out 2 chase --no-delta "${PROGRAM_FILE}")
 if(NUCHASE_LOADGEN)
   execute_process(COMMAND "${NUCHASE_LOADGEN}" --port=1 --threads=1
       OUTPUT_QUIET ERROR_QUIET RESULT_VARIABLE rc)
@@ -165,28 +166,6 @@ run_golden(restraint_order.tgd restraint_order_sigma.txt 1
     chase --variant=restricted --max-rounds=6)
 run_golden(restraint_order.tgd restraint_order_guided.txt 0
     chase --variant=restricted --restraint-order --print)
-
-# Ablation purity: the full-scan engine must materialize the identical
-# instance; only the engine/joins stat lines may differ.
-function(strip_engine_lines text out_var)
-  string(REGEX REPLACE "engine:[^\n]*\n" "" text "${text}")
-  string(REGEX REPLACE "joins:[^\n]*\n" "" text "${text}")
-  set(${out_var} "${text}" PARENT_SCOPE)
-endfunction()
-
-foreach(prog quickstart data_exchange datalog_tc)
-  run_cli(delta_on 0 chase --print
-      "${REPO_DIR}/examples/programs/${prog}.tgd")
-  run_cli(delta_off 0 chase --print --no-delta
-      "${REPO_DIR}/examples/programs/${prog}.tgd")
-  strip_engine_lines("${delta_on}" delta_on)
-  strip_engine_lines("${delta_off}" delta_off)
-  if(NOT delta_on STREQUAL delta_off)
-    message(FATAL_ERROR
-        "${prog}: delta and full-scan engines disagree.\n"
-        "--- delta on ---\n${delta_on}\n--- delta off ---\n${delta_off}")
-  endif()
-endforeach()
 
 # ---------------------------------------------------------------------
 # nuchase_lint: exit-code contract, golden reports, byte-determinism.

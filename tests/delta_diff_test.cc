@@ -1,12 +1,17 @@
-// Differential safety net for the semi-naive trigger engine: the
-// delta-seeded engine and the full-scan baseline must produce
-// byte-identical instances for every chase variant, on seeded random
-// workloads and on hand-picked programs that stress the restricted
-// variant's order sensitivity. Plus accounting tests for the new
-// ChaseStats counters, and a check that a thread count requested
-// through api::SessionOptions leaves every result unchanged.
+// Differential safety net for the chase engine: every chase::RunChase
+// cell must match the brute-force reference chase of
+// tests/reference_chase.h — outcome, sorted instance, null provenance
+// and counters — for every chase variant, on seeded random workloads
+// and on hand-picked programs that stress the restricted variant's
+// order sensitivity. The semi-oblivious result must not depend on the
+// order of Σ or D. Plus accounting tests for the ChaseStats counters,
+// and a check that a thread count requested through
+// api::SessionOptions leaves every result unchanged.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,6 +22,7 @@
 #include "core/symbol_table.h"
 #include "core/term.h"
 #include "graph/reliance.h"
+#include "reference_chase.h"
 #include "tgd/classify.h"
 #include "tgd/parser.h"
 #include "workload/random_tgds.h"
@@ -49,13 +55,19 @@ constexpr chase::ChaseVariant kVariants[] = {
     chase::ChaseVariant::kRestricted,
 };
 
-/// Runs one (variant, use_delta, restraint_order) cell on a fresh
-/// parse/generation of the same workload, so null naming cannot leak
-/// between cells through the symbol table.
-struct CellResult {
-  chase::ChaseResult result;
-  std::string sorted;
-};
+using reference::ExpectSameRun;
+using reference::RenderedRun;
+
+/// Who computes a cell: the engine or the brute-force reference.
+enum class Chaser { kEngine, kReference };
+
+RenderedRun RunOn(Chaser chaser, core::SymbolTable* symbols,
+                  const tgd::TgdSet& tgds, const core::Database& db,
+                  const chase::ChaseOptions& options) {
+  return chaser == Chaser::kEngine
+             ? reference::RenderEngineRun(symbols, tgds, db, options)
+             : reference::RenderReferenceRun(symbols, tgds, db, options);
+}
 
 class DeltaDiffRandomTest : public ::testing::TestWithParam<DiffParams> {
  protected:
@@ -67,56 +79,46 @@ class DeltaDiffRandomTest : public ::testing::TestWithParam<DiffParams> {
     return workload::MakeRandomWorkload(symbols, options);
   }
 
-  CellResult RunCell(chase::ChaseVariant variant, bool use_delta,
-                     bool restraint_order = false) {
-    core::SymbolTable symbols;
-    workload::Workload w = MakeWorkload(&symbols);
+  static chase::ChaseOptions CellOptions(chase::ChaseVariant variant,
+                                         bool restraint_order) {
     chase::ChaseOptions copt;
     copt.variant = variant;
-    // Small enough that the quadratic full-scan baseline stays fast on
-    // diverging workloads; both engines apply the identical canonical
-    // firing sequence, so the comparison is exact at any cutoff.
+    // Small enough that the brute-force reference stays fast on
+    // diverging workloads; both sides fire the identical canonical
+    // sequence, so the comparison is exact at any cutoff.
     copt.max_atoms = 4000;
-    copt.use_delta = use_delta;
     copt.restraint_order = restraint_order;
-    CellResult cell;
-    cell.result = chase::RunChase(&symbols, w.tgds, w.database, copt);
-    cell.sorted = cell.result.instance.ToSortedString(symbols);
-    return cell;
+    return copt;
+  }
+
+  /// One (chaser, variant, restraint_order) cell on a fresh generation
+  /// of the workload, so null naming cannot leak between cells through
+  /// the symbol table.
+  RenderedRun RunCell(Chaser chaser, chase::ChaseVariant variant,
+                      bool restraint_order = false) {
+    core::SymbolTable symbols;
+    workload::Workload w = MakeWorkload(&symbols);
+    return RunOn(chaser, &symbols, w.tgds, w.database,
+                 CellOptions(variant, restraint_order));
   }
 };
 
-/// The ablation cells {delta, full-scan} must agree cell-for-cell with
-/// the reference cell for every variant: same outcome, same sorted
-/// instance, same triggers fired.
+/// Every variant's engine run equals the reference's: same outcome,
+/// sorted instance, Skolem rendering and counters. (The name predates
+/// the reference; the cells once compared the engine with an
+/// in-engine full-scan mode.)
 TEST_P(DeltaDiffRandomTest, AllAblationCellsAgree) {
   for (chase::ChaseVariant variant : kVariants) {
-    CellResult reference = RunCell(variant, /*use_delta=*/true);
-    for (bool use_delta : {true, false}) {
-      CellResult cell = RunCell(variant, use_delta);
-      std::string label = std::string(chase::ChaseVariantName(variant)) +
-                          " delta=" + (use_delta ? "on" : "off");
-      EXPECT_EQ(cell.result.outcome, reference.result.outcome) << label;
-      EXPECT_EQ(cell.sorted, reference.sorted) << label;
-      EXPECT_EQ(cell.result.stats.triggers_fired,
-                reference.result.stats.triggers_fired)
-          << label;
-      // The storage counters depend only on the materialized atom set,
-      // never on the engine that produced it.
-      EXPECT_EQ(cell.result.stats.arena_bytes,
-                reference.result.stats.arena_bytes)
-          << label;
-      EXPECT_EQ(cell.result.stats.peak_atoms,
-                reference.result.stats.peak_atoms)
-          << label;
-    }
+    ExpectSameRun(RunCell(Chaser::kEngine, variant),
+                  RunCell(Chaser::kReference, variant),
+                  chase::ChaseVariantName(variant));
   }
 }
 
 /// The chase has one serial code path, so a thread count requested
 /// through api::SessionOptions::set_num_threads must change nothing:
 /// for every variant, a Session run at 0, 2 and 8 requested threads
-/// reproduces the direct RunChase reference — byte-identical instance,
+/// reproduces the direct RunChase run — byte-identical instance,
 /// identical deterministic counters — and reports every parallel_*
 /// counter as 0.
 TEST_P(DeltaDiffRandomTest, ParallelThreadsAreByteIdentical) {
@@ -126,7 +128,7 @@ TEST_P(DeltaDiffRandomTest, ParallelThreadsAreByteIdentical) {
                                       std::move(w.database));
   ASSERT_TRUE(program.ok()) << program.status().ToString();
   for (chase::ChaseVariant variant : kVariants) {
-    CellResult reference = RunCell(variant, /*use_delta=*/true);
+    const RenderedRun direct = RunCell(Chaser::kEngine, variant);
     for (std::uint32_t num_threads : {0u, 2u, 8u}) {
       auto run = api::Session(*program, api::SessionOptions()
                                             .set_variant(variant)
@@ -137,9 +139,9 @@ TEST_P(DeltaDiffRandomTest, ParallelThreadsAreByteIdentical) {
                           " threads=" + std::to_string(num_threads);
       ASSERT_TRUE(run.ok()) << label << ": " << run.status().ToString();
       const chase::ChaseStats& stats = run->stats();
-      const chase::ChaseStats& want = reference.result.stats;
-      EXPECT_EQ(run->outcome(), reference.result.outcome) << label;
-      EXPECT_EQ(run->ToSortedString(), reference.sorted) << label;
+      const chase::ChaseStats& want = direct.stats;
+      EXPECT_EQ(run->outcome(), direct.outcome) << label;
+      EXPECT_EQ(run->ToSortedString(), direct.sorted) << label;
       EXPECT_EQ(stats.triggers_fired, want.triggers_fired) << label;
       EXPECT_EQ(stats.triggers_satisfied, want.triggers_satisfied)
           << label;
@@ -158,53 +160,83 @@ TEST_P(DeltaDiffRandomTest, ParallelThreadsAreByteIdentical) {
 
 /// Reliance scheduling drives only restraint mode (the restricted
 /// variant with restraint_order): the one walk that collects a whole
-/// collect group before applying it, restrainers first. That walk must
-/// be engine-invariant like the Σ-order walk — the full-scan engine
-/// reproduces the delta engine's instance and counters — and
-/// restraint_order must be inert for the two variants whose result does
-/// not depend on firing order, down to join_probes and
-/// delta_atoms_scanned. (The name predates the removal of the parallel
-/// engine and of the reliance ablation, the axes this test once swept.)
+/// collect group before applying it, restrainers first. The engine's
+/// restraint-mode run must equal the reference's, which walks the same
+/// partition; and restraint_order must be inert for the two variants
+/// whose result does not depend on firing order, down to join_probes
+/// and delta_atoms_scanned. (The name predates the removal of the
+/// parallel engine, of the reliance ablation and of the full-scan
+/// mode, the axes this test once swept.)
 TEST_P(DeltaDiffRandomTest, RelianceSchedulingIsParallelInvariant) {
   for (chase::ChaseVariant variant : kVariants) {
-    const bool restricted = variant == chase::ChaseVariant::kRestricted;
-    CellResult reference = RunCell(variant, /*use_delta=*/true,
-                                   /*restraint_order=*/restricted);
-    for (bool use_delta : {true, false}) {
-      CellResult cell =
-          RunCell(variant, use_delta, /*restraint_order=*/true);
-      std::string label = std::string(chase::ChaseVariantName(variant)) +
-                          " restraint-order delta=" +
-                          (use_delta ? "on" : "off");
-      EXPECT_EQ(cell.result.outcome, reference.result.outcome) << label;
-      EXPECT_EQ(cell.sorted, reference.sorted) << label;
-      EXPECT_EQ(cell.result.stats.triggers_fired,
-                reference.result.stats.triggers_fired)
-          << label;
-      EXPECT_EQ(cell.result.stats.triggers_satisfied,
-                reference.result.stats.triggers_satisfied)
-          << label;
-      EXPECT_EQ(cell.result.stats.rounds, reference.result.stats.rounds)
-          << label;
-      EXPECT_EQ(cell.result.stats.max_depth,
-                reference.result.stats.max_depth)
-          << label;
-      EXPECT_EQ(cell.result.stats.arena_bytes,
-                reference.result.stats.arena_bytes)
-          << label;
-      EXPECT_EQ(cell.result.stats.peak_atoms,
-                reference.result.stats.peak_atoms)
-          << label;
-      if (use_delta) {
-        EXPECT_EQ(cell.result.stats.join_probes,
-                  reference.result.stats.join_probes)
-            << label;
-        EXPECT_EQ(cell.result.stats.delta_atoms_scanned,
-                  reference.result.stats.delta_atoms_scanned)
-            << label;
-      }
-    }
+    const std::string label =
+        std::string(chase::ChaseVariantName(variant)) + " restraint-order";
+    const RenderedRun guided =
+        RunCell(Chaser::kEngine, variant, /*restraint_order=*/true);
+    ExpectSameRun(guided,
+                  RunCell(Chaser::kReference, variant,
+                          /*restraint_order=*/true),
+                  label);
+    if (variant == chase::ChaseVariant::kRestricted) continue;
+    const RenderedRun sigma = RunCell(Chaser::kEngine, variant);
+    EXPECT_EQ(guided.outcome, sigma.outcome) << label;
+    EXPECT_EQ(guided.sorted, sigma.sorted) << label;
+    EXPECT_EQ(guided.stats.triggers_fired, sigma.stats.triggers_fired)
+        << label;
+    EXPECT_EQ(guided.stats.rounds, sigma.stats.rounds) << label;
+    EXPECT_EQ(guided.stats.join_probes, sigma.stats.join_probes) << label;
+    EXPECT_EQ(guided.stats.delta_atoms_scanned,
+              sigma.stats.delta_atoms_scanned)
+        << label;
   }
+}
+
+/// Definition 3.1 names every null by its trigger, so a terminating
+/// semi-oblivious chase has one result, rendered by Skolem term, for
+/// every order of Σ and of D. The engine runs a seeded permutation of
+/// both (each rule still named by its original index) and must
+/// reproduce the reference's rendering of the original order. Seeds
+/// whose run does not terminate within the budget have no unique result
+/// to compare and are skipped.
+TEST_P(DeltaDiffRandomTest, SemiObliviousResultIsOrderInvariant) {
+  core::SymbolTable symbols;
+  const workload::Workload w = MakeWorkload(&symbols);
+  const chase::ChaseOptions copt =
+      CellOptions(chase::ChaseVariant::kSemiOblivious, false);
+  const reference::ReferenceResult want =
+      reference::RunReferenceChase(&symbols, w.tgds, w.database, copt);
+  if (want.outcome != chase::ChaseOutcome::kTerminated) {
+    GTEST_SKIP() << "the semi-oblivious chase does not terminate within "
+                 << copt.max_atoms << " atoms";
+  }
+
+  std::mt19937 rng(GetParam().seed);
+  std::vector<std::uint32_t> rule_names(w.tgds.size());
+  std::iota(rule_names.begin(), rule_names.end(), 0u);
+  std::shuffle(rule_names.begin(), rule_names.end(), rng);
+  tgd::TgdSet permuted_tgds;
+  for (std::uint32_t original : rule_names) {
+    permuted_tgds.Add(w.tgds.tgd(original));
+  }
+  std::vector<core::Atom> facts = w.database.facts();
+  std::shuffle(facts.begin(), facts.end(), rng);
+  core::Database permuted_db;
+  for (core::Atom& fact : facts) {
+    ASSERT_TRUE(permuted_db.AddFact(std::move(fact)).ok());
+  }
+
+  reference::SkolemRecorder recorder(rule_names);
+  chase::ChaseOptions engine_options = copt;
+  engine_options.observer = &recorder;
+  const chase::ChaseResult got =
+      chase::RunChase(&symbols, permuted_tgds, permuted_db, engine_options);
+  ASSERT_EQ(got.outcome, chase::ChaseOutcome::kTerminated);
+  EXPECT_EQ(recorder.names().RenderInstance(got.instance, symbols),
+            want.names.RenderInstance(want.instance, symbols));
+  EXPECT_EQ(got.stats.triggers_fired, want.stats.triggers_fired);
+  EXPECT_EQ(got.stats.max_depth, want.stats.max_depth);
+  EXPECT_EQ(got.stats.peak_atoms, want.stats.peak_atoms);
+  EXPECT_EQ(got.stats.arena_bytes, want.stats.arena_bytes);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -220,25 +252,21 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::ValuesIn(MakeSweep(tgd::TgdClass::kGuarded, 10)),
     ParamName);
 
-chase::ChaseResult RunProgram(const char* text,
-                              chase::ChaseVariant variant, bool use_delta,
-                              std::string* sorted) {
+/// `text` parsed into a fresh symbol table and chased by `chaser`.
+RenderedRun RunProgram(Chaser chaser, const char* text,
+                       chase::ChaseVariant variant) {
   core::SymbolTable symbols;
   auto p = tgd::ParseProgram(&symbols, text);
   EXPECT_TRUE(p.ok()) << p.status().ToString();
   chase::ChaseOptions copt;
   copt.variant = variant;
   copt.max_atoms = 2000;
-  copt.use_delta = use_delta;
-  chase::ChaseResult r =
-      chase::RunChase(&symbols, p->tgds, p->database, copt);
-  *sorted = r.instance.ToSortedString(symbols);
-  return r;
+  return RunOn(chaser, &symbols, p->tgds, p->database, copt);
 }
 
 /// The restricted chase is order-sensitive: a sibling rule can satisfy
-/// another rule's head before it fires. Both engines must pick the same
-/// canonical firing order.
+/// another rule's head before it fires. The engine must pick the
+/// reference's canonical firing order.
 TEST(DeltaDiffDirectedTest, RestrictedOrderSensitiveProgramsAgree) {
   const char* programs[] = {
       // The witness race from the paper's hierarchy examples.
@@ -250,19 +278,17 @@ TEST(DeltaDiffDirectedTest, RestrictedOrderSensitiveProgramsAgree) {
       "G(a, b). H(b).\n"
       "G(x, y), H(y) -> K(x, y, z).\n"
       "K(x, y, z) -> H(z), L(z, x).",
+      // A head satisfied by an earlier trigger of the same rule and
+      // round: the trigger on E(a, b) inserts T(a, n), T(b, n), which
+      // satisfies the one on E(b, a) before it fires.
+      "E(a, b). E(b, a). E(x, y) -> T(x, z), T(y, z).",
   };
   for (const char* text : programs) {
     for (chase::ChaseVariant variant : kVariants) {
-      std::string on, off;
-      chase::ChaseResult r_on = RunProgram(text, variant, true, &on);
-      chase::ChaseResult r_off = RunProgram(text, variant, false, &off);
-      EXPECT_EQ(r_on.outcome, r_off.outcome) << text;
-      EXPECT_EQ(on, off) << text;
-      EXPECT_EQ(r_on.stats.triggers_fired, r_off.stats.triggers_fired)
-          << text;
-      EXPECT_EQ(r_on.stats.triggers_satisfied,
-                r_off.stats.triggers_satisfied)
-          << text;
+      ExpectSameRun(RunProgram(Chaser::kEngine, text, variant),
+                    RunProgram(Chaser::kReference, text, variant),
+                    std::string(chase::ChaseVariantName(variant)) + ": " +
+                        text);
     }
   }
 }
@@ -367,8 +393,7 @@ TEST(ChaseStatsTest, TriggersSatisfiedIsRestrictedOnly) {
       "Emp(e1, d1). Mgr(d1, m1).\n"
       "Emp(e, d) -> Mgr(d, m).";
   for (chase::ChaseVariant variant : kVariants) {
-    std::string sorted;
-    chase::ChaseResult r = RunProgram(text, variant, true, &sorted);
+    const RenderedRun r = RunProgram(Chaser::kEngine, text, variant);
     if (variant == chase::ChaseVariant::kRestricted) {
       EXPECT_GT(r.stats.triggers_satisfied, 0u);
       EXPECT_EQ(r.stats.triggers_fired, 0u);
@@ -379,25 +404,53 @@ TEST(ChaseStatsTest, TriggersSatisfiedIsRestrictedOnly) {
   }
 }
 
-/// delta_atoms_scanned is a semi-naive-engine counter: it must stay 0
-/// on the full-scan path, while join_probes counts in both engines (the
-/// quantity the ablation bench compares) and drops with delta on.
+/// delta_atoms_scanned counts join seeds: each atom lies in exactly one
+/// round's delta window and seeds once per body position of its
+/// predicate. A terminated run therefore scans, over all atoms, the
+/// number of body positions with the atom's predicate — and nothing,
+/// with no probe, when no body mentions a delta predicate. (The name
+/// predates the removal of the full-scan mode, where these counters
+/// stayed 0.)
 TEST(ChaseStatsTest, DeltaCountersZeroWhenDeltaDisabled) {
-  const char* text =
+  const RenderedRun idle = RunProgram(
+      Chaser::kEngine, "A(a). B(x) -> C(x).",
+      chase::ChaseVariant::kSemiOblivious);
+  EXPECT_EQ(idle.outcome, chase::ChaseOutcome::kTerminated);
+  EXPECT_EQ(idle.stats.rounds, 1u);
+  EXPECT_EQ(idle.stats.delta_atoms_scanned, 0u);
+  EXPECT_EQ(idle.stats.join_probes, 0u);
+
+  // Transitive closure of a 4-edge path: 4 E atoms, each seeding one E
+  // position of each rule, and the 10 T atoms of the closure, each
+  // seeding the second rule's T position.
+  const RenderedRun tc = RunProgram(
+      Chaser::kEngine,
       "E(v0, v1). E(v1, v2). E(v2, v3). E(v3, v4).\n"
       "E(x, y) -> T(x, y).\n"
-      "E(x, y), T(y, z) -> T(x, z).";
-  std::string sorted;
-  chase::ChaseResult off = RunProgram(
-      text, chase::ChaseVariant::kSemiOblivious, false, &sorted);
-  EXPECT_EQ(off.stats.delta_atoms_scanned, 0u);
-  EXPECT_GT(off.stats.join_probes, 0u);
+      "E(x, y), T(y, z) -> T(x, z).",
+      chase::ChaseVariant::kSemiOblivious);
+  EXPECT_EQ(tc.outcome, chase::ChaseOutcome::kTerminated);
+  EXPECT_EQ(tc.stats.peak_atoms, 14u);
+  EXPECT_EQ(tc.stats.delta_atoms_scanned, 2u * 4u + 10u);
+  EXPECT_GT(tc.stats.join_probes, 0u);
+}
 
-  chase::ChaseResult on = RunProgram(
-      text, chase::ChaseVariant::kSemiOblivious, true, &sorted);
-  EXPECT_GT(on.stats.delta_atoms_scanned, 0u);
-  EXPECT_GT(on.stats.join_probes, 0u);
-  EXPECT_LE(on.stats.join_probes, off.stats.join_probes);
+/// A seeded join matches the body positions before the seed position
+/// against pre-delta atoms only, so every homomorphism is enumerated
+/// from one seed. R(x), R(y) -> S(x, y) over R(a), R(b): round one seeds
+/// position 0 from both R atoms (1 probe to pin the seed, then 2 for
+/// the free R(y)) and position 1 from both (1 probe each; R(x) at
+/// position 0 has no pre-delta atom to match). Round two's delta holds
+/// only S atoms, which seed nothing: 2·3 + 2·1 = 8 probes in all.
+TEST(ChaseStatsTest, PositionsBeforeTheSeedMatchOnlyOldAtoms) {
+  const RenderedRun run =
+      RunProgram(Chaser::kEngine, "R(a). R(b). R(x), R(y) -> S(x, y).",
+                 chase::ChaseVariant::kSemiOblivious);
+  EXPECT_EQ(run.outcome, chase::ChaseOutcome::kTerminated);
+  EXPECT_EQ(run.stats.triggers_fired, 4u);
+  EXPECT_EQ(run.stats.rounds, 2u);
+  EXPECT_EQ(run.stats.delta_atoms_scanned, 4u);
+  EXPECT_EQ(run.stats.join_probes, 8u);
 }
 
 }  // namespace

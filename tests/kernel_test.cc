@@ -7,7 +7,8 @@
 // and off. A chase of a rule wider than 64 atoms and 64 variables pins
 // that no width cap exists anywhere on the path, and a hub term with a
 // long (predicate, position, term) list pins that joins read the whole
-// list, in the kernel and in the chase.
+// list, in the kernel and in the chase. Both chases are checked against
+// the brute-force reference chase as well.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +20,7 @@
 #include "chase/chase.h"
 #include "chase/trigger.h"
 #include "core/instance.h"
+#include "reference_chase.h"
 #include "tgd/parser.h"
 
 namespace nuchase {
@@ -269,11 +271,31 @@ TEST(KernelDifferentialTest, ZeroAryAtomsAndEmptyConjunction) {
   EXPECT_EQ(count({Atom(other, {}), Atom(r, {x})}), 0u);
 }
 
+/// `text` chased by the engine and by the brute-force reference chase,
+/// each over its own parse, must agree (reference::ExpectSameRun).
+void ExpectEngineMatchesReference(const std::string& text,
+                                  const ChaseOptions& options) {
+  reference::RenderedRun runs[2];
+  for (int side = 0; side < 2; ++side) {
+    core::SymbolTable symbols;
+    auto program = tgd::ParseProgram(&symbols, text);
+    ASSERT_TRUE(program.ok()) << program.status().ToString();
+    runs[side] = side == 0
+                     ? reference::RenderEngineRun(&symbols, program->tgds,
+                                                  program->database, options)
+                     : reference::RenderReferenceRun(
+                           &symbols, program->tgds, program->database,
+                           options);
+  }
+  reference::ExpectSameRun(runs[0], runs[1],
+                           ChaseVariantName(options.variant));
+}
+
 /// A rule of 70 body atoms over 71 variables: E(x0, x1), ...,
 /// E(x69, x70) -> P(x0, x70, z). On the path v0 -> ... -> v75 the body
 /// matches the 6 windows of 70 consecutive edges, so the chase adds
-/// exactly P(v_i, v_{i+70}, null_i) for i = 0..5 — in every engine
-/// shape and variant.
+/// exactly P(v_i, v_{i+70}, null_i) for i = 0..5 — in every variant,
+/// as the reference chase does.
 TEST(KernelWidthTest, RuleWiderThanSixtyFourAtomsAndVariables) {
   constexpr int kBody = 70;
   constexpr int kPath = 75;
@@ -288,14 +310,9 @@ TEST(KernelWidthTest, RuleWiderThanSixtyFourAtomsAndVariables) {
   }
   text += " -> P(x0, x" + std::to_string(kBody) + ", z).\n";
 
-  struct Shape {
-    ChaseVariant variant;
-    bool use_delta;
-  };
-  for (const Shape& shape : {Shape{ChaseVariant::kSemiOblivious, true},
-                             Shape{ChaseVariant::kSemiOblivious, false},
-                             Shape{ChaseVariant::kOblivious, true},
-                             Shape{ChaseVariant::kRestricted, true}}) {
+  for (ChaseVariant variant : {ChaseVariant::kSemiOblivious,
+                               ChaseVariant::kOblivious,
+                               ChaseVariant::kRestricted}) {
     core::SymbolTable symbols;
     auto program = tgd::ParseProgram(&symbols, text);
     ASSERT_TRUE(program.ok()) << program.status().ToString();
@@ -304,11 +321,11 @@ TEST(KernelWidthTest, RuleWiderThanSixtyFourAtomsAndVariables) {
     ASSERT_EQ(program->tgds.tgd(0).body_variables().size(),
               static_cast<std::size_t>(kBody + 1));
     ChaseOptions options;
-    options.variant = shape.variant;
-    options.use_delta = shape.use_delta;
+    options.variant = variant;
     ChaseResult result =
         RunChase(&symbols, program->tgds, program->database, options);
     ASSERT_TRUE(result.Terminated());
+    ExpectEngineMatchesReference(text, options);
     EXPECT_EQ(result.instance.size(),
               static_cast<std::size_t>(kPath + kPath - kBody + 1));
     EXPECT_EQ(result.stats.triggers_fired,
@@ -395,29 +412,28 @@ TEST(KernelLongListTest, IndexedJoinReadsTheWholePositionList) {
 /// The chase of S(x), E(x, y), F(y) -> T(y) over S(h) and the hub
 /// facts: in round one only the S(h) seed may join (every later body
 /// position is restricted to pre-delta atoms for the E and F seeds), so
-/// every T atom comes from reading h's whole E list.
+/// every T atom comes from reading h's whole E list. The reference
+/// chase, which reads no position list, agrees.
 TEST(KernelLongListTest, ChaseReadsTheWholePositionList) {
   const std::string text =
       HubFacts() + "S(h).\nS(x), E(x, y), F(y) -> T(y).\n";
   for (ChaseVariant variant : {ChaseVariant::kSemiOblivious,
                                ChaseVariant::kOblivious,
                                ChaseVariant::kRestricted}) {
-    for (bool use_delta : {true, false}) {
-      core::SymbolTable symbols;
-      auto program = tgd::ParseProgram(&symbols, text);
-      ASSERT_TRUE(program.ok()) << program.status().ToString();
-      ChaseOptions options;
-      options.variant = variant;
-      options.use_delta = use_delta;
-      const ChaseResult result =
-          RunChase(&symbols, program->tgds, program->database, options);
-      ASSERT_TRUE(result.Terminated());
-      const core::PredicateId t = *symbols.FindPredicate("T");
-      EXPECT_EQ(result.instance.AtomsWithPredicate(t).size(), kHubEdges)
-          << ChaseVariantName(variant) << " delta " << use_delta;
-      EXPECT_EQ(result.stats.triggers_fired, kHubEdges)
-          << ChaseVariantName(variant) << " delta " << use_delta;
-    }
+    core::SymbolTable symbols;
+    auto program = tgd::ParseProgram(&symbols, text);
+    ASSERT_TRUE(program.ok()) << program.status().ToString();
+    ChaseOptions options;
+    options.variant = variant;
+    const ChaseResult result =
+        RunChase(&symbols, program->tgds, program->database, options);
+    ASSERT_TRUE(result.Terminated());
+    const core::PredicateId t = *symbols.FindPredicate("T");
+    EXPECT_EQ(result.instance.AtomsWithPredicate(t).size(), kHubEdges)
+        << ChaseVariantName(variant);
+    EXPECT_EQ(result.stats.triggers_fired, kHubEdges)
+        << ChaseVariantName(variant);
+    ExpectEngineMatchesReference(text, options);
   }
 }
 

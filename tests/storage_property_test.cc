@@ -4,14 +4,15 @@
 // must behave exactly like a naive reference container — an
 // insertion-ordered vector of owning Atoms with a set for dedup —
 // under random insert / find / iterate sequences over mixed predicates
-// and arities, including the delta rotation of the semi-naive engine.
+// and arities, including the per-predicate index windows the
+// semi-naive chase reads its delta through.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <random>
 #include <set>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/atom.h"
@@ -120,6 +121,41 @@ void ExpectMatchesReference(const Instance& inst,
   }
 }
 
+/// AtomsWithPredicateIn over the global index window [begin, end) must
+/// list, for every predicate, exactly the reference atoms of that
+/// predicate inside the window, ascending.
+void ExpectWindowMatchesReference(const Instance& inst,
+                                  const ReferenceInstance& ref,
+                                  const std::vector<PredicateId>& preds,
+                                  AtomIndex begin, AtomIndex end) {
+  for (PredicateId pred : preds) {
+    std::vector<AtomIndex> want;
+    for (AtomIndex i = begin; i < end && i < ref.atoms.size(); ++i) {
+      if (ref.atoms[i].predicate == pred) want.push_back(i);
+    }
+    const IndexSpan got = inst.AtomsWithPredicateIn(pred, begin, end);
+    EXPECT_EQ(std::vector<AtomIndex>(got.begin(), got.end()), want)
+        << "window [" << begin << ", " << end << ")";
+  }
+}
+
+/// A random window over an instance of `size` atoms: empty, full, or
+/// random bounds.
+std::pair<AtomIndex, AtomIndex> RandomWindow(std::mt19937* rng,
+                                             std::size_t size) {
+  const AtomIndex n = static_cast<AtomIndex>(size);
+  const AtomIndex a = static_cast<AtomIndex>((*rng)() % (n + 1));
+  const AtomIndex b = static_cast<AtomIndex>((*rng)() % (n + 1));
+  switch ((*rng)() % 4) {
+    case 0:
+      return {a, a};
+    case 1:
+      return {0, n};
+    default:
+      return {std::min(a, b), std::max(a, b)};
+  }
+}
+
 class StorageFuzz : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(StorageFuzz, ArenaAgreesWithNaiveReference) {
@@ -153,10 +189,6 @@ TEST_P(StorageFuzz, ArenaAgreesWithNaiveReference) {
 
   Instance inst;
   ReferenceInstance ref;
-  // Half the seeds exercise the delta machinery alongside.
-  const bool track_delta = (seed % 2) == 0;
-  if (track_delta) inst.EnableDeltaTracking();
-  std::vector<Atom> rotation_window;  // fresh atoms since last rotation
 
   for (std::uint32_t step = 0; step < 900; ++step) {
     const std::uint32_t op = rng() % 100;
@@ -184,7 +216,6 @@ TEST_P(StorageFuzz, ArenaAgreesWithNaiveReference) {
           EXPECT_EQ(got, ref.Insert(moved)) << "step " << step;
           EXPECT_EQ(inst.atom(got.first).ToAtom(), moved);
           EXPECT_EQ(inst.atom(i).ToAtom(), ref.atoms[i]);
-          if (track_delta && got.second) rotation_window.push_back(moved);
           break;
         }
         continue;
@@ -194,7 +225,6 @@ TEST_P(StorageFuzz, ArenaAgreesWithNaiveReference) {
                      : inst.InsertTuple(a.predicate, a.terms());
       auto want = ref.Insert(a);
       EXPECT_EQ(got, want) << "step " << step;
-      if (track_delta && got.second) rotation_window.push_back(a);
     } else if (op < 85) {
       // Find/Contains on a mix of present and absent tuples.
       Atom a = random_atom();
@@ -207,7 +237,7 @@ TEST_P(StorageFuzz, ArenaAgreesWithNaiveReference) {
       }
       EXPECT_EQ(inst.ContainsTuple(a.predicate, a.terms()),
                 ref.dedup.count(a) > 0);
-    } else if (op < 95 || !track_delta) {
+    } else if (op < 95) {
       // Iterate: every view must render the reference atom at its index
       // (spot-check a random window; full check after the loop).
       if (!inst.empty()) {
@@ -215,23 +245,10 @@ TEST_P(StorageFuzz, ArenaAgreesWithNaiveReference) {
         EXPECT_EQ(inst.atom(i).ToAtom(), ref.atoms[i]);
       }
     } else {
-      // Delta rotation: the atoms inserted since the previous rotation
-      // become the current delta, grouped per predicate in insertion
-      // order.
-      EXPECT_EQ(inst.AdvanceDelta(), rotation_window.size());
-      std::unordered_map<PredicateId, std::vector<Atom>> per_pred;
-      for (const Atom& a : rotation_window) {
-        per_pred[a.predicate].push_back(a);
-      }
-      for (PredicateId pred : preds) {
-        const IndexSpan delta = inst.DeltaAtomsWithPredicate(pred);
-        const std::vector<Atom>& want = per_pred[pred];
-        ASSERT_EQ(delta.size(), want.size());
-        for (std::size_t k = 0; k < delta.size(); ++k) {
-          EXPECT_EQ(inst.atom(delta.data()[k]).ToAtom(), want[k]);
-        }
-      }
-      rotation_window.clear();
+      // Index windows: the per-predicate atoms of a random global
+      // index range.
+      const auto [begin, end] = RandomWindow(&rng, inst.size());
+      ExpectWindowMatchesReference(inst, ref, preds, begin, end);
     }
   }
 
@@ -271,8 +288,9 @@ TEST_P(BatchFuzz, BatchInsertAgreesWithSerialLoop) {
 
   Instance inst;
   ReferenceInstance ref;
-  inst.EnableDeltaTracking();
-  std::size_t fresh_since_rotation = 0;
+  // Start of the window of atoms inserted since the last check — the
+  // shape of a chase round's delta.
+  AtomIndex window_begin = 0;
 
   struct Tuple {
     PredicateId pred;
@@ -309,11 +327,14 @@ TEST_P(BatchFuzz, BatchInsertAgreesWithSerialLoop) {
       const auto got = inst.InsertTuple(t.pred, span);
       EXPECT_EQ(got, ref.Insert(Atom(t.pred, span.ToVector())))
           << "round " << round << " tuple " << i;
-      if (got.second) ++fresh_since_rotation;
     }
     if (rng() % 4 == 0) {
-      EXPECT_EQ(inst.AdvanceDelta(), fresh_since_rotation);
-      fresh_since_rotation = 0;
+      const AtomIndex window_end = static_cast<AtomIndex>(inst.size());
+      ExpectWindowMatchesReference(inst, ref, preds, window_begin,
+                                   window_end);
+      window_begin = window_end;
+      const auto [begin, end] = RandomWindow(&rng, inst.size());
+      ExpectWindowMatchesReference(inst, ref, preds, begin, end);
     }
   }
 

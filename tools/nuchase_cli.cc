@@ -65,7 +65,6 @@ int Usage(const char* argv0) {
                "a\n"
                "                    different, often smaller, valid "
                "result)\n"
-               "  --no-delta        full-scan trigger search (ablation)\n"
                "  --ucq             decide via the data-complexity UCQ\n"
                "  --naive           decide via the bounded chase\n"
                "  --mode=simplify|linearize|gsimple   (rewrite)\n",
@@ -100,8 +99,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* out) {
       out->use_naive = true;
     } else if (arg == "--restraint-order") {
       out->session.set_restraint_order(true);
-    } else if (arg == "--no-delta") {
-      out->session.set_use_delta(false);
     } else if (arg.rfind("--variant=", 0) == 0) {
       std::string v = arg.substr(10);
       if (v == "semi-oblivious") {
@@ -241,12 +238,10 @@ int Chase(const api::Session& session, const CliOptions& options) {
   const chase::ChaseStats& stats = run->stats();
   const chase::ChaseOptions& copt = session.options().chase;
   std::printf("variant:    %s\n", chase::ChaseVariantName(copt.variant));
-  // Trigger search always joins through the position index.
-  std::printf("engine:     %s, position-indexed\n",
-              copt.use_delta ? "delta (semi-naive)" : "full-scan");
-  // The schedule line is a pure function of Σ and the flags — never of
-  // the delta ablation — so goldens stay stable across every
-  // identity-preserving knob.
+  // One engine: delta-seeded trigger search through the position index.
+  std::printf("engine:     delta (semi-naive), position-indexed\n");
+  // The schedule line is a pure function of Σ and the flags, so goldens
+  // stay stable.
   std::printf("schedule:   reliances on, %llu rule groups%s\n",
               static_cast<unsigned long long>(
                   session.program().reliances().CollectGroups().size()),
