@@ -15,7 +15,6 @@
 
 #include "analysis/diagnostics.h"
 #include "bench/bench_util.h"
-#include "graph/reliance.h"
 #include "termination/ladder.h"
 #include "termination/naive_decider.h"
 #include "tgd/parser.h"
@@ -102,9 +101,8 @@ void AddLadderRow(util::Table* table, const std::string& name,
 void AddLintRow(util::Table* table, const std::string& name,
                 const Program& p) {
   bench::Stopwatch timer;
-  graph::RelianceGraph reliances(p.tgds);
   std::vector<analysis::Diagnostic> findings =
-      analysis::LintProgram(p.tgds, p.database, p.symbols, &reliances);
+      analysis::LintProgram(p.tgds, p.database, p.symbols);
   const double seconds = timer.Seconds();
   std::size_t warnings = 0;
   std::size_t infos = 0;

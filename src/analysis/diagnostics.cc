@@ -7,6 +7,7 @@
 #include <unordered_set>
 
 #include "core/schema.h"
+#include "graph/reliance.h"
 
 namespace nuchase {
 namespace analysis {
@@ -182,37 +183,11 @@ void CheckDuplicateRules(const tgd::TgdSet& tgds,
 // digraph, where the restricted chase's restraint-guided firing order
 // has no consistent prioritization and falls back to Σ-order.
 void CheckRestraintCycles(const tgd::TgdSet& tgds,
-                          const graph::RelianceGraph* reliances,
                           std::vector<Diagnostic>* out) {
   const std::size_t n = tgds.size();
-  if (reliances == nullptr || n < 2 || n > kMaxRulesForRestraintCycles) {
-    return;
-  }
-  // Candidate pairs share a head predicate; Restrains confirms by
-  // unification.
-  std::vector<std::vector<PredicateId>> heads(n);
-  for (RuleIndex r = 0; r < n; ++r) {
-    for (const core::Atom& atom : tgds.tgd(r).head()) {
-      heads[r].push_back(atom.predicate);
-    }
-    std::sort(heads[r].begin(), heads[r].end());
-  }
-  auto share_head = [&](RuleIndex r, RuleIndex s) {
-    std::size_t i = 0, j = 0;
-    while (i < heads[r].size() && j < heads[s].size()) {
-      if (heads[r][i] == heads[s][j]) return true;
-      heads[r][i] < heads[s][j] ? ++i : ++j;
-    }
-    return false;
-  };
-  std::vector<std::vector<RuleIndex>> edges(n);
-  for (RuleIndex r = 0; r < n; ++r) {
-    for (RuleIndex s = 0; s < n; ++s) {
-      if (r != s && share_head(r, s) && reliances->Restrains(r, s)) {
-        edges[r].push_back(s);
-      }
-    }
-  }
+  if (n < 2 || n > kMaxRulesForRestraintCycles) return;
+  const std::vector<std::vector<RuleIndex>> edges =
+      graph::RestraintEdges(tgds);
   // Iterative Tarjan; components of ≥ 2 rules are the findings,
   // reported once each, smallest member first.
   std::vector<std::uint32_t> index(n, 0), low(n, 0);
@@ -351,8 +326,7 @@ const std::vector<DiagnosticSpec>& DiagnosticCatalog() {
 
 std::vector<Diagnostic> LintProgram(const tgd::TgdSet& tgds,
                                     const core::Database& db,
-                                    const core::SymbolTable& symbols,
-                                    const graph::RelianceGraph* reliances) {
+                                    const core::SymbolTable& symbols) {
   std::vector<Diagnostic> out;
   const std::unordered_set<PredicateId> db_preds = db.Predicates();
   const std::unordered_set<PredicateId> head_preds = HeadPredicates(tgds);
@@ -361,7 +335,7 @@ std::vector<Diagnostic> LintProgram(const tgd::TgdSet& tgds,
   CheckUnreadFacts(tgds, symbols, db_preds, &out);
   CheckDeadRules(tgds, db_preds, &out);
   CheckDuplicateRules(tgds, &out);
-  CheckRestraintCycles(tgds, reliances, &out);
+  CheckRestraintCycles(tgds, &out);
   CheckCartesianBodies(tgds, &out);
   return out;
 }

@@ -6,7 +6,6 @@
 
 #include "core/database.h"
 #include "core/symbol_table.h"
-#include "graph/reliance.h"
 #include "tgd/tgd.h"
 
 namespace nuchase {
@@ -50,14 +49,12 @@ const std::vector<DiagnosticSpec>& DiagnosticCatalog();
 
 /// Static rule-set lint over a parsed (D, Σ). Pure and deterministic:
 /// findings are emitted in catalog-ID order, then rule order, so equal
-/// inputs render byte-identical reports. `reliances` (borrowed, may be
-/// null) enables the restraint-cycle check; all findings are relative
-/// to the program's own database D where data matters (documented per
+/// inputs render byte-identical reports. All findings are relative to
+/// the program's own database D where data matters (documented per
 /// check in docs/analysis.md).
 std::vector<Diagnostic> LintProgram(const tgd::TgdSet& tgds,
                                     const core::Database& db,
-                                    const core::SymbolTable& symbols,
-                                    const graph::RelianceGraph* reliances);
+                                    const core::SymbolTable& symbols);
 
 }  // namespace analysis
 }  // namespace nuchase

@@ -69,11 +69,10 @@ util::StatusOr<Program> Program::Create(core::SymbolTable symbols,
 
 util::StatusOr<Program> Program::Analyze(std::shared_ptr<Analysis> a) {
   // The rule cap keeps every downstream rule index (join plans, the
-  // reliance graph's node ids, the chase's scheduling loops) inside
-  // tgd::RuleIndex. Rejecting here, before any analysis runs, is the
-  // facade half of the contract documented on tgd::kMaxRules; the
-  // standalone chase entry point enforces its own half with
-  // kResourceExhausted.
+  // restraint order, the chase's rule walk) inside tgd::RuleIndex.
+  // Rejecting here, before any analysis runs, is the facade half of the
+  // contract documented on tgd::kMaxRules; the standalone chase entry
+  // point enforces its own half with kResourceExhausted.
   if (a->tgds.size() > tgd::kMaxRules) {
     return util::Status::InvalidArgument(
         "program exceeds the rule cap (" +
@@ -86,9 +85,7 @@ util::StatusOr<Program> Program::Analyze(std::shared_ptr<Analysis> a) {
   a->size_factor =
       termination::SizeFactor(a->tgd_class, a->tgds, a->symbols);
   a->plans = chase::PlanJoins(a->tgds);
-  a->reliances = std::make_unique<const graph::RelianceGraph>(a->tgds);
-  a->diagnostics = analysis::LintProgram(a->tgds, a->database, a->symbols,
-                                         a->reliances.get());
+  a->diagnostics = analysis::LintProgram(a->tgds, a->database, a->symbols);
   return Program(std::move(a));
 }
 

@@ -12,7 +12,6 @@
 #include "chase/chase.h"
 #include "core/database.h"
 #include "core/symbol_table.h"
-#include "graph/reliance.h"
 #include "termination/ladder.h"
 #include "termination/syntactic_decider.h"
 #include "tgd/classify.h"
@@ -76,12 +75,6 @@ class Program {
   /// all sessions).
   const chase::JoinPlanSet& join_plans() const { return a_->plans; }
 
-  /// The reliance graph over Σ (computed at parse; shared by all
-  /// sessions): positive and restraint reliances plus the ordered
-  /// collect-group partition a restraint-order chase schedules rounds
-  /// by.
-  const graph::RelianceGraph& reliances() const { return *a_->reliances; }
-
   /// d_C(Σ) (Section 5); +inf when Σ is not guarded.
   double depth_bound() const { return a_->depth_bound; }
   /// f_C(Σ), so |chase(D,Σ)| ≤ |D|·f_C(Σ); +inf when unusable.
@@ -141,7 +134,6 @@ class Program {
     core::Database database;
     tgd::TgdClass tgd_class = tgd::TgdClass::kGeneral;
     chase::JoinPlanSet plans;
-    std::unique_ptr<const graph::RelianceGraph> reliances;
     double depth_bound = 0;
     double size_factor = 0;
     std::uint64_t content_hash = 0;

@@ -11,7 +11,6 @@ namespace api {
 chase::ChaseOptions Session::MakeChaseOptions() const {
   chase::ChaseOptions copt = options_.chase;
   copt.plans = &program_.join_plans();
-  copt.reliances = &program_.reliances();
   return copt;
 }
 

@@ -28,10 +28,10 @@ namespace api {
 ///
 /// The chase options are chase::ChaseOptions itself (see there for every
 /// field's contract). Chase() runs them as given, with the program's
-/// parse-time join plans and reliance graph filled in; Decide() and
-/// Advise() hand the same struct to the deciders, which keep the engine
-/// switches, budgets and hooks but own the decision-relevant fields
-/// (variant, depth and round budgets, forest, restraint order).
+/// parse-time join plans filled in; Decide() and Advise() hand the same
+/// struct to the deciders, which keep the engine switches, budgets and
+/// hooks but own the decision-relevant fields (variant, depth and round
+/// budgets, forest, restraint order).
 struct SessionOptions {
   /// Every chase the session runs starts from these options.
   chase::ChaseOptions chase;

@@ -4,7 +4,7 @@
 #include <cassert>
 #include <chrono>
 #include <functional>
-#include <optional>
+#include <numeric>
 
 #include "chase/fired_set.h"
 #include "chase/trigger.h"
@@ -60,25 +60,24 @@ JoinPlanSet PlanJoins(const tgd::TgdSet& tgds) {
 
 namespace {
 
-/// A collected, not-yet-applied trigger. Its `count` images live at
-/// offset `images` of the owning PendingList's arena: the frontier
-/// images (sorted-frontier order), then — oblivious variant only, which
-/// names nulls by them — the full body-variable images
-/// (sorted-body-variable order). `guard_image` is the instance index of
-/// the guard image, or kNoGuard (the TGD is not guarded, or no forest
-/// is being built).
+/// A collected, not-yet-applied trigger of the rule its PendingList
+/// was collected for. Its `count` images live at offset `images` of
+/// the list's arena: the frontier images (sorted-frontier order), then
+/// — oblivious variant only, which names nulls by them — the full
+/// body-variable images (sorted-body-variable order). `guard_image` is
+/// the instance index of the guard image, or kNoGuard (the TGD is not
+/// guarded, or no forest is being built).
 struct PendingTrigger {
-  tgd::RuleIndex tgd_index;
-  AtomIndex guard_image;
   std::uint64_t images;
   std::uint32_t count;
+  AtomIndex guard_image;
 
   static constexpr AtomIndex kNoGuard = 0xffffffffu;
 };
 
-/// Pending triggers plus the one Term arena all their images live in:
-/// collecting a trigger appends to two reused vectors, never allocates
-/// a vector of its own.
+/// One rule's pending triggers plus the one Term arena all their images
+/// live in: collecting a trigger appends to two reused vectors, never
+/// allocates a vector of its own.
 struct PendingList {
   std::vector<PendingTrigger> triggers;
   std::vector<Term> arena;
@@ -92,17 +91,16 @@ struct PendingList {
   }
 };
 
-/// Canonical within-round order: rule-major (Σ-order), then by frontier
-/// images, then body images (one lexicographic comparison of the image
-/// run: both halves have the rule's fixed lengths). The delta-seeded
-/// collect finds a round's triggers in seed and join-plan order;
-/// sorting before the apply phase makes the firing order — and hence
-/// null numbering and the restricted-chase result — a function of Σ,
-/// D and the round alone, which is what the brute-force reference
-/// chase of the tests reproduces.
+/// Canonical order of one rule's pending triggers: by frontier images,
+/// then body images (one lexicographic comparison of the image run:
+/// both halves have the rule's fixed lengths). The delta-seeded collect
+/// finds a round's triggers in seed and join-plan order; sorting before
+/// the apply phase makes the firing order — and hence null numbering
+/// and the restricted-chase result — a function of Σ, D and the round
+/// alone, which is what the brute-force reference chase of the tests
+/// reproduces.
 bool PendingBefore(const PendingTrigger& a, const Term* a_images,
                    const PendingTrigger& b, const Term* b_images) {
-  if (a.tgd_index != b.tgd_index) return a.tgd_index < b.tgd_index;
   return std::lexicographical_compare(a_images, a_images + a.count,
                                       b_images, b_images + b.count);
 }
@@ -138,28 +136,27 @@ void BuildFiredKey(const JoinPlan& plan, tgd::RuleIndex ti, bool oblivious,
 }
 
 #ifndef NDEBUG
-/// The same key rebuilt from a collected trigger's images (the debug
-/// null-naming check, where h is gone). Consistent with BuildFiredKey
-/// by construction: the oblivious key images are the body images, which
-/// follow the frontier images in the arena.
-void FiredKeyOf(const PendingTrigger& trig, const Term* images,
-                const JoinPlan& plan, bool oblivious,
+/// The same key rebuilt from a collected trigger of rule ti and its
+/// images (the debug null-naming check, where h is gone). Consistent
+/// with BuildFiredKey by construction: the oblivious key images are the
+/// body images, which follow the frontier images in the arena.
+void FiredKeyOf(tgd::RuleIndex ti, const PendingTrigger& trig,
+                const Term* images, const JoinPlan& plan, bool oblivious,
                 std::vector<std::uint32_t>* key) {
   const std::size_t skip = oblivious ? plan.frontier_slots.size() : 0;
   key->clear();
-  key->push_back(trig.tgd_index);
+  key->push_back(ti);
   for (std::size_t i = skip; i < trig.count; ++i) {
     key->push_back(images[i].bits());
   }
 }
 #endif
 
-/// Appends (σ_ti, h) to `list`: its images go to the list's arena.
-void AppendPending(const JoinPlan& plan, tgd::RuleIndex ti, bool oblivious,
-                   const Term* slots, AtomIndex guard_image,
-                   PendingList* list) {
+/// Appends the trigger h of the list's rule: its images go to the
+/// list's arena.
+void AppendPending(const JoinPlan& plan, bool oblivious, const Term* slots,
+                   AtomIndex guard_image, PendingList* list) {
   PendingTrigger trig;
-  trig.tgd_index = ti;
   trig.guard_image = guard_image;
   trig.images = list->arena.size();
   for (std::uint32_t s : plan.frontier_slots) {
@@ -351,62 +348,28 @@ ChaseResult RunChase(core::SymbolScope* symbols, const tgd::TgdSet& tgds,
     plans = &local_plans;
   }
 
-  // The round walks Σ as an ordered partition into collect groups:
-  // `walk` lists every rule once, and group g is walk[group_end[g-1],
-  // group_end[g]). Every run walks the singleton partition in Σ-order,
-  // except restraint mode (restricted variant, opt-in, NOT identity-
-  // preserving — see ChaseOptions::restraint_order): there the groups
-  // are the reliance graph's collect groups (api::Program supplies a
-  // graph precomputed at parse time; standalone runs build their own),
-  // each listed restrainers-first. The order is a pure function of Σ,
-  // so the mode stays deterministic even though it deliberately differs
-  // from Σ-order.
-  const bool restraint_mode = options.restraint_order &&
-                              options.variant == ChaseVariant::kRestricted &&
-                              !rules_overflow;
+  // Every round walks one permutation of Σ, one rule at a time:
+  // collect, then apply. The permutation is Σ-order, except in restraint
+  // mode (restricted variant, opt-in, NOT identity-preserving — see
+  // ChaseOptions::restraint_order), where it is graph::RestraintOrder,
+  // restrainers first. Both are pure functions of Σ, so every run is
+  // deterministic.
   std::vector<tgd::RuleIndex> walk;
-  std::vector<std::size_t> group_end;
-  std::size_t max_group = num_rules == 0 ? 0 : 1;
-  walk.reserve(num_rules);
-  if (restraint_mode) {
-    std::optional<graph::RelianceGraph> local_reliances;
-    const graph::RelianceGraph* reliances = options.reliances;
-    if (reliances == nullptr || reliances->num_rules() != num_rules) {
-      local_reliances.emplace(tgds);
-      reliances = &*local_reliances;
-    }
-    for (const std::vector<tgd::RuleIndex>& group :
-         reliances->CollectGroups()) {
-      const std::vector<tgd::RuleIndex> order =
-          reliances->RestraintOrder(group);
-      walk.insert(walk.end(), order.begin(), order.end());
-      group_end.push_back(walk.size());
-      max_group = std::max(max_group, group.size());
-    }
+  if (options.restraint_order &&
+      options.variant == ChaseVariant::kRestricted && !rules_overflow) {
+    walk = graph::RestraintOrder(tgds);
   } else {
-    group_end.reserve(num_rules);
-    for (tgd::RuleIndex ti = 0; ti < num_rules; ++ti) {
-      walk.push_back(ti);
-      group_end.push_back(walk.size());
-    }
+    walk.resize(num_rules);
+    std::iota(walk.begin(), walk.end(), tgd::RuleIndex{0});
   }
 
   // The round's delta is the global index window [delta_begin,
   // delta_end): the atoms the previous round inserted (round one: D).
   AtomIndex delta_begin = 0;
   AtomIndex delta_end = static_cast<AtomIndex>(instance.size());
-  // One pending list per position within a group (a single list
-  // outside restraint mode), reused across groups and rounds:
-  // collecting allocates only while a list outgrows its high-water
-  // mark.
-  std::vector<PendingList> pending(max_group);
-  // Per-position staging of the collect phase's join probes. A group
-  // collects every member before any applies, but the rule-by-rule walk
-  // counts a rule's collect work only when it reaches that rule — so the
-  // staged probes fold into the stats immediately before each apply. An
-  // atom-budget trip mid-group then never counts collects the
-  // rule-by-rule walk would not have run.
-  std::vector<std::uint64_t> collect_probes(max_group, 0);
+  // The one pending list, reused by every rule and round: collecting
+  // allocates only while it outgrows its high-water mark.
+  PendingList pending_list;
   // Scratch tuple for the allocation-free probe/insert fast path: every
   // h(atom) is instantiated into this buffer and handed to the instance
   // as a span; no Atom is materialized anywhere in the loop. `key` is
@@ -414,8 +377,9 @@ ChaseResult RunChase(core::SymbolScope* symbols, const tgd::TgdSet& tgds,
   std::vector<Term> scratch;
   std::vector<std::uint32_t> key;
   // The join kernel of the collect phase, reused by every rule and
-  // round.
+  // round, counting straight into join_probes.
   HomomorphismFinder finder(instance);
+  finder.set_probe_counter(&result.stats.join_probes);
   finder.set_interrupt(finder_interrupt);
   // The restricted variant's head-satisfaction kernel: one finder for
   // the pre-checks and the re-checks, counting straight into
@@ -440,16 +404,12 @@ ChaseResult RunChase(core::SymbolScope* symbols, const tgd::TgdSet& tgds,
   // --- Collect: one rule against the current instance. ---
   // Enumerates candidate homomorphisms without touching the instance
   // while its index vectors are being iterated, joining only through
-  // the round's delta. Leaves `list` in canonical (PendingBefore) order
-  // and the join probes in `*probes`; returns false when the run was
-  // interrupted.
-  auto collect_rule = [&](tgd::RuleIndex ti, PendingList& list,
-                          std::uint64_t* probes) {
+  // the round's delta. Leaves `list` in canonical (PendingBefore) order;
+  // returns false when the run was interrupted.
+  auto collect_rule = [&](tgd::RuleIndex ti, PendingList& list) {
     const tgd::Tgd& rule = tgds.tgd(ti);
     const JoinPlan& plan = (*plans)[ti];
     list.Clear();
-    *probes = 0;
-    finder.set_probe_counter(probes);
     auto on_match = [&](const Term* h) {
       if (interrupted || stop_requested()) {
         interrupted = true;
@@ -469,7 +429,7 @@ ChaseResult RunChase(core::SymbolScope* symbols, const tgd::TgdSet& tgds,
           guard_image = gi;
         }
       }
-      AppendPending(plan, ti, oblivious, h, guard_image, &list);
+      AppendPending(plan, oblivious, h, guard_image, &list);
       return true;
     };
 
@@ -570,7 +530,7 @@ ChaseResult RunChase(core::SymbolScope* symbols, const tgd::TgdSet& tgds,
       ++result.stats.triggers_fired;
 #ifndef NDEBUG
       // The debug check of BindFreshNulls' naming argument.
-      FiredKeyOf(trig, frontier_images, plan, oblivious, &key);
+      FiredKeyOf(ti, trig, frontier_images, plan, oblivious, &key);
       const bool fresh_key = bound_null_keys.Insert(key);
       assert(fresh_key && "a fired-set key bound its nulls twice");
       (void)fresh_key;
@@ -646,24 +606,10 @@ ChaseResult RunChase(core::SymbolScope* symbols, const tgd::TgdSet& tgds,
       options.observer->OnRound(progress);
     }
 
-    // Each group collects every member against the group-start
-    // instance, then applies them in walk order. A member's staged
-    // collect probes fold into the stats immediately before its apply,
-    // where the rule-by-rule walk would have counted them.
-    std::size_t begin = 0;
-    for (std::size_t end : group_end) {
-      for (std::size_t k = 0; k < end - begin; ++k) {
-        if (!collect_rule(walk[begin + k], pending[k],
-                          &collect_probes[k])) {
-          return ChaseOutcome::kCancelled;
-        }
-      }
-      for (std::size_t k = 0; k < end - begin; ++k) {
-        result.stats.join_probes += collect_probes[k];
-        const ChaseOutcome oc = apply_rule(walk[begin + k], pending[k]);
-        if (oc != ChaseOutcome::kTerminated) return oc;
-      }
-      begin = end;
+    for (tgd::RuleIndex ti : walk) {
+      if (!collect_rule(ti, pending_list)) return ChaseOutcome::kCancelled;
+      const ChaseOutcome oc = apply_rule(ti, pending_list);
+      if (oc != ChaseOutcome::kTerminated) return oc;
     }
 
     delta_begin = delta_end;

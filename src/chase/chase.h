@@ -13,9 +13,6 @@
 #include "tgd/tgd.h"
 
 namespace nuchase {
-namespace graph {
-class RelianceGraph;
-}  // namespace graph
 namespace chase {
 
 /// Which chase procedure to run. The paper studies the semi-oblivious
@@ -87,23 +84,17 @@ struct ChaseOptions {
   /// been computed from the same TgdSet (one entry per TGD, same order);
   /// when null the run plans its own. Not owned; must outlive the run.
   const JoinPlanSet* plans = nullptr;
-  /// Restricted variant only, and NOT identity-preserving: walk Σ as
-  /// the reliance graph's ordered collect-group partition (see
-  /// graph::RelianceGraph) and apply each group's triggers in its
-  /// restraint order (restrainers first) instead of Σ-order, so heads
-  /// that satisfy sibling rules' heads land first and those siblings'
+  /// Restricted variant only, and NOT identity-preserving: walk Σ in
+  /// graph::RestraintOrder (restrainers first) instead of Σ-order, so
+  /// heads that satisfy other rules' heads land first and those rules'
   /// triggers are skipped as inactive. Changes which restricted chase is
   /// computed — deliberately: on order-sensitive programs it terminates
-  /// in fewer rounds (or terminates where Σ-order diverges). The chosen
-  /// order is still deterministic. Ignored by the other two variants,
-  /// whose result does not depend on firing order; every other run
-  /// walks Σ rule by rule.
+  /// in fewer rounds (or terminates where Σ-order diverges). The order
+  /// is a pure function of Σ, computed per run, so the run stays
+  /// deterministic. Ignored by the other two variants, whose result
+  /// does not depend on firing order. Either way each round walks one
+  /// permutation of Σ, one rule at a time.
   bool restraint_order = false;
-  /// Optional precomputed reliance graph for Σ (api::Program computes
-  /// one at parse time). Must have been built from the same TgdSet;
-  /// when null, a run that needs one (restraint_order) builds its own.
-  /// Not owned; must outlive the run.
-  const graph::RelianceGraph* reliances = nullptr;
 };
 
 /// Why a chase run stopped.

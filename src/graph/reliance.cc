@@ -1,7 +1,12 @@
 #include "graph/reliance.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <queue>
 #include <unordered_map>
+
+#include "core/atom.h"
 
 namespace nuchase {
 namespace graph {
@@ -14,68 +19,35 @@ using core::Term;
 using tgd::RuleIndex;
 using tgd::Tgd;
 
-std::vector<PredicateId> SortedUniquePredicates(
-    const std::vector<Atom>& atoms) {
-  std::vector<PredicateId> preds;
-  preds.reserve(atoms.size());
-  for (const Atom& atom : atoms) preds.push_back(atom.predicate);
-  std::sort(preds.begin(), preds.end());
-  preds.erase(std::unique(preds.begin(), preds.end()), preds.end());
-  return preds;
-}
-
-bool Intersect(const std::vector<PredicateId>& a,
-               const std::vector<PredicateId>& b) {
-  std::size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] == b[j]) return true;
-    if (a[i] < b[j]) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return false;
-}
-
 /// Can an instantiation of `produced` (a head atom of rule r: frontier
 /// images arbitrary pre-existing terms, existential images fresh
-/// pairwise-distinct nulls) be an atom that `pattern` (an atom of rule
-/// s) matches? The check is per distinct pattern variable: the produced
-/// entries at that variable's positions must be co-unifiable — at most
-/// one distinct existential among them, and never an existential
-/// alongside a frontier entry (a firing's frontier images predate the
-/// nulls it mints, so they can never be equal; freshness also makes the
-/// inequality permanent, which keeps the refinement sound across
-/// rounds). With `pattern_frontier_blocks_nulls` (the restraint
-/// direction, where `pattern` is a head atom of s) a pattern variable
-/// that is FRONTIER in s must not map to an existential entry at all:
-/// s's frontier images exist before r's firing this round ever runs.
-bool AtomPairUnifies(const Tgd& r, const Atom& produced, const Tgd& s,
-                     const Atom& pattern,
-                     bool pattern_frontier_blocks_nulls) {
+/// pairwise-distinct nulls) be an atom that `pattern` (a head atom of
+/// rule s) matches? The check is per distinct pattern variable: the
+/// produced entries at that variable's positions must be co-unifiable —
+/// at most one distinct existential among them, and never an
+/// existential alongside a frontier entry (a firing's frontier images
+/// predate the nulls it mints, so they can never be equal; freshness
+/// also makes the inequality permanent). A pattern variable that is
+/// FRONTIER in s must not map to an existential entry at all: s's
+/// frontier images exist before r's firing this round ever runs.
+bool HeadAtomsUnify(const Tgd& r, const Atom& produced, const Tgd& s,
+                    const Atom& pattern) {
   if (produced.predicate != pattern.predicate) return false;
   if (produced.args.size() != pattern.args.size()) return false;
-  const std::size_t arity = pattern.args.size();
-  for (std::size_t i = 0; i < arity; ++i) {
-    Term v = pattern.args[i];
+  const auto begin = pattern.args.begin();
+  for (std::size_t i = 0; i < pattern.args.size(); ++i) {
+    const Term v = pattern.args[i];
+    // Each variable is checked once, at its first position.
+    if (std::find(begin, begin + i, v) != begin + i) continue;
     bool seen_existential = false;
     bool seen_frontier = false;
     Term existential = Term();
-    bool first_position = true;
-    for (std::size_t j = 0; j < arity; ++j) {
+    for (std::size_t j = i; j < pattern.args.size(); ++j) {
       if (pattern.args[j] != v) continue;
-      if (j < i) {
-        first_position = false;  // this variable was checked at j
-        break;
-      }
-      Term entry = produced.args[j];
+      const Term entry = produced.args[j];
       if (r.IsExistential(entry)) {
-        if (seen_frontier) return false;
+        if (seen_frontier || s.IsFrontier(v)) return false;
         if (seen_existential && entry != existential) return false;
-        if (pattern_frontier_blocks_nulls && s.IsFrontier(v)) {
-          return false;
-        }
         seen_existential = true;
         existential = entry;
       } else {
@@ -83,228 +55,92 @@ bool AtomPairUnifies(const Tgd& r, const Atom& produced, const Tgd& s,
         seen_frontier = true;
       }
     }
-    if (!first_position) continue;
   }
   return true;
 }
 
 }  // namespace
 
-RelianceGraph::RelianceGraph(const tgd::TgdSet& tgds) : tgds_(&tgds) {
-  const RuleIndex n = num_rules();
-  body_preds_.reserve(n);
-  head_preds_.reserve(n);
-  for (RuleIndex ti = 0; ti < n; ++ti) {
-    body_preds_.push_back(SortedUniquePredicates(tgds.tgd(ti).body()));
-    head_preds_.push_back(SortedUniquePredicates(tgds.tgd(ti).head()));
-  }
-
-  // --- Condensation of the Feeds graph, through its rule–predicate
-  // bipartite expansion: rule r → (head predicate p) → every rule with p
-  // in its body. A path between two rules in the expansion exists iff a
-  // Feeds path exists, and the expansion has O(||Σ||) edges where the
-  // Feeds graph itself can be quadratic (every rule pair sharing one hub
-  // predicate). Tarjan runs iteratively — linearized rule sets reach
-  // 100k rules, deeper than any recursion budget.
-  std::unordered_map<PredicateId, std::uint32_t> pred_slot;
-  auto slot_of = [&](PredicateId p) {
-    auto [it, fresh] =
-        pred_slot.emplace(p, static_cast<std::uint32_t>(pred_slot.size()));
-    (void)fresh;
-    return it->second;
-  };
-  std::vector<std::vector<std::uint32_t>> consumers;  // pred slot → rules
-  std::vector<std::vector<std::uint32_t>> producers;  // rule → pred slots
-  producers.resize(n);
-  for (RuleIndex ti = 0; ti < n; ++ti) {
-    for (PredicateId p : body_preds_[ti]) {
-      std::uint32_t slot = slot_of(p);
-      if (slot >= consumers.size()) consumers.resize(slot + 1);
-      consumers[slot].push_back(ti);
-    }
-    for (PredicateId p : head_preds_[ti]) {
-      std::uint32_t slot = slot_of(p);
-      if (slot >= consumers.size()) consumers.resize(slot + 1);
-      producers[ti].push_back(slot);
-    }
-  }
-  const std::uint32_t num_nodes =
-      n + static_cast<std::uint32_t>(consumers.size());
-  auto successors = [&](std::uint32_t v) -> const std::vector<std::uint32_t>& {
-    static const std::vector<std::uint32_t> empty;
-    (void)empty;
-    return v < n ? producers[v] : consumers[v - n];
-  };
-  // Successor ids of predicate nodes are rule ids directly; successor
-  // ids of rule nodes are predicate slots and need the +n offset.
-  auto successor_id = [&](std::uint32_t v, std::uint32_t raw) {
-    return v < n ? raw + n : raw;
-  };
-
-  constexpr std::uint32_t kUnvisited = 0xffffffffu;
-  std::vector<std::uint32_t> index(num_nodes, kUnvisited);
-  std::vector<std::uint32_t> lowlink(num_nodes, 0);
-  std::vector<std::uint32_t> component(num_nodes, kUnvisited);
-  std::vector<bool> on_stack(num_nodes, false);
-  std::vector<std::uint32_t> stack;
-  std::uint32_t next_index = 0;
-  std::uint32_t next_component = 0;
-  struct Frame {
-    std::uint32_t node;
-    std::uint32_t child;
-  };
-  std::vector<Frame> frames;
-  for (std::uint32_t root = 0; root < num_nodes; ++root) {
-    if (index[root] != kUnvisited) continue;
-    frames.push_back(Frame{root, 0});
-    index[root] = lowlink[root] = next_index++;
-    stack.push_back(root);
-    on_stack[root] = true;
-    while (!frames.empty()) {
-      Frame& frame = frames.back();
-      const std::vector<std::uint32_t>& succ = successors(frame.node);
-      if (frame.child < succ.size()) {
-        std::uint32_t w = successor_id(frame.node, succ[frame.child]);
-        ++frame.child;
-        if (index[w] == kUnvisited) {
-          index[w] = lowlink[w] = next_index++;
-          stack.push_back(w);
-          on_stack[w] = true;
-          frames.push_back(Frame{w, 0});
-        } else if (on_stack[w]) {
-          lowlink[frame.node] = std::min(lowlink[frame.node], index[w]);
-        }
-        continue;
-      }
-      std::uint32_t v = frame.node;
-      if (lowlink[v] == index[v]) {
-        while (true) {
-          std::uint32_t w = stack.back();
-          stack.pop_back();
-          on_stack[w] = false;
-          component[w] = next_component;
-          if (w == v) break;
-        }
-        ++next_component;
-      }
-      frames.pop_back();
-      if (!frames.empty()) {
-        Frame& parent = frames.back();
-        lowlink[parent.node] = std::min(lowlink[parent.node], lowlink[v]);
-      }
-    }
-  }
-  // Project onto rules, renumbered densely by first appearance in
-  // Σ-order (a stable id scheme tests can pin).
-  scc_.assign(n, 0);
-  std::unordered_map<std::uint32_t, std::uint32_t> dense;
-  for (RuleIndex ti = 0; ti < n; ++ti) {
-    auto [it, fresh] = dense.emplace(
-        component[ti], static_cast<std::uint32_t>(dense.size()));
-    (void)fresh;
-    scc_[ti] = it->second;
-  }
-  num_sccs_ = static_cast<std::uint32_t>(dense.size());
-
-  // --- Greedy Σ-interval grouping: extend the open group while the next
-  // rule's body shares no predicate with any group member's head (no
-  // forward Feeds edge into it; the candidate's own head joins the
-  // blocking set only after the rule is admitted, so self-recursion
-  // never splits a group).
-  std::vector<PredicateId> open_heads;
-  std::vector<RuleIndex> open_group;
-  auto flush = [&]() {
-    if (!open_group.empty()) groups_.push_back(std::move(open_group));
-    open_group.clear();
-    open_heads.clear();
-  };
-  for (RuleIndex ti = 0; ti < n; ++ti) {
-    if (!open_group.empty() && Intersect(open_heads, body_preds_[ti])) {
-      flush();
-    }
-    open_group.push_back(ti);
-    std::vector<PredicateId> merged;
-    merged.reserve(open_heads.size() + head_preds_[ti].size());
-    std::merge(open_heads.begin(), open_heads.end(),
-               head_preds_[ti].begin(), head_preds_[ti].end(),
-               std::back_inserter(merged));
-    merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
-    open_heads = std::move(merged);
-  }
-  flush();
-}
-
-bool RelianceGraph::Feeds(NodeId r, NodeId s) const {
-  return Intersect(head_preds_[r], body_preds_[s]);
-}
-
-bool RelianceGraph::Positive(NodeId r, NodeId s) const {
-  const Tgd& rule_r = tgds_->tgd(r);
-  const Tgd& rule_s = tgds_->tgd(s);
-  for (const Atom& produced : rule_r.head()) {
-    for (const Atom& pattern : rule_s.body()) {
-      if (AtomPairUnifies(rule_r, produced, rule_s, pattern,
-                          /*pattern_frontier_blocks_nulls=*/false)) {
-        return true;
-      }
+bool Restrains(const Tgd& r, const Tgd& s) {
+  for (const Atom& produced : r.head()) {
+    for (const Atom& pattern : s.head()) {
+      if (HeadAtomsUnify(r, produced, s, pattern)) return true;
     }
   }
   return false;
 }
 
-bool RelianceGraph::Restrains(NodeId r, NodeId s) const {
-  const Tgd& rule_r = tgds_->tgd(r);
-  const Tgd& rule_s = tgds_->tgd(s);
-  for (const Atom& produced : rule_r.head()) {
-    for (const Atom& pattern : rule_s.head()) {
-      if (AtomPairUnifies(rule_r, produced, rule_s, pattern,
-                          /*pattern_frontier_blocks_nulls=*/true)) {
-        return true;
+std::vector<std::vector<RuleIndex>> RestraintEdges(const tgd::TgdSet& tgds) {
+  const RuleIndex n = static_cast<RuleIndex>(tgds.size());
+  // The rules writing each head predicate, ascending and unique.
+  std::unordered_map<PredicateId, std::vector<RuleIndex>> writers;
+  for (RuleIndex r = 0; r < n; ++r) {
+    for (const Atom& atom : tgds.tgd(r).head()) {
+      std::vector<RuleIndex>& rules = writers[atom.predicate];
+      if (rules.empty() || rules.back() != r) rules.push_back(r);
+    }
+  }
+  std::vector<std::vector<RuleIndex>> edges(n);
+  std::vector<RuleIndex> candidates;
+  for (RuleIndex r = 0; r < n; ++r) {
+    candidates.clear();
+    for (const Atom& atom : tgds.tgd(r).head()) {
+      const std::vector<RuleIndex>& rules = writers.at(atom.predicate);
+      candidates.insert(candidates.end(), rules.begin(), rules.end());
+    }
+    std::sort(candidates.begin(), candidates.end());
+    candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                     candidates.end());
+    for (RuleIndex s : candidates) {
+      if (s != r && Restrains(tgds.tgd(r), tgds.tgd(s))) {
+        edges[r].push_back(s);
       }
     }
   }
-  return false;
+  return edges;
 }
 
-std::vector<RuleIndex> RelianceGraph::RestraintOrder(
-    const std::vector<RuleIndex>& group) const {
-  const std::size_t k = group.size();
+std::vector<RuleIndex> RestraintOrder(const tgd::TgdSet& tgds) {
+  const std::vector<std::vector<RuleIndex>> restrains = RestraintEdges(tgds);
+  const RuleIndex n = static_cast<RuleIndex>(restrains.size());
+  // One-way edges, and per rule the number of its one-way restrainers
+  // still unplaced.
+  std::vector<std::vector<RuleIndex>> one_way(n);
+  std::vector<std::uint32_t> restrainers(n, 0);
+  for (RuleIndex r = 0; r < n; ++r) {
+    for (RuleIndex s : restrains[r]) {
+      if (!std::binary_search(restrains[s].begin(), restrains[s].end(), r)) {
+        one_way[r].push_back(s);
+        ++restrainers[s];
+      }
+    }
+  }
+  // `ready` holds the unplaced rules with no unplaced one-way
+  // restrainer, smallest first.
+  std::priority_queue<RuleIndex, std::vector<RuleIndex>,
+                      std::greater<RuleIndex>>
+      ready;
+  for (RuleIndex r = 0; r < n; ++r) {
+    if (restrainers[r] == 0) ready.push(r);
+  }
+  std::vector<bool> placed(n, false);
   std::vector<RuleIndex> order;
-  order.reserve(k);
-  if (k <= 1) return group;
-  // Memoized one-way restraint matrix: restrains[i][j] ⇔ group[i]
-  // one-way-restrains group[j] (mutual restraints cancel — neither
-  // forces an order, and treating them as edges would deadlock the
-  // greedy pick into its cycle fallback for no benefit).
-  std::vector<std::vector<bool>> one_way(k, std::vector<bool>(k, false));
-  for (std::size_t i = 0; i < k; ++i) {
-    for (std::size_t j = 0; j < k; ++j) {
-      if (i == j) continue;
-      one_way[i][j] = Restrains(group[i], group[j]) &&
-                      !Restrains(group[j], group[i]);
+  order.reserve(n);
+  RuleIndex smallest_unplaced = 0;
+  while (order.size() < n) {
+    RuleIndex pick;
+    if (!ready.empty()) {
+      pick = ready.top();
+      ready.pop();
+    } else {  // restraint cycle: fall back to Σ-order
+      while (placed[smallest_unplaced]) ++smallest_unplaced;
+      pick = smallest_unplaced;
     }
-  }
-  std::vector<bool> placed(k, false);
-  for (std::size_t picked = 0; picked < k; ++picked) {
-    std::size_t choice = k;
-    for (std::size_t j = 0; j < k && choice == k; ++j) {
-      if (placed[j]) continue;
-      bool restrained = false;
-      for (std::size_t i = 0; i < k && !restrained; ++i) {
-        restrained = !placed[i] && one_way[i][j];
-      }
-      if (!restrained) choice = j;
+    placed[pick] = true;
+    order.push_back(pick);
+    for (RuleIndex s : one_way[pick]) {
+      if (--restrainers[s] == 0 && !placed[s]) ready.push(s);
     }
-    if (choice == k) {  // restraint cycle: fall back to Σ-order
-      for (std::size_t j = 0; j < k; ++j) {
-        if (!placed[j]) {
-          choice = j;
-          break;
-        }
-      }
-    }
-    placed[choice] = true;
-    order.push_back(group[choice]);
   }
   return order;
 }

@@ -16,9 +16,9 @@ namespace server {
 /// An LRU cache of parsed api::Programs keyed by the content hash of
 /// their rule text — the parse-once half of the serving story: the
 /// first request carrying a given program pays Program::Parse (parse,
-/// validate, classify, join-plan, reliance graph, lint), every
-/// subsequent request with byte-identical text gets the frozen shared
-/// artifact back for the price of a hash and a text compare.
+/// validate, classify, join-plan, lint), every subsequent request with
+/// byte-identical text gets the frozen shared artifact back for the
+/// price of a hash and a text compare.
 ///
 /// Hash equality is a filter, not an identity proof: every hit compares
 /// the stored text byte for byte, so a 64-bit collision degrades to a

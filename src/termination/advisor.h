@@ -38,11 +38,10 @@ struct AdvisorReport {
 struct AdvisorOptions {
   /// Every chase the advisor runs (the bounded-chase fallback and the
   /// materialization) starts from these options: engine switches,
-  /// atom budget, deadline, hooks, and precomputed plans
-  /// and reliances for Σ. The decision-relevant fields are reset first
-  /// (see DecisionChaseOptions). A cancelled materialization surfaces
-  /// as ResourceExhausted. No pointer is owned; all must outlive the
-  /// call.
+  /// atom budget, deadline, hooks, and precomputed plans for Σ. The
+  /// decision-relevant fields are reset first (see
+  /// DecisionChaseOptions). A cancelled materialization surfaces as
+  /// ResourceExhausted. No pointer is owned; all must outlive the call.
   chase::ChaseOptions chase;
   /// Run the chase and attach the materialization when Σ ∈ CT_D.
   bool materialize = true;

@@ -41,9 +41,9 @@ struct NaiveDecision {
 /// `engine` with the fields a termination decision owns reset: the
 /// semi-oblivious variant (Definition 3.1, whose result is unique), no
 /// depth or round budget, no forest, and Σ-order firing. Everything
-/// else — atom budget, engine switches, deadline, hooks, plans,
-/// reliances — is kept. Every chase run by DecideByChase and
-/// the advisor starts from this.
+/// else — atom budget, engine switches, deadline, hooks, plans — is
+/// kept. Every chase run by DecideByChase and the advisor starts from
+/// this.
 chase::ChaseOptions DecisionChaseOptions(const chase::ChaseOptions& engine);
 
 /// The naive ChTrm procedure sketched in Section 3 (and made worst-case

@@ -12,8 +12,8 @@
 namespace nuchase {
 namespace tgd {
 
-/// The one rule-index type: positions into a TgdSet, node ids of the
-/// graph::RelianceGraph, and the tgd_index the chase engine packs into
+/// The one rule-index type: positions into a TgdSet, the entries of
+/// graph::RestraintOrder, and the rule index the chase engine packs into
 /// its 32-bit trigger dedup keys are all this. Loops over Σ compare a
 /// RuleIndex against a RuleIndex (never a raw size_t), which is what
 /// kMaxRules exists to license: a TgdSet past the cap is rejected up

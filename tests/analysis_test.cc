@@ -7,7 +7,6 @@
 
 #include "analysis/diagnostics.h"
 #include "graph/joint_acyclicity.h"
-#include "graph/reliance.h"
 #include "graph/weak_acyclicity.h"
 #include "termination/ladder.h"
 #include "termination/mfa.h"
@@ -183,8 +182,7 @@ TEST_F(AnalysisTest, LadderChaseFreeModeSkipsMfa) {
 
 std::vector<analysis::Diagnostic> Lint(const tgd::Program& p,
                                        const core::SymbolTable& symbols) {
-  graph::RelianceGraph reliances(p.tgds);
-  return analysis::LintProgram(p.tgds, p.database, symbols, &reliances);
+  return analysis::LintProgram(p.tgds, p.database, symbols);
 }
 
 TEST_F(AnalysisTest, LintIsQuietOnCleanPrograms) {
@@ -233,22 +231,6 @@ TEST_F(AnalysisTest, LintRaisesEveryDiagnostic) {
     }
     EXPECT_FALSE(d.message.empty());
   }
-}
-
-TEST_F(AnalysisTest, LintWorksWithoutRelianceGraph) {
-  tgd::Program p = Parse(
-      "P(d). Q(d).\n"
-      "P(x) -> E(x, y).\n"
-      "Q(x) -> E(x, z).\n");
-  // Without the graph the NU006 check is skipped; everything else runs.
-  std::vector<analysis::Diagnostic> found =
-      analysis::LintProgram(p.tgds, p.database, symbols_, nullptr);
-  EXPECT_TRUE(found.empty());
-  graph::RelianceGraph reliances(p.tgds);
-  std::vector<analysis::Diagnostic> with =
-      analysis::LintProgram(p.tgds, p.database, symbols_, &reliances);
-  ASSERT_EQ(with.size(), 1u);
-  EXPECT_EQ(with[0].id, "NU006");
 }
 
 TEST_F(AnalysisTest, CatalogIsSortedUniqueAndCoversEmittedIds) {

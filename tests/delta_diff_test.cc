@@ -21,7 +21,6 @@
 #include "chase/chase.h"
 #include "core/symbol_table.h"
 #include "core/term.h"
-#include "graph/reliance.h"
 #include "reference_chase.h"
 #include "tgd/classify.h"
 #include "tgd/parser.h"
@@ -159,12 +158,11 @@ TEST_P(DeltaDiffRandomTest, ParallelThreadsAreByteIdentical) {
 }
 
 /// Reliance scheduling drives only restraint mode (the restricted
-/// variant with restraint_order): the one walk that collects a whole
-/// collect group before applying it, restrainers first. The engine's
-/// restraint-mode run must equal the reference's, which walks the same
-/// partition; and restraint_order must be inert for the two variants
-/// whose result does not depend on firing order, down to join_probes
-/// and delta_atoms_scanned. (The name predates the removal of the
+/// variant with restraint_order), which walks Σ in graph::RestraintOrder,
+/// restrainers first. The engine's restraint-mode run must equal the
+/// reference's, which walks the same permutation; and restraint_order
+/// must be inert for the two variants whose result does not depend on
+/// firing order, down to join_probes and delta_atoms_scanned. (The name predates the removal of the
 /// parallel engine, of the reliance ablation and of the full-scan
 /// mode, the axes this test once swept.)
 TEST_P(DeltaDiffRandomTest, RelianceSchedulingIsParallelInvariant) {
@@ -254,19 +252,22 @@ INSTANTIATE_TEST_SUITE_P(
 
 /// `text` parsed into a fresh symbol table and chased by `chaser`.
 RenderedRun RunProgram(Chaser chaser, const char* text,
-                       chase::ChaseVariant variant) {
+                       chase::ChaseVariant variant,
+                       bool restraint_order = false) {
   core::SymbolTable symbols;
   auto p = tgd::ParseProgram(&symbols, text);
   EXPECT_TRUE(p.ok()) << p.status().ToString();
   chase::ChaseOptions copt;
   copt.variant = variant;
   copt.max_atoms = 2000;
+  copt.restraint_order = restraint_order;
   return RunOn(chaser, &symbols, p->tgds, p->database, copt);
 }
 
 /// The restricted chase is order-sensitive: a sibling rule can satisfy
 /// another rule's head before it fires. The engine must pick the
-/// reference's canonical firing order.
+/// reference's canonical firing order, in Σ-order and in restraint
+/// order.
 TEST(DeltaDiffDirectedTest, RestrictedOrderSensitiveProgramsAgree) {
   const char* programs[] = {
       // The witness race from the paper's hierarchy examples.
@@ -282,22 +283,29 @@ TEST(DeltaDiffDirectedTest, RestrictedOrderSensitiveProgramsAgree) {
       // round: the trigger on E(a, b) inserts T(a, n), T(b, n), which
       // satisfies the one on E(b, a) before it fires.
       "E(a, b). E(b, a). E(x, y) -> T(x, z), T(y, z).",
+      // examples/programs/restraint_order.tgd, as committed and with
+      // the feeding rule listed second: restraint order terminates both.
+      "N(a). N(x) -> E(x, z). N(x) -> E(x, x). E(x, y) -> N(y).",
+      "N(a). N(x) -> E(x, z). E(x, y) -> N(y). N(x) -> E(x, x).",
   };
   for (const char* text : programs) {
     for (chase::ChaseVariant variant : kVariants) {
-      ExpectSameRun(RunProgram(Chaser::kEngine, text, variant),
-                    RunProgram(Chaser::kReference, text, variant),
-                    std::string(chase::ChaseVariantName(variant)) + ": " +
-                        text);
+      for (bool restraint_order : {false, true}) {
+        ExpectSameRun(
+            RunProgram(Chaser::kEngine, text, variant, restraint_order),
+            RunProgram(Chaser::kReference, text, variant, restraint_order),
+            std::string(chase::ChaseVariantName(variant)) +
+                (restraint_order ? " restraint-order: " : ": ") + text);
+      }
     }
   }
 }
 
-/// Independent recursive rule families (disjoint predicates) form one
-/// collect group spanning all three rules, and no family's head can
-/// satisfy another's: restraint mode walks that cross-rule group —
-/// collecting all three rules before applying any — and the result
-/// stays byte- and counter-identical to the rule-by-rule Σ-order run.
+/// Independent recursive rule families (disjoint predicates): no
+/// family's head can satisfy another's, so restraint mode walks Σ-order
+/// and the result stays byte- and counter-identical to the plain run.
+/// (The name predates the single walk; restraint mode once collected
+/// all three rules as one group before applying any.)
 TEST(DeltaDiffDirectedTest, IndependentFamiliesEngageCrossRuleCollect) {
   const char* text =
       "A(a1, a2). A(a2, a3). A(a3, a4). A(a4, a5). MA(a1).\n"
@@ -306,12 +314,6 @@ TEST(DeltaDiffDirectedTest, IndependentFamiliesEngageCrossRuleCollect) {
       "A(x, y), MA(x) -> MA(y).\n"
       "B(x, y), MB(x) -> MB(y).\n"
       "C(x, y), MC(x) -> MC(y).";
-  {
-    core::SymbolTable symbols;
-    auto p = tgd::ParseProgram(&symbols, text);
-    ASSERT_TRUE(p.ok()) << p.status().ToString();
-    EXPECT_EQ(graph::RelianceGraph(p->tgds).CollectGroups().size(), 1u);
-  }
   for (chase::ChaseVariant variant : kVariants) {
     chase::ChaseResult runs[2];
     std::string sorted[2];

@@ -159,7 +159,7 @@ class ReferenceChase {
     for (const Atom& fact : db.facts()) {
       store_.Insert(fact.predicate, fact.args);
     }
-    const std::vector<std::vector<tgd::RuleIndex>> walk = Walk();
+    const std::vector<tgd::RuleIndex> walk = Walk();
     std::size_t window_begin = 0;
     std::size_t window_end = store_.size();
     while (window_begin < window_end) {
@@ -168,15 +168,9 @@ class ReferenceChase {
         return chase::ChaseOutcome::kRoundLimit;
       }
       ++out_->stats.rounds;
-      for (const std::vector<tgd::RuleIndex>& group : walk) {
-        std::vector<std::vector<Trigger>> lists;
-        for (tgd::RuleIndex ti : group) {
-          lists.push_back(Collect(ti, window_begin, window_end));
-        }
-        for (const std::vector<Trigger>& list : lists) {
-          for (const Trigger& trigger : list) {
-            if (auto stop = Fire(trigger)) return *stop;
-          }
+      for (tgd::RuleIndex ti : walk) {
+        for (const Trigger& trigger : Collect(ti, window_begin, window_end)) {
+          if (auto stop = Fire(trigger)) return *stop;
         }
       }
       window_begin = window_end;
@@ -188,19 +182,35 @@ class ReferenceChase {
   const AtomStore& store() const { return store_; }
 
  private:
-  /// The ordered partition of Σ the rounds walk.
-  std::vector<std::vector<tgd::RuleIndex>> Walk() const {
-    std::vector<std::vector<tgd::RuleIndex>> walk;
-    if (options_.restraint_order && restricted_) {
-      const graph::RelianceGraph reliances(tgds_);
-      for (const std::vector<tgd::RuleIndex>& group :
-           reliances.CollectGroups()) {
-        walk.push_back(reliances.RestraintOrder(group));
+  /// The permutation of Σ the rounds walk: Σ-order, or in restraint
+  /// mode graph::RestraintOrder's placement rule recomputed by brute
+  /// force over every rule pair (only graph::Restrains is shared with
+  /// the engine). Each step places the smallest unplaced rule that no
+  /// unplaced rule one-way-restrains, else the smallest unplaced rule.
+  std::vector<tgd::RuleIndex> Walk() const {
+    const bool guided = options_.restraint_order && restricted_;
+    const tgd::RuleIndex n = static_cast<tgd::RuleIndex>(tgds_.size());
+    auto one_way = [&](tgd::RuleIndex r, tgd::RuleIndex s) {
+      return r != s && graph::Restrains(tgds_.tgd(r), tgds_.tgd(s)) &&
+             !graph::Restrains(tgds_.tgd(s), tgds_.tgd(r));
+    };
+    std::vector<bool> placed(n, false);
+    std::vector<tgd::RuleIndex> walk;
+    while (walk.size() < n) {
+      tgd::RuleIndex pick = n;
+      for (tgd::RuleIndex s = 0; s < n && pick == n; ++s) {
+        bool restrained = placed[s];
+        for (tgd::RuleIndex r = 0; r < n && guided && !restrained; ++r) {
+          restrained = !placed[r] && one_way(r, s);
+        }
+        if (!restrained) pick = s;
       }
-    } else {
-      for (tgd::RuleIndex ti = 0; ti < tgds_.size(); ++ti) {
-        walk.push_back({ti});
+      if (pick == n) {
+        pick = static_cast<tgd::RuleIndex>(
+            std::find(placed.begin(), placed.end(), false) - placed.begin());
       }
+      placed[pick] = true;
+      walk.push_back(pick);
     }
     return walk;
   }

@@ -101,11 +101,11 @@ struct ReferenceResult {
 /// by brute force:
 ///   - D is inserted in order. Round k's window is the atoms round k-1
 ///     inserted; round 1's is D.
-///   - Σ is walked as an ordered partition: singleton groups in
-///     Σ-order, or in restraint mode (options.restraint_order with the
-///     restricted variant) graph::RelianceGraph's collect groups, each
-///     in its RestraintOrder. A group collects all its rules against
-///     the group-start instance, then fires them in walk order.
+///   - Σ is walked one rule at a time, in Σ-order, or in restraint mode
+///     (options.restraint_order with the restricted variant) in
+///     graph::RestraintOrder's order, recomputed by brute force over
+///     every rule pair from graph::Restrains. Each rule collects against
+///     the instance as the rules before it left it, then fires.
 ///   - Collecting a rule enumerates every homomorphism h of its body
 ///     into the whole instance. h is collected in the round whose
 ///     window holds its first (in body order) atom at or past the

@@ -26,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "graph/reliance.h"
 #include "graph/weak_acyclicity.h"
 #include "nuchase/nuchase.h"
 #include "rewrite/linearize.h"
@@ -59,12 +58,12 @@ int Usage(const char* argv0) {
                "  --deadline-ms=N   stop (outcome cancelled) after N ms "
                "of wall clock\n"
                "  --print           also print the materialized atoms\n"
-               "  --restraint-order fire restrained rules first within a "
-               "rule\n"
-               "                    group (restricted variant only; picks "
-               "a\n"
-               "                    different, often smaller, valid "
-               "result)\n"
+               "  --restraint-order fire rules restrainers first, in one "
+               "order\n"
+               "                    over all of Sigma (restricted variant "
+               "only;\n"
+               "                    picks a different, often smaller, "
+               "valid result)\n"
                "  --ucq             decide via the data-complexity UCQ\n"
                "  --naive           decide via the bounded chase\n"
                "  --mode=simplify|linearize|gsimple   (rewrite)\n",
@@ -240,12 +239,11 @@ int Chase(const api::Session& session, const CliOptions& options) {
   std::printf("variant:    %s\n", chase::ChaseVariantName(copt.variant));
   // One engine: delta-seeded trigger search through the position index.
   std::printf("engine:     delta (semi-naive), position-indexed\n");
-  // The schedule line is a pure function of Σ and the flags, so goldens
-  // stay stable.
-  std::printf("schedule:   reliances on, %llu rule groups%s\n",
-              static_cast<unsigned long long>(
-                  session.program().reliances().CollectGroups().size()),
-              copt.restraint_order ? ", restraint order" : "");
+  // The walk each round takes through Σ: a pure function of the flags.
+  const bool restraint_walk = copt.restraint_order &&
+                              copt.variant == chase::ChaseVariant::kRestricted;
+  std::printf("schedule:   %s\n",
+              restraint_walk ? "restraint order" : "sigma order");
   std::printf("outcome:    %s\n", chase::ChaseOutcomeName(run->outcome()));
   std::printf("atoms:      %zu (|D| = %zu)\n", run->instance().size(),
               session.program().fact_count());
