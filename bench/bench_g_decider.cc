@@ -49,9 +49,11 @@ void DataComplexity() {
       double syn_s = syn_timer.Seconds();
       if (!syn.ok()) continue;
 
+      chase::ChaseOptions capped;
+      capped.max_atoms = 500'000;
       bench::Stopwatch naive_timer;
-      termination::NaiveDecision naive = termination::DecideByChase(
-          &symbols, *tgds, db, 500'000);
+      termination::NaiveDecision naive =
+          termination::DecideByChase(&symbols, *tgds, db, capped);
       double naive_s = naive_timer.Seconds();
 
       // The naive decider cannot certify guarded non-termination: f_G
@@ -93,9 +95,11 @@ void CombinedComplexity() {
                                           options);
     double syn_s = syn_timer.Seconds();
 
+    chase::ChaseOptions capped;
+    capped.max_atoms = 500'000;
     bench::Stopwatch naive_timer;
     termination::NaiveDecision naive = termination::DecideByChase(
-        &symbols, w.tgds, w.database, 500'000);
+        &symbols, w.tgds, w.database, capped);
     double naive_s = naive_timer.Seconds();
 
     table.AddRow(

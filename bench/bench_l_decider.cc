@@ -26,9 +26,11 @@ void CombinedComplexity() {
     workload::Workload w =
         workload::MakeLinearLowerBound(&symbols, 1, p.n, p.m);
 
+    chase::ChaseOptions capped;
+    capped.max_atoms = 5'000'000;
     bench::Stopwatch naive_timer;
     termination::NaiveDecision naive = termination::DecideByChase(
-        &symbols, w.tgds, w.database, 5'000'000);
+        &symbols, w.tgds, w.database, capped);
     double naive_s = naive_timer.Seconds();
 
     auto syntactic =

@@ -27,9 +27,11 @@ void CombinedComplexity() {
     workload::Workload w =
         workload::MakeSlLowerBound(&symbols, 1, p.n, p.m);
 
+    chase::ChaseOptions capped;
+    capped.max_atoms = 5'000'000;
     bench::Stopwatch naive_timer;
     termination::NaiveDecision naive = termination::DecideByChase(
-        &symbols, w.tgds, w.database, 5'000'000);
+        &symbols, w.tgds, w.database, capped);
     double naive_s = naive_timer.Seconds();
 
     bench::Stopwatch wa_timer;
@@ -83,9 +85,11 @@ void DataComplexity() {
         termination::DecideSimpleLinear(&symbols, *tgds, db);
     double wa_s = wa_timer.Seconds();
 
+    chase::ChaseOptions capped;
+    capped.max_atoms = 5'000'000;
     bench::Stopwatch naive_timer;
     termination::NaiveDecision naive =
-        termination::DecideByChase(&symbols, *tgds, db, 5'000'000);
+        termination::DecideByChase(&symbols, *tgds, db, capped);
     double naive_s = naive_timer.Seconds();
 
     if (!syntactic.ok()) continue;

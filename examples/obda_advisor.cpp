@@ -42,7 +42,7 @@ void Report(const char* hospital,
     std::cout << "advisor error: " << result.status().ToString() << "\n";
     return;
   }
-  const termination::AdvisorReport& report = result->report();
+  const api::AdvisorReport& report = result->report();
   std::cout << "class " << tgd::TgdClassName(report.tgd_class)
             << ", decision " << termination::DecisionName(report.decision)
             << " via " << report.method << "\n";

@@ -92,7 +92,7 @@ int main() {
   // --- The non-uniform boundary ----------------------------------------
   // Add the thesis-review rule. With no UnderReview facts the SAME
   // ontology still terminates on this data; with one seed it must be
-  // rejected — and the advisor proves it without chasing.
+  // rejected — and Session::Decide proves it without chasing.
   for (std::uint32_t seeds : {0u, 1u}) {
     core::SymbolTable symbols2;
     workload::UniversityOptions risky = options;
@@ -106,12 +106,10 @@ int main() {
       std::cerr << risky_program.status().ToString() << "\n";
       return 1;
     }
-    auto r = api::Session(*risky_program,
-                          api::SessionOptions().set_materialize(false))
-                 .Advise();
+    auto r = api::Session(*risky_program).Decide();
     std::cout << "with review rule, " << seeds
               << " UnderReview fact(s): "
-              << (r.ok() ? termination::DecisionName(r->decision())
+              << (r.ok() ? termination::DecisionName(r->decision)
                          : r.status().ToString())
               << "\n";
   }

@@ -7,6 +7,7 @@
 #include <unordered_set>
 
 #include "core/schema.h"
+#include "graph/dependency_graph.h"
 #include "graph/reliance.h"
 
 namespace nuchase {
@@ -186,61 +187,15 @@ void CheckRestraintCycles(const tgd::TgdSet& tgds,
                           std::vector<Diagnostic>* out) {
   const std::size_t n = tgds.size();
   if (n < 2 || n > kMaxRulesForRestraintCycles) return;
-  const std::vector<std::vector<RuleIndex>> edges =
-      graph::RestraintEdges(tgds);
-  // Iterative Tarjan; components of ≥ 2 rules are the findings,
-  // reported once each, smallest member first.
-  std::vector<std::uint32_t> index(n, 0), low(n, 0);
-  std::vector<bool> on_stack(n, false), visited(n, false);
-  std::vector<RuleIndex> stack;
+  // Components of ≥ 2 rules are the findings, reported once each,
+  // smallest member first.
+  const std::vector<std::uint32_t> scc =
+      graph::StronglyConnectedComponents(graph::RestraintEdges(tgds));
+  std::vector<std::vector<RuleIndex>> members_of(n);
+  for (RuleIndex r = 0; r < n; ++r) members_of[scc[r]].push_back(r);
   std::vector<std::vector<RuleIndex>> components;
-  std::uint32_t counter = 1;
-  struct Frame {
-    RuleIndex node;
-    std::size_t edge;
-  };
-  std::vector<Frame> frames;
-  for (RuleIndex root = 0; root < n; ++root) {
-    if (visited[root]) continue;
-    frames.push_back(Frame{root, 0});
-    while (!frames.empty()) {
-      Frame& f = frames.back();
-      if (f.edge == 0) {
-        visited[f.node] = true;
-        index[f.node] = low[f.node] = counter++;
-        stack.push_back(f.node);
-        on_stack[f.node] = true;
-      }
-      if (f.edge < edges[f.node].size()) {
-        const RuleIndex next = edges[f.node][f.edge++];
-        if (!visited[next]) {
-          frames.push_back(Frame{next, 0});
-        } else if (on_stack[next]) {
-          low[f.node] = std::min(low[f.node], index[next]);
-        }
-      } else {
-        if (low[f.node] == index[f.node]) {
-          std::vector<RuleIndex> comp;
-          while (true) {
-            const RuleIndex m = stack.back();
-            stack.pop_back();
-            on_stack[m] = false;
-            comp.push_back(m);
-            if (m == f.node) break;
-          }
-          if (comp.size() >= 2) {
-            std::sort(comp.begin(), comp.end());
-            components.push_back(std::move(comp));
-          }
-        }
-        const RuleIndex done = f.node;
-        frames.pop_back();
-        if (!frames.empty()) {
-          low[frames.back().node] =
-              std::min(low[frames.back().node], low[done]);
-        }
-      }
-    }
+  for (std::vector<RuleIndex>& comp : members_of) {
+    if (comp.size() >= 2) components.push_back(std::move(comp));
   }
   std::sort(components.begin(), components.end());
   for (const std::vector<RuleIndex>& comp : components) {

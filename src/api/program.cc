@@ -101,18 +101,18 @@ const util::StatusOr<termination::SyntacticDecision>& Program::syntactic()
     const {
   const Analysis* a = a_.get();
   std::call_once(a->syntactic_once, [this, a] {
-    // The deciders intern rewriting symbols: hand them scratch. For
-    // general Σ the decision IS the ladder — reuse the memoized run
+    using Memo = const util::StatusOr<termination::SyntacticDecision>;
+    // For general Σ the decision IS the ladder: read the memoized run
     // instead of chasing the critical instance a second time.
+    if (a->tgd_class == tgd::TgdClass::kGeneral) {
+      a->syntactic =
+          std::make_unique<Memo>(termination::DecideGeneral(ladder()));
+      return;
+    }
+    // The class deciders intern rewriting symbols: hand them scratch.
     core::SymbolTable scratch = a->symbols;
-    auto decision =
-        a->tgd_class == tgd::TgdClass::kGeneral
-            ? termination::DecideGeneral(&scratch, a->tgds, a->database,
-                                         {}, &ladder())
-            : termination::Decide(&scratch, a->tgds, a->database);
-    a->syntactic = std::make_unique<
-        const util::StatusOr<termination::SyntacticDecision>>(
-        std::move(decision));
+    a->syntactic = std::make_unique<Memo>(
+        termination::Decide(&scratch, a->tgds, a->database));
   });
   return *a->syntactic;
 }

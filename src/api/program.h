@@ -93,12 +93,13 @@ class Program {
   /// D_Σ, never the program's own database.
   const termination::LadderResult& ladder() const;
 
-  /// The class-optimal syntactic ChTrm decision (SL/L/G: the paper's
-  /// exact procedures with default budgets; general: the ladder,
-  /// reusing ladder()'s memoized run), likewise computed at most once
-  /// per Program. Non-OK when the guarded pipeline exhausts its default
-  /// linearization budget; sessions with a non-default budget bypass
-  /// this cache.
+  /// The class-optimal syntactic ChTrm decision with its method string
+  /// (SL/L/G: the paper's exact procedures with default budgets;
+  /// general: DecideGeneral over ladder()'s memoized run), likewise
+  /// computed at most once per Program. The one source of every static
+  /// verdict: Session::Analyze, Decide(kAuto) and Advise all read it.
+  /// Non-OK when the guarded pipeline exhausts its default
+  /// linearization budget.
   const util::StatusOr<termination::SyntacticDecision>& syntactic() const;
 
   std::size_t rule_count() const { return a_->tgds.size(); }

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "termination/bounds.h"
 #include "termination/syntactic_decider.h"
 #include "termination/ucq_decider.h"
 
@@ -12,22 +13,6 @@ chase::ChaseOptions Session::MakeChaseOptions() const {
   chase::ChaseOptions copt = options_.chase;
   copt.plans = &program_.join_plans();
   return copt;
-}
-
-termination::AdvisorOptions Session::MakeAdvisorOptions(
-    bool materialize) const {
-  termination::AdvisorOptions aopt;
-  aopt.chase = MakeChaseOptions();
-  aopt.materialize = materialize;
-  // Point the advisor at the Program's memoized analysis artifacts: the
-  // ladder run for general Σ, the class decision for SL/L/G.
-  if (program_.tgd_class() == tgd::TgdClass::kGeneral) {
-    aopt.ladder = &program_.ladder();
-  } else {
-    const auto& syntactic = program_.syntactic();
-    if (syntactic.ok()) aopt.syntactic = &*syntactic;
-  }
-  return aopt;
 }
 
 util::StatusOr<ChaseRun> Session::Chase() const {
@@ -64,98 +49,103 @@ util::StatusOr<ClassifyResult> Session::Classify() const {
 }
 
 util::StatusOr<AnalyzeResult> Session::Analyze() const {
+  const auto& syntactic = program_.syntactic();
+  if (!syntactic.ok()) return syntactic.status();
   AnalyzeResult out;
   out.tgd_class = program_.tgd_class();
   out.diagnostics = program_.diagnostics();
   out.ladder = program_.ladder();
-
-  if (out.tgd_class == tgd::TgdClass::kGeneral) {
-    out.decision = out.ladder.verdict;
-    if (out.decision == termination::Decision::kTerminates) {
-      out.method = "ladder:" + out.ladder.rung;
-    }
-    return out;
-  }
-  const auto& syntactic = program_.syntactic();
-  if (!syntactic.ok()) return syntactic.status();
   out.decision = syntactic->decision;
-  out.method = termination::SyntacticMethodName(out.tgd_class);
+  out.method = syntactic->method;
+  return out;
+}
+
+DecideResult Session::DecideByBoundedChase(core::SymbolTable* symbols,
+                                           chase::ChaseResult* run) const {
+  // DecideByChase overrides the decision-relevant fields of its `engine`
+  // parameter, so the full chase-option set is safe to hand over.
+  termination::NaiveDecision naive = termination::DecideByChase(
+      symbols, program_.tgds(), program_.database(), MakeChaseOptions(),
+      run);
+  DecideResult out;
+  out.tgd_class = program_.tgd_class();
+  out.decision = naive.decision;
+  out.method = "bounded-chase";
+  out.atoms = naive.atoms;
+  out.max_depth = naive.max_depth;
   return out;
 }
 
 util::StatusOr<DecideResult> Session::Decide(DecideMethod method) const {
-  DecideResult out;
-  out.tgd_class = program_.tgd_class();
-
-  // kAuto answers from the Program's memoized analyses where the
-  // advisor would: the class decision for SL/L/G, a certifying ladder
-  // for general Σ. Only the branches below run a decider.
   if (method == DecideMethod::kAuto) {
-    if (out.tgd_class == tgd::TgdClass::kGeneral) {
-      const termination::LadderResult& ladder = program_.ladder();
-      if (ladder.verdict == termination::Decision::kTerminates) {
-        out.decision = ladder.verdict;
-        out.method = "ladder:" + ladder.rung;
-        return out;
-      }
-    } else {
-      const auto& syntactic = program_.syntactic();
-      if (syntactic.ok() && syntactic->used_class == out.tgd_class) {
-        out.decision = syntactic->decision;
-        out.method = termination::SyntacticMethodName(out.tgd_class);
-        return out;
-      }
+    const auto& syntactic = program_.syntactic();
+    if (!syntactic.ok()) return syntactic.status();
+    if (syntactic->decision != termination::Decision::kUnknown) {
+      DecideResult out;
+      out.tgd_class = program_.tgd_class();
+      out.decision = syntactic->decision;
+      out.method = syntactic->method;
+      return out;
     }
+    // kUnknown: a general Σ no ladder rung certifies. ChTrm(TGD) is
+    // undecidable (Proposition 4.2); chase D within budget.
   }
 
-  // The deciders rewrite Σ (simplification, linearization) and so intern
-  // fresh symbols: give them a session-private copy of the frozen table.
+  // The deciders rewrite Σ or chase D and so intern fresh symbols: give
+  // them a session-private copy of the frozen table.
   core::SymbolTable scratch = program_.symbols();
-
-  switch (method) {
-    case DecideMethod::kUcq: {
-      auto decision = termination::DecideByUcq(&scratch, program_.tgds(),
-                                               program_.database());
-      if (!decision.ok()) return decision.status();
-      out.decision = *decision;
-      out.method = "ucq";
-      return out;
-    }
-    case DecideMethod::kBoundedChase: {
-      // DecideByChase overrides the decision-relevant fields of its
-      // `engine` parameter, so the full chase-option set is safe to hand
-      // over.
-      termination::NaiveDecision naive = termination::DecideByChase(
-          &scratch, program_.tgds(), program_.database(),
-          options_.chase.max_atoms, MakeChaseOptions());
-      out.decision = naive.decision;
-      out.method = "bounded-chase";
-      out.atoms = naive.atoms;
-      out.max_depth = naive.max_depth;
-      return out;
-    }
-    case DecideMethod::kAuto: {
-      auto report =
-          termination::Advise(&scratch, program_.tgds(), program_.database(),
-                              MakeAdvisorOptions(/*materialize=*/false));
-      if (!report.ok()) return report.status();
-      out.decision = report->decision;
-      out.method = report->method;
-      return out;
-    }
+  if (method == DecideMethod::kUcq) {
+    auto decision = termination::DecideByUcq(&scratch, program_.tgds(),
+                                             program_.database());
+    if (!decision.ok()) return decision.status();
+    DecideResult out;
+    out.tgd_class = program_.tgd_class();
+    out.decision = *decision;
+    out.method = "ucq";
+    return out;
   }
-  return util::Status::Internal("unreachable: unknown DecideMethod");
+  return DecideByBoundedChase(&scratch);
 }
 
 util::StatusOr<AdviseResult> Session::Advise() const {
+  const auto& syntactic = program_.syntactic();
+  if (!syntactic.ok()) return syntactic.status();
   AdviseResult out;
   out.symbols_ = program_.symbols();
+  AdvisorReport& report = out.report_;
+  report.tgd_class = program_.tgd_class();
+  report.depth_bound = program_.depth_bound();
+  report.size_bound = termination::SizeBound(program_.fact_count(),
+                                             program_.size_factor());
+  report.decision = syntactic->decision;
+  report.method = syntactic->method;
 
-  auto report =
-      termination::Advise(&out.symbols_, program_.tgds(), program_.database(),
-                          MakeAdvisorOptions(options_.materialize));
-  if (!report.ok()) return report.status();
-  out.report_ = std::move(*report);
+  chase::ChaseResult run;
+  if (report.decision == termination::Decision::kUnknown) {
+    // The bounded chase decides a general Σ no ladder rung certifies;
+    // when it terminates, its run is the materialization.
+    DecideResult decided = DecideByBoundedChase(&out.symbols_, &run);
+    report.decision = decided.decision;
+    report.method = std::move(decided.method);
+  } else if (report.decision == termination::Decision::kTerminates) {
+    run = chase::RunChase(&out.symbols_, program_.tgds(),
+                          program_.database(),
+                          termination::DecisionChaseOptions(
+                              MakeChaseOptions()));
+  }
+  if (report.decision != termination::Decision::kTerminates) return out;
+
+  if (run.outcome == chase::ChaseOutcome::kCancelled) {
+    return util::Status::ResourceExhausted(
+        "materialization cancelled (CancelToken fired or deadline "
+        "elapsed) before completing");
+  }
+  if (!run.Terminated()) {
+    return util::Status::ResourceExhausted(
+        "decider certified termination but the materialization budget "
+        "was exceeded; raise the max_atoms chase budget");
+  }
+  report.materialization = std::move(run);
   return out;
 }
 

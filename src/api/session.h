@@ -2,6 +2,7 @@
 #define NUCHASE_API_SESSION_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -10,7 +11,6 @@
 #include "chase/chase.h"
 #include "chase/observer.h"
 #include "core/symbol_table.h"
-#include "termination/advisor.h"
 #include "termination/ladder.h"
 #include "termination/naive_decider.h"
 #include "util/status.h"
@@ -35,8 +35,6 @@ namespace api {
 struct SessionOptions {
   /// Every chase the session runs starts from these options.
   chase::ChaseOptions chase;
-  /// Advise(): materialize chase(D,Σ) when the decision is kTerminates.
-  bool materialize = true;
 
   SessionOptions& set_variant(chase::ChaseVariant v) {
     chase.variant = v;
@@ -68,10 +66,6 @@ struct SessionOptions {
   SessionOptions& set_num_threads(std::uint32_t) { return *this; }
   SessionOptions& set_build_forest(bool on) {
     chase.build_forest = on;
-    return *this;
-  }
-  SessionOptions& set_materialize(bool on) {
-    materialize = on;
     return *this;
   }
   SessionOptions& set_observer(chase::ChaseObserver* o) {
@@ -154,8 +148,10 @@ struct ClassifyResult {
 
 /// How Session::Decide should decide ChTrm(D, Σ).
 enum class DecideMethod {
-  /// Class-optimal dispatch: the syntactic decider for SL/L/G, the
-  /// bounded chase for general TGDs (the advisor's policy).
+  /// The Program's memoized static verdict (Program::syntactic(): the
+  /// class decider for SL/L/G, the acyclicity ladder for general TGDs),
+  /// falling back to the bounded chase only for a general Σ that no
+  /// ladder rung certifies.
   kAuto,
   /// The data-complexity UCQ Q_Σ (Theorems 6.6 / 7.7; SL/L only —
   /// FailedPrecondition otherwise).
@@ -177,17 +173,35 @@ struct DecideResult {
   std::uint32_t max_depth = 0;
 };
 
-/// The advisor's report plus the symbol scope its (optional)
-/// materialization was built in.
+/// The Section 1 materialization advisor's report (Session::Advise):
+/// given (D, Σ), whether materialization — running the chase to
+/// completion — is possible, and the materialization itself.
+struct AdvisorReport {
+  tgd::TgdClass tgd_class = tgd::TgdClass::kGeneral;
+  termination::Decision decision = termination::Decision::kUnknown;
+  /// Which procedure produced the decision ("weak-acyclicity",
+  /// "simplification+WA", "linearization+simplification+WA",
+  /// "ladder:wa" / "ladder:ja" / "ladder:mfa", "bounded-chase").
+  std::string method;
+  /// The paper's guarantee |chase(D,Σ)| ≤ |D|·f_C(Σ) (inf when unusable).
+  double size_bound = 0;
+  /// Depth bound d_C(Σ).
+  double depth_bound = 0;
+  /// Present when the chase terminates.
+  std::optional<chase::ChaseResult> materialization;
+};
+
+/// The advisor's report plus the symbol scope its materialization was
+/// built in.
 class AdviseResult {
  public:
-  const termination::AdvisorReport& report() const { return report_; }
+  const AdvisorReport& report() const { return report_; }
   termination::Decision decision() const { return report_.decision; }
   bool has_materialization() const {
     return report_.materialization.has_value();
   }
-  /// The session-private symbol table the advisor ran against (the
-  /// program's table plus rewriting symbols and materialization nulls).
+  /// The session-private symbol table the materialization was built in
+  /// (the program's table plus the materialization's nulls).
   const core::SymbolTable& symbols() const { return symbols_; }
   /// Sorted rendering of the materialization; empty when absent.
   std::string MaterializationToSortedString() const {
@@ -199,17 +213,17 @@ class AdviseResult {
   friend class Session;
   AdviseResult() = default;
 
-  termination::AdvisorReport report_;
+  AdvisorReport report_;
   core::SymbolTable symbols_;
 };
 
 /// A cheap execution handle over a shared Program: the run-many half of
 /// the facade. Sessions never mutate the Program — Chase() allocates the
 /// run's nulls in a private core::SymbolOverlay, and Decide()/Advise()
-/// copy the frozen table into session-private scratch for the rewriting
-/// machinery — so any number of sessions over one `const Program` can
-/// run concurrently, producing byte-identical results for identical
-/// options.
+/// copy the frozen table into session-private scratch for the deciders
+/// and chases they run — so any number of sessions over one
+/// `const Program` can run concurrently, producing byte-identical
+/// results for identical options.
 class Session {
  public:
   explicit Session(Program program, SessionOptions options = {})
@@ -228,11 +242,12 @@ class Session {
   util::StatusOr<ClassifyResult> Classify() const;
 
   /// Static analysis only: the program's lint diagnostics plus the
-  /// strongest purely static ChTrm verdict (class decider or ladder
-  /// rung), without ever chasing D. Both halves are memoized in the
-  /// shared Program, so repeated calls — and subsequent Decide/Advise
-  /// calls — recompute nothing. Non-OK only when the guarded pipeline
-  /// exhausts its linearization budget (ResourceExhausted).
+  /// strongest purely static ChTrm verdict (Program::syntactic(): class
+  /// decider or ladder rung), without ever chasing D. Both halves are
+  /// memoized in the shared Program, so repeated calls — and subsequent
+  /// Decide/Advise calls — recompute nothing. Non-OK only when the
+  /// guarded pipeline exhausts its linearization budget
+  /// (ResourceExhausted).
   util::StatusOr<AnalyzeResult> Analyze() const;
 
   /// Decides ChTrm(D, Σ). kAuto never fails on valid inputs; kUcq fails
@@ -241,13 +256,20 @@ class Session {
   util::StatusOr<DecideResult> Decide(
       DecideMethod method = DecideMethod::kAuto) const;
 
-  /// The Section 1 materialization advisor: decide, and (when
-  /// options().materialize and the chase terminates) materialize.
+  /// The Section 1 materialization advisor: Decide(kAuto), and when the
+  /// chase terminates, materialize it. Σ is chased at most once: the
+  /// bounded chase that decides a general Σ, when it terminates, is the
+  /// materialization. A materialization stopped by the atom budget or
+  /// the cancel token is ResourceExhausted.
   util::StatusOr<AdviseResult> Advise() const;
 
  private:
   chase::ChaseOptions MakeChaseOptions() const;
-  termination::AdvisorOptions MakeAdvisorOptions(bool materialize) const;
+  /// The bounded-chase decision (termination::DecideByChase) over the
+  /// session's chase options, interning into `symbols`; `run`, when
+  /// non-null, receives the chase.
+  DecideResult DecideByBoundedChase(core::SymbolTable* symbols,
+                                    chase::ChaseResult* run = nullptr) const;
 
   Program program_;
   SessionOptions options_;

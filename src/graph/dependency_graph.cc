@@ -1,7 +1,6 @@
 #include "graph/dependency_graph.h"
 
 #include <algorithm>
-#include <stack>
 
 namespace nuchase {
 namespace graph {
@@ -19,15 +18,11 @@ DependencyGraph::DependencyGraph(const tgd::TgdSet& tgds,
       nodes_.push_back(pos);
     }
   }
-  adjacency_.resize(nodes_.size());
-
   auto add_edge = [&](const Position& from, const Position& to,
                       bool special) {
     NodeId f = node_ids_.at(from);
     NodeId t = node_ids_.at(to);
-    Edge e{f, t, special};
-    edges_.push_back(e);
-    adjacency_[f].push_back(e);
+    edges_.push_back(Edge{f, t, special});
   };
 
   for (const tgd::Tgd& rule : tgds.tgds()) {
@@ -55,7 +50,9 @@ DependencyGraph::DependencyGraph(const tgd::TgdSet& tgds,
     }
   }
 
-  ComputeSccs();
+  std::vector<std::vector<NodeId>> successors(nodes_.size());
+  for (const Edge& e : edges_) successors[e.from].push_back(e.to);
+  scc_ = StronglyConnectedComponents(successors);
 }
 
 bool DependencyGraph::FindNode(const Position& pos, NodeId* id) const {
@@ -65,24 +62,24 @@ bool DependencyGraph::FindNode(const Position& pos, NodeId* id) const {
   return true;
 }
 
-void DependencyGraph::ComputeSccs() {
-  // Iterative Tarjan SCC.
+std::vector<std::uint32_t> StronglyConnectedComponents(
+    const std::vector<std::vector<std::uint32_t>>& successors) {
   const std::uint32_t kUnvisited = 0xffffffffu;
-  std::size_t n = nodes_.size();
-  scc_.assign(n, kUnvisited);
+  const std::size_t n = successors.size();
+  std::vector<std::uint32_t> scc(n, kUnvisited);
   std::vector<std::uint32_t> index(n, kUnvisited), lowlink(n, 0);
   std::vector<bool> on_stack(n, false);
-  std::vector<NodeId> stack;
+  std::vector<std::uint32_t> stack;
   std::uint32_t next_index = 0, next_scc = 0;
 
   struct Frame {
-    NodeId node;
+    std::uint32_t node;
     std::size_t edge_cursor;
   };
+  std::vector<Frame> frames;
 
-  for (NodeId start = 0; start < n; ++start) {
+  for (std::uint32_t start = 0; start < n; ++start) {
     if (index[start] != kUnvisited) continue;
-    std::vector<Frame> frames;
     frames.push_back({start, 0});
     index[start] = lowlink[start] = next_index++;
     stack.push_back(start);
@@ -90,9 +87,9 @@ void DependencyGraph::ComputeSccs() {
 
     while (!frames.empty()) {
       Frame& frame = frames.back();
-      NodeId u = frame.node;
-      if (frame.edge_cursor < adjacency_[u].size()) {
-        NodeId v = adjacency_[u][frame.edge_cursor++].to;
+      const std::uint32_t u = frame.node;
+      if (frame.edge_cursor < successors[u].size()) {
+        const std::uint32_t v = successors[u][frame.edge_cursor++];
         if (index[v] == kUnvisited) {
           index[v] = lowlink[v] = next_index++;
           stack.push_back(v);
@@ -104,22 +101,23 @@ void DependencyGraph::ComputeSccs() {
       } else {
         if (lowlink[u] == index[u]) {
           while (true) {
-            NodeId w = stack.back();
+            const std::uint32_t w = stack.back();
             stack.pop_back();
             on_stack[w] = false;
-            scc_[w] = next_scc;
+            scc[w] = next_scc;
             if (w == u) break;
           }
           ++next_scc;
         }
         frames.pop_back();
         if (!frames.empty()) {
-          NodeId parent = frames.back().node;
+          const std::uint32_t parent = frames.back().node;
           lowlink[parent] = std::min(lowlink[parent], lowlink[u]);
         }
       }
     }
   }
+  return scc;
 }
 
 std::vector<DependencyGraph::NodeId>

@@ -41,11 +41,6 @@ class DependencyGraph {
   const core::Position& position(NodeId id) const { return nodes_[id]; }
   std::size_t num_nodes() const { return nodes_.size(); }
 
-  /// Outgoing edges of a node.
-  const std::vector<Edge>& OutEdges(NodeId id) const {
-    return adjacency_[id];
-  }
-
   /// Strongly connected component id per node (Tarjan). Two nodes are on a
   /// common cycle iff they share an SCC.
   const std::vector<std::uint32_t>& SccIds() const { return scc_; }
@@ -63,14 +58,18 @@ class DependencyGraph {
   }
 
  private:
-  void ComputeSccs();
-
   std::vector<core::Position> nodes_;
   std::unordered_map<core::Position, NodeId, core::PositionHash> node_ids_;
   std::vector<Edge> edges_;
-  std::vector<std::vector<Edge>> adjacency_;
   std::vector<std::uint32_t> scc_;
 };
+
+/// Strongly connected components (iterative Tarjan) of the digraph in
+/// which node u has the successors `successors[u]`: one component id per
+/// node, numbered in the order Tarjan closes them. Two nodes lie on a
+/// common cycle iff they share an id.
+std::vector<std::uint32_t> StronglyConnectedComponents(
+    const std::vector<std::vector<std::uint32_t>>& successors);
 
 }  // namespace graph
 }  // namespace nuchase

@@ -20,9 +20,12 @@
 ///
 ///   api::Program  — immutable parse/validate/classify/join-plan artifact
 ///                   carrying the static analysis (lint diagnostics,
-///                   memoized acyclicity ladder + class decision)
+///                   memoized acyclicity ladder, and syntactic(): the one
+///                   static ChTrm verdict with its method string)
 ///   api::Session  — per-run options + Chase/Decide/Classify/Analyze/
-///                   Advise
+///                   Advise; Analyze, Decide and Advise read
+///                   Program::syntactic(), chasing D only for a general
+///                   Σ no ladder rung certifies
 ///   api::ChaseObserver / api::CancelToken — progress and interruption
 ///
 /// Lower-level layers (core, tgd, chase, termination, ...) remain public

@@ -79,6 +79,13 @@ double SizeFactor(tgd::TgdClass clazz, const tgd::TgdSet& tgds,
   return SizeFactor(DepthBound(clazz, tgds, symbols), tgds, symbols);
 }
 
+double SizeBound(std::size_t database_size, double size_factor) {
+  if (!std::isfinite(size_factor)) {
+    return std::numeric_limits<double>::infinity();
+  }
+  return static_cast<double>(database_size) * size_factor;
+}
+
 double GtreeLevelBound(std::uint32_t depth, const tgd::TgdSet& tgds,
                        const core::SymbolTable& symbols) {
   double norm = static_cast<double>(tgds.Norm(symbols));

@@ -1,6 +1,8 @@
 #ifndef NUCHASE_TERMINATION_BOUNDS_H_
 #define NUCHASE_TERMINATION_BOUNDS_H_
 
+#include <cstddef>
+
 #include "core/symbol_table.h"
 #include "tgd/classify.h"
 #include "tgd/tgd.h"
@@ -37,6 +39,11 @@ double SizeFactorL(const tgd::TgdSet& tgds, const core::SymbolTable& symbols);
 double SizeFactorG(const tgd::TgdSet& tgds, const core::SymbolTable& symbols);
 double SizeFactor(tgd::TgdClass clazz, const tgd::TgdSet& tgds,
                   const core::SymbolTable& symbols);
+
+/// The size bound |D|·f_C(Σ) given f_C(Σ) = `size_factor`: +inf
+/// whenever the factor is not finite, so an empty D never turns an
+/// unusable factor into NaN.
+double SizeBound(std::size_t database_size, double size_factor);
 
 /// Lemma 5.1's per-depth tree bound ||Σ||^(2·ar(Σ)·(i+1)).
 double GtreeLevelBound(std::uint32_t depth, const tgd::TgdSet& tgds,

@@ -4,8 +4,7 @@ namespace nuchase {
 namespace termination {
 
 LadderResult RunLadder(const core::SymbolTable& symbols,
-                       const tgd::TgdSet& tgds, const core::Database& db,
-                       const LadderOptions& options) {
+                       const tgd::TgdSet& tgds, const core::Database& db) {
   LadderResult out;
   out.wa = graph::CheckWeakAcyclicity(tgds, db, symbols);
   out.uniformly_weakly_acyclic = out.wa.special_cycle_positions.empty();
@@ -18,9 +17,9 @@ LadderResult RunLadder(const core::SymbolTable& symbols,
     out.verdict = Decision::kTerminates;
     out.rung = "ja";
   }
-  if (out.verdict == Decision::kUnknown && options.run_mfa) {
+  if (out.verdict == Decision::kUnknown) {
     out.mfa_ran = true;
-    out.mfa = CheckMfa(symbols, tgds, options.mfa);
+    out.mfa = CheckMfa(symbols, tgds);
     if (out.mfa.status == MfaStatus::kAcyclic) {
       out.verdict = Decision::kTerminates;
       out.rung = "mfa";

@@ -14,15 +14,6 @@
 namespace nuchase {
 namespace termination {
 
-struct LadderOptions {
-  /// Budgets of the MFA rung's critical-instance chase.
-  MfaOptions mfa;
-  /// Skip the MFA rung (the only one that chases) — the cheap mode for
-  /// callers that must never run a chase at all; Session::Analyze and
-  /// the deciders run the full ladder.
-  bool run_mfa = true;
-};
-
 /// The acyclicity ladder: WA (D-relative) → JA → MFA, cheapest rung
 /// first, each rung carrying its machine-readable witness. Every rung is
 /// a *sufficient* condition for semi-oblivious termination on D — WA
@@ -50,9 +41,9 @@ struct LadderResult {
 /// Runs the ladder bottom-up, short-circuiting the chase-backed MFA rung
 /// when a cheaper rung already certifies (WA and JA are always computed
 /// — both are near-free and the diagnostics surface their witnesses).
+/// The MFA rung runs with the default MfaOptions budgets.
 LadderResult RunLadder(const core::SymbolTable& symbols,
-                       const tgd::TgdSet& tgds, const core::Database& db,
-                       const LadderOptions& options = {});
+                       const tgd::TgdSet& tgds, const core::Database& db);
 
 }  // namespace termination
 }  // namespace nuchase

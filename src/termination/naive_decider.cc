@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "termination/bounds.h"
 
@@ -35,13 +36,12 @@ chase::ChaseOptions DecisionChaseOptions(const chase::ChaseOptions& engine) {
 NaiveDecision DecideByChase(core::SymbolTable* symbols,
                             const tgd::TgdSet& tgds,
                             const core::Database& db,
-                            std::uint64_t hard_atom_cap,
-                            const chase::ChaseOptions& engine) {
+                            const chase::ChaseOptions& engine,
+                            chase::ChaseResult* run) {
   NaiveDecision out;
   tgd::TgdClass clazz = tgd::Classify(tgds);
   out.depth_bound = DepthBound(clazz, tgds, *symbols);
-  out.size_bound =
-      static_cast<double>(db.size()) * SizeFactor(clazz, tgds, *symbols);
+  out.size_bound = SizeBound(db.size(), SizeFactor(clazz, tgds, *symbols));
 
   chase::ChaseOptions options = DecisionChaseOptions(engine);
   // Depth budget: exceeding d_C(Σ) certifies non-termination
@@ -56,9 +56,8 @@ NaiveDecision DecideByChase(core::SymbolTable* symbols,
   // Atom budget: exceeding |D|·f_C(Σ) certifies non-termination
   // (items (2) of the same theorems).
   bool atom_budget_exact = false;
-  options.max_atoms = hard_atom_cap;
   if (std::isfinite(out.size_bound) &&
-      out.size_bound < static_cast<double>(hard_atom_cap)) {
+      out.size_bound < static_cast<double>(options.max_atoms)) {
     options.max_atoms = static_cast<std::uint64_t>(out.size_bound);
     atom_budget_exact = true;
   }
@@ -97,6 +96,7 @@ NaiveDecision DecideByChase(core::SymbolTable* symbols,
       out.decision = Decision::kUnknown;
       break;
   }
+  if (run != nullptr) *run = std::move(result);
   return out;
 }
 

@@ -42,8 +42,8 @@ struct NaiveDecision {
 /// semi-oblivious variant (Definition 3.1, whose result is unique), no
 /// depth or round budget, no forest, and Σ-order firing. Everything
 /// else — atom budget, engine switches, deadline, hooks, plans — is
-/// kept. Every chase run by DecideByChase and the advisor starts from
-/// this.
+/// kept. Every chase run by DecideByChase and Session::Advise starts
+/// from this.
 chase::ChaseOptions DecisionChaseOptions(const chase::ChaseOptions& engine);
 
 /// The naive ChTrm procedure sketched in Section 3 (and made worst-case
@@ -52,17 +52,20 @@ chase::ChaseOptions DecisionChaseOptions(const chase::ChaseOptions& engine);
 ///   - reject when a term of depth > d_C(Σ) appears (Lemmas 6.2/7.4/8.2:
 ///     finite chase implies maxdepth ≤ d_C(Σ)) or when the instance
 ///     exceeds |D|·f_C(Σ) atoms;
-///   - report kUnknown when only the hard practical cap stopped the run
-///     (possible for guarded sets, whose bounds overflow quickly).
-/// `engine` carries the engine switches, deadline, hooks and
-/// precomputed plans into the bounded run; the decision-relevant
+///   - report kUnknown when only `engine.max_atoms`, the hard practical
+///     cap, stopped the run (possible for guarded sets, whose bounds
+///     overflow quickly).
+/// `engine` carries the atom cap, engine switches, deadline, hooks and
+/// precomputed plans into the bounded run; the other decision-relevant
 /// fields are owned by the procedure (DecisionChaseOptions, then the
-/// depth and atom budgets above).
+/// depth and atom budgets above). `run`, when non-null, receives the
+/// chase itself: on kTerminates it is chase(D, Σ), the very result a
+/// DecisionChaseOptions(engine) run materializes.
 NaiveDecision DecideByChase(core::SymbolTable* symbols,
                             const tgd::TgdSet& tgds,
                             const core::Database& db,
-                            std::uint64_t hard_atom_cap = 10'000'000,
-                            const chase::ChaseOptions& engine = {});
+                            const chase::ChaseOptions& engine = {},
+                            chase::ChaseResult* run = nullptr);
 
 }  // namespace termination
 }  // namespace nuchase

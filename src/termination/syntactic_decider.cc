@@ -36,6 +36,7 @@ util::StatusOr<SyntacticDecision> DecideSimpleLinear(
   DeciderInvocationsForTest().fetch_add(1, std::memory_order_relaxed);
   SyntacticDecision out;
   out.used_class = tgd::TgdClass::kSimpleLinear;
+  out.method = "weak-acyclicity";
   graph::WeakAcyclicityResult wa =
       graph::CheckWeakAcyclicity(tgds, db, *symbols);
   out.decision = wa.weakly_acyclic ? Decision::kTerminates
@@ -62,6 +63,7 @@ util::StatusOr<SyntacticDecision> DecideLinear(core::SymbolTable* symbols,
 
   SyntacticDecision out;
   out.used_class = tgd::TgdClass::kLinear;
+  out.method = "simplification+WA";
   out.simple_tgds = simple_tgds->size();
   graph::WeakAcyclicityResult wa =
       graph::CheckWeakAcyclicity(*simple_tgds, simple_db, *symbols);
@@ -81,6 +83,7 @@ util::StatusOr<SyntacticDecision> DecideGuarded(
 
   SyntacticDecision out;
   out.used_class = tgd::TgdClass::kGuarded;
+  out.method = "linearization+simplification+WA";
   out.simple_tgds = gsimple->tgds.size();
   out.lin_types = gsimple->num_types;
   out.lin_tgds = gsimple->num_linear_tgds;
@@ -92,22 +95,13 @@ util::StatusOr<SyntacticDecision> DecideGuarded(
   return out;
 }
 
-util::StatusOr<SyntacticDecision> DecideGeneral(
-    core::SymbolTable* symbols, const tgd::TgdSet& tgds,
-    const core::Database& db, const LadderOptions& options,
-    const LadderResult* precomputed) {
-  auto start = Clock::now();
+SyntacticDecision DecideGeneral(const LadderResult& ladder) {
   SyntacticDecision out;
   out.used_class = tgd::TgdClass::kGeneral;
-  LadderResult local;
-  if (precomputed == nullptr) {
-    DeciderInvocationsForTest().fetch_add(1, std::memory_order_relaxed);
-    local = RunLadder(*symbols, tgds, db, options);
-    precomputed = &local;
+  out.decision = ladder.verdict;
+  if (ladder.verdict == Decision::kTerminates) {
+    out.method = "ladder:" + ladder.rung;
   }
-  out.decision = precomputed->verdict;
-  out.ladder_rung = precomputed->rung;
-  out.seconds = Seconds(start);
   return out;
 }
 
@@ -121,21 +115,16 @@ util::StatusOr<SyntacticDecision> Decide(core::SymbolTable* symbols,
       return DecideLinear(symbols, tgds, db);
     case tgd::TgdClass::kGuarded:
       return DecideGuarded(symbols, tgds, db);
-    case tgd::TgdClass::kGeneral:
-      return DecideGeneral(symbols, tgds, db);
+    case tgd::TgdClass::kGeneral: {
+      auto start = Clock::now();
+      DeciderInvocationsForTest().fetch_add(1, std::memory_order_relaxed);
+      SyntacticDecision out =
+          DecideGeneral(RunLadder(*symbols, tgds, db));
+      out.seconds = Seconds(start);
+      return out;
+    }
   }
   return util::Status::Internal("unreachable");
-}
-
-const char* SyntacticMethodName(tgd::TgdClass cls) {
-  switch (cls) {
-    case tgd::TgdClass::kSimpleLinear:
-      return "weak-acyclicity";
-    case tgd::TgdClass::kLinear:
-      return "simplification+WA";
-    default:
-      return "linearization+simplification+WA";
-  }
 }
 
 }  // namespace termination

@@ -22,14 +22,15 @@ struct SyntacticDecision {
   Decision decision = Decision::kUnknown;
   /// Class whose characterization was applied.
   tgd::TgdClass used_class = tgd::TgdClass::kGeneral;
+  /// The procedure that decided: "weak-acyclicity" (SL),
+  /// "simplification+WA" (L), "linearization+simplification+WA" (G),
+  /// or "ladder:wa" / "ladder:ja" / "ladder:mfa" (general Σ); empty
+  /// when the decision is kUnknown.
+  std::string method;
   /// Pipeline stage sizes (0 when the stage was not needed):
   std::uint64_t simple_tgds = 0;  ///< |simple(Σ)| or |gsimple(Σ)|.
   std::uint64_t lin_types = 0;    ///< Σ-types generated (guarded only).
   std::uint64_t lin_tgds = 0;     ///< |lin(Σ)| fragment (guarded only).
-  /// DecideGeneral only: the acyclicity-ladder rung that certified
-  /// ("wa" / "ja" / "mfa"); empty for the exact class procedures and
-  /// for kUnknown.
-  std::string ladder_rung;
   /// Wall time in seconds.
   double seconds = 0;
 };
@@ -54,37 +55,26 @@ util::StatusOr<SyntacticDecision> DecideGuarded(
     const core::Database& db,
     const rewrite::LinearizeOptions& options = {});
 
-/// ChTrm for arbitrary TGDs via the acyclicity ladder (WA → JA → MFA,
-/// termination/ladder.h): kTerminates with the certifying rung in
-/// SyntacticDecision::ladder_rung when some rung proves Σ ∈ CT_D,
-/// kUnknown otherwise — never kDoesNotTerminate, since ChTrm(TGD) is
-/// undecidable (Proposition 4.2) and every rung is merely sufficient.
-/// `precomputed` (borrowed) short-circuits to a caller-cached ladder
-/// run, the frozen-Program cache path.
-util::StatusOr<SyntacticDecision> DecideGeneral(
-    core::SymbolTable* symbols, const tgd::TgdSet& tgds,
-    const core::Database& db, const LadderOptions& options = {},
-    const LadderResult* precomputed = nullptr);
+/// ChTrm for arbitrary TGDs from a run of the acyclicity ladder
+/// (WA → JA → MFA, termination/ladder.h): kTerminates with method
+/// "ladder:<rung>" when some rung proves Σ ∈ CT_D, kUnknown otherwise —
+/// never kDoesNotTerminate, since ChTrm(TGD) is undecidable
+/// (Proposition 4.2) and every rung is merely sufficient.
+SyntacticDecision DecideGeneral(const LadderResult& ladder);
 
 /// Dispatches on Classify(Σ): SL → DecideSimpleLinear, L → DecideLinear,
-/// G → DecideGuarded, and — since the ladder landed — general TGDs to
-/// DecideGeneral's sufficient conditions (kUnknown when no rung
-/// certifies; the exact procedures of the three classes never return
-/// kUnknown).
+/// G → DecideGuarded, and general TGDs to DecideGeneral over a fresh
+/// RunLadder (kUnknown when no rung certifies; the exact procedures of
+/// the three classes never return kUnknown).
 util::StatusOr<SyntacticDecision> Decide(core::SymbolTable* symbols,
                                          const tgd::TgdSet& tgds,
                                          const core::Database& db);
 
-/// Names the exact procedure Decide applies to an SL, L or G set
-/// ("weak-acyclicity", "simplification+WA",
-/// "linearization+simplification+WA"): the method string of
-/// api::AnalyzeResult and AdvisorReport for those classes.
-const char* SyntacticMethodName(tgd::TgdClass cls);
-
 /// Test hook: count of syntactic-decision computations (the bodies of
-/// the four Decide* procedures) since process start. The facade caching
-/// test pins that repeated Session::Decide/Advise calls over one frozen
-/// Program recompute nothing.
+/// the three class procedures, and Decide's ladder runs for general Σ)
+/// since process start. The facade caching test pins that repeated
+/// Session::Decide/Advise calls over one frozen Program recompute
+/// nothing.
 std::atomic<std::uint64_t>& DeciderInvocationsForTest();
 
 }  // namespace termination

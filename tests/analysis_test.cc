@@ -168,16 +168,6 @@ TEST_F(AnalysisTest, LadderUnknownWhenNoRungCertifies) {
   EXPECT_EQ(r.mfa.status, termination::MfaStatus::kCyclic);
 }
 
-TEST_F(AnalysisTest, LadderChaseFreeModeSkipsMfa) {
-  tgd::Program p = Parse(kMfaNotJa);
-  termination::LadderOptions options;
-  options.run_mfa = false;
-  termination::LadderResult r =
-      termination::RunLadder(symbols_, p.tgds, p.database, options);
-  EXPECT_FALSE(r.mfa_ran);
-  EXPECT_EQ(r.verdict, termination::Decision::kUnknown);
-}
-
 // ------------------------------------------------------- diagnostics --
 
 std::vector<analysis::Diagnostic> Lint(const tgd::Program& p,
@@ -282,6 +272,8 @@ TEST_F(AnalysisTest, LadderSoundOnRandomWorkloads) {
       tgd::TgdClass::kGuarded, tgd::TgdClass::kGeneral};
   std::uint32_t tag = 0;
   int certified = 0;
+  chase::ChaseOptions capped;
+  capped.max_atoms = 200000;
   for (tgd::TgdClass target : classes) {
     for (std::uint32_t seed = 1; seed <= 6; ++seed) {
       workload::RandomTgdOptions options;
@@ -296,7 +288,7 @@ TEST_F(AnalysisTest, LadderSoundOnRandomWorkloads) {
       if (ladder.verdict != termination::Decision::kTerminates) continue;
       ++certified;
       termination::NaiveDecision on_d = termination::DecideByChase(
-          &symbols_, w.tgds, w.database, 200000);
+          &symbols_, w.tgds, w.database, capped);
       EXPECT_EQ(on_d.decision, termination::Decision::kTerminates)
           << "ladder rung '" << ladder.rung
           << "' certified a diverging set (class "
@@ -306,7 +298,7 @@ TEST_F(AnalysisTest, LadderSoundOnRandomWorkloads) {
             &symbols_, w.tgds, "crit" + std::to_string(tag));
         ASSERT_TRUE(critical.ok());
         termination::NaiveDecision on_crit = termination::DecideByChase(
-            &symbols_, w.tgds, *critical, 200000);
+            &symbols_, w.tgds, *critical, capped);
         EXPECT_EQ(on_crit.decision, termination::Decision::kTerminates)
             << "uniform rung '" << ladder.rung
             << "' but the critical chase diverges (seed " << seed << ")";

@@ -15,6 +15,7 @@
 #include "nuchase/nuchase.h"
 #include "tgd/classify.h"
 #include "tgd/parser.h"
+#include "workload/depth_family.h"
 #include "workload/random_tgds.h"
 
 namespace nuchase {
@@ -327,8 +328,8 @@ TEST(SessionTest, DecideAutoUpgradesGeneralViaLadder) {
   EXPECT_EQ(by_auto->method, "ladder:ja");
 }
 
-// kAuto answers from the Program's memoized analyses without running
-// the advisor; its verdict and method string must be the advisor's on
+// Decide(kAuto) and Advise read the one memoized verdict
+// (Program::syntactic()); their verdict and method string must agree on
 // every class, the general one included.
 TEST(SessionTest, DecideAutoMatchesTheAdvisor) {
   for (tgd::TgdClass clazz :
@@ -343,8 +344,7 @@ TEST(SessionTest, DecideAutoMatchesTheAdvisor) {
       auto program = api::Program::Create(
           std::move(symbols), std::move(w.tgds), std::move(w.database));
       ASSERT_TRUE(program.ok()) << program.status().ToString();
-      api::Session session(*program,
-                           api::SessionOptions().set_materialize(false));
+      api::Session session(*program);
       auto decided = session.Decide();
       auto advised = session.Advise();
       const std::string label = std::string(tgd::TgdClassName(clazz)) +
@@ -472,6 +472,49 @@ TEST(ObserverTest, ObserverRunsOnAdvisorChases) {
   ASSERT_TRUE(advice->has_materialization());
   EXPECT_EQ(observer.done_calls, 1);
   EXPECT_GT(observer.fires, 0u);
+}
+
+// Advise chases Σ once on every class: a general Σ no ladder rung
+// certifies is decided by the bounded chase, and that terminated run is
+// the materialization — the same instance, null names included, as a
+// default Session::Chase.
+TEST(ObserverTest, AdviseChasesOncePerClass) {
+  std::vector<api::Program> programs;
+  for (const char* text :
+       {kQuickstart, "R(a, a). R(x, x) -> S(x, z). S(x, y) -> T(y).",
+        "G(a, b). H(b). G(x, y), H(y) -> K(x, y, z). K(x, y, z) -> H(z)."}) {
+    auto parsed = api::Program::Parse(text);
+    ASSERT_TRUE(parsed.ok()) << text;
+    programs.push_back(*parsed);
+  }
+  core::SymbolTable depth_symbols;
+  workload::Workload depth = workload::MakeDepthFamily(&depth_symbols, 4);
+  auto depth_program =
+      api::Program::Create(std::move(depth_symbols), std::move(depth.tgds),
+                           std::move(depth.database));
+  ASSERT_TRUE(depth_program.ok());
+  programs.push_back(*depth_program);
+  const tgd::TgdClass classes[] = {
+      tgd::TgdClass::kSimpleLinear, tgd::TgdClass::kLinear,
+      tgd::TgdClass::kGuarded, tgd::TgdClass::kGeneral};
+  for (std::size_t i = 0; i < programs.size(); ++i) {
+    const api::Program& program = programs[i];
+    const std::string label = tgd::TgdClassName(classes[i]);
+    ASSERT_EQ(program.tgd_class(), classes[i]) << label;
+    RecordingObserver observer;
+    auto advice =
+        api::Session(program, api::SessionOptions().set_observer(&observer))
+            .Advise();
+    ASSERT_TRUE(advice.ok()) << label;
+    ASSERT_TRUE(advice->has_materialization()) << label;
+    auto run = api::Session(program).Chase();
+    ASSERT_TRUE(run.ok()) << label;
+    EXPECT_EQ(observer.done_calls, 1) << label;
+    EXPECT_EQ(observer.fires, run->stats().triggers_fired) << label;
+    EXPECT_EQ(advice->MaterializationToSortedString(), run->ToSortedString())
+        << label;
+  }
+  EXPECT_EQ(programs[3].ladder().verdict, termination::Decision::kUnknown);
 }
 
 // ---------------------------------------------------------------------

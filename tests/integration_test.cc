@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
+#include "api/session.h"
 #include "chase/chase.h"
 #include "query/evaluator.h"
-#include "termination/advisor.h"
 #include "termination/syntactic_decider.h"
 #include "termination/ucq_decider.h"
 #include "tgd/parser.h"
@@ -16,7 +16,6 @@ namespace {
 /// materialized universal model (the workflow the paper's introduction
 /// motivates).
 TEST(IntegrationTest, ObdaMaterializationPipeline) {
-  core::SymbolTable symbols;
   const std::string text = R"(
 % Data: employees, departments, managers.
 WorksIn(alice, sales).
@@ -29,51 +28,52 @@ Manages(m, d) -> Dept(d), Emp(m).
 WorksIn(x, d) -> Emp(x).
 Dept(d) -> HasHead(d, h), Emp(h).
 )";
-  auto program = tgd::ParseProgram(&symbols, text);
+  auto program = api::Program::Parse(text);
   ASSERT_TRUE(program.ok()) << program.status().ToString();
 
-  auto report =
-      termination::Advise(&symbols, program->tgds, program->database);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report->decision, termination::Decision::kTerminates);
-  ASSERT_TRUE(report->materialization.has_value());
-  const core::Instance& model = report->materialization->instance;
+  auto advice = api::Session(*program).Advise();
+  ASSERT_TRUE(advice.ok()) << advice.status().ToString();
+  const api::AdvisorReport& report = advice->report();
+  EXPECT_EQ(report.decision, termination::Decision::kTerminates);
+  ASSERT_TRUE(report.materialization.has_value());
+  const core::Instance& model = report.materialization->instance;
 
   // The universal model answers CQs over inferred atoms: every
   // department has a head who is an employee.
-  auto has_head = symbols.FindPredicate("HasHead");
-  auto emp = symbols.FindPredicate("Emp");
+  auto has_head = program->FindPredicate("HasHead");
+  auto emp = program->FindPredicate("Emp");
   ASSERT_TRUE(has_head.ok());
   ASSERT_TRUE(emp.ok());
+  core::SymbolTable symbols = program->symbols();
   core::Term d = symbols.InternVariable("qd");
   core::Term h = symbols.InternVariable("qh");
   query::ConjunctiveQuery cq{
       {core::Atom(*has_head, {d, h}), core::Atom(*emp, {h})}};
   EXPECT_TRUE(query::Satisfies(model, cq));
-  EXPECT_TRUE(query::Satisfies(model, program->tgds));
+  EXPECT_TRUE(query::Satisfies(model, program->tgds()));
 }
 
 /// End-to-end: a non-terminating ontology is detected *before*
 /// materialization, and the UCQ decider gives the same verdict straight
 /// from the database.
 TEST(IntegrationTest, NonTerminatingOntologyIsRefused) {
-  core::SymbolTable symbols;
   const std::string text = R"(
 Person(adam).
 Person(x) -> HasParent(x, y).
 HasParent(x, y) -> Person(y).
 )";
-  auto program = tgd::ParseProgram(&symbols, text);
+  auto program = api::Program::Parse(text);
   ASSERT_TRUE(program.ok());
 
-  auto report =
-      termination::Advise(&symbols, program->tgds, program->database);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->decision, termination::Decision::kDoesNotTerminate);
-  EXPECT_FALSE(report->materialization.has_value());
+  auto advice = api::Session(*program).Advise();
+  ASSERT_TRUE(advice.ok());
+  const api::AdvisorReport& report = advice->report();
+  EXPECT_EQ(report.decision, termination::Decision::kDoesNotTerminate);
+  EXPECT_FALSE(report.materialization.has_value());
 
-  auto via_ucq = termination::DecideByUcq(&symbols, program->tgds,
-                                          program->database);
+  core::SymbolTable symbols = program->symbols();
+  auto via_ucq = termination::DecideByUcq(&symbols, program->tgds(),
+                                          program->database());
   ASSERT_TRUE(via_ucq.ok());
   EXPECT_EQ(*via_ucq, termination::Decision::kDoesNotTerminate);
 }

@@ -56,9 +56,10 @@ class RandomWorkloadTest
 /// Property 1 (Theorems 6.4 / 7.5 / 8.3): the syntactic decider and the
 /// bounded-chase ground truth agree.
 TEST_P(RandomWorkloadTest, SyntacticDeciderMatchesGroundTruth) {
+  chase::ChaseOptions capped;
+  capped.max_atoms = 300'000;
   termination::NaiveDecision truth = termination::DecideByChase(
-      &symbols_, workload_.tgds, workload_.database,
-      /*hard_atom_cap=*/300'000);
+      &symbols_, workload_.tgds, workload_.database, capped);
   if (truth.decision == Decision::kUnknown) {
     GTEST_SKIP() << "ground truth exceeded its practical budget";
   }

@@ -2,8 +2,8 @@
 
 #include <cmath>
 
+#include "api/session.h"
 #include "graph/weak_acyclicity.h"
-#include "termination/advisor.h"
 #include "termination/bounds.h"
 #include "termination/naive_decider.h"
 #include "termination/syntactic_decider.h"
@@ -62,7 +62,9 @@ TEST_F(TerminationTest, NaiveDeciderUnknownForGeneralTgds) {
   // Prop 4.5's infinite variant is not guarded: no depth bound applies,
   // so the naive decider can only report kUnknown at its hard cap.
   workload::Workload w = workload::MakeDepthFamilyInfinite(&symbols_);
-  NaiveDecision d = DecideByChase(&symbols_, w.tgds, w.database, 500);
+  chase::ChaseOptions capped;
+  capped.max_atoms = 500;
+  NaiveDecision d = DecideByChase(&symbols_, w.tgds, w.database, capped);
   EXPECT_EQ(d.decision, Decision::kUnknown);
 }
 
@@ -160,7 +162,7 @@ TEST_F(TerminationTest, DispatchPicksTheRightDecider) {
   ASSERT_TRUE(dg.ok()) << dg.status().ToString();
   EXPECT_EQ(dg->used_class, tgd::TgdClass::kGeneral);
   EXPECT_EQ(dg->decision, Decision::kTerminates);
-  EXPECT_EQ(dg->ladder_rung, "wa");
+  EXPECT_EQ(dg->method, "ladder:wa");
 }
 
 TEST_F(TerminationTest, DecideGeneralUpgradesUnknownToTerminates) {
@@ -172,28 +174,32 @@ TEST_F(TerminationTest, DecideGeneralUpgradesUnknownToTerminates) {
       "P(a). R(a, b).\n"
       "P(x) -> Q(x, y).\n"
       "Q(x, y), R(y, w) -> P(y).\n");
+  chase::ChaseOptions starved;
+  starved.max_atoms = 2;
   NaiveDecision naive =
-      DecideByChase(&symbols_, p.tgds, p.database, /*max_atoms=*/2);
+      DecideByChase(&symbols_, p.tgds, p.database, starved);
   EXPECT_EQ(naive.decision, Decision::kUnknown);
 
-  auto d = DecideGeneral(&symbols_, p.tgds, p.database);
-  ASSERT_TRUE(d.ok());
-  EXPECT_EQ(d->decision, Decision::kTerminates);
-  EXPECT_EQ(d->ladder_rung, "ja");
+  SyntacticDecision d =
+      DecideGeneral(RunLadder(symbols_, p.tgds, p.database));
+  EXPECT_EQ(d.decision, Decision::kTerminates);
+  EXPECT_EQ(d.method, "ladder:ja");
 }
 
 TEST_F(TerminationTest, AdvisorUsesLadderForGeneralTgds) {
-  tgd::Program p = Parse(
+  auto p = api::Program::Parse(
       "B(a). D(a, b).\n"
       "B(x) -> R(x, y).\n"
       "R(x, y), B(y), D(x, w) -> C(x).\n"
       "C(x), R(x, y) -> B(y).\n");
-  auto report = Advise(&symbols_, p.tgds, p.database);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->tgd_class, tgd::TgdClass::kGeneral);
-  EXPECT_EQ(report->decision, Decision::kTerminates);
-  EXPECT_EQ(report->method, "ladder:mfa");
-  ASSERT_TRUE(report->materialization.has_value());
+  ASSERT_TRUE(p.ok());
+  auto advice = api::Session(*p).Advise();
+  ASSERT_TRUE(advice.ok());
+  const api::AdvisorReport& report = advice->report();
+  EXPECT_EQ(report.tgd_class, tgd::TgdClass::kGeneral);
+  EXPECT_EQ(report.decision, Decision::kTerminates);
+  EXPECT_EQ(report.method, "ladder:mfa");
+  ASSERT_TRUE(report.materialization.has_value());
 }
 
 TEST_F(TerminationTest, UcqDeciderSL) {
@@ -240,39 +246,65 @@ TEST_F(TerminationTest, UcqDeciderRejectsGuarded) {
 }
 
 TEST_F(TerminationTest, AdvisorMaterializesTerminatingSets) {
-  tgd::Program p = Parse(
+  auto p = api::Program::Parse(
       "Emp(e1, d1).\n"
       "Emp(x, y) -> Dept(y).\n"
       "Dept(y) -> Mgr(y, z).\n");
-  auto report = Advise(&symbols_, p.tgds, p.database);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report->decision, Decision::kTerminates);
-  EXPECT_EQ(report->tgd_class, tgd::TgdClass::kSimpleLinear);
-  EXPECT_EQ(report->method, "weak-acyclicity");
-  ASSERT_TRUE(report->materialization.has_value());
-  EXPECT_EQ(report->materialization->instance.size(), 3u);
+  ASSERT_TRUE(p.ok());
+  auto advice = api::Session(*p).Advise();
+  ASSERT_TRUE(advice.ok()) << advice.status().ToString();
+  const api::AdvisorReport& report = advice->report();
+  EXPECT_EQ(report.decision, Decision::kTerminates);
+  EXPECT_EQ(report.tgd_class, tgd::TgdClass::kSimpleLinear);
+  EXPECT_EQ(report.method, "weak-acyclicity");
+  ASSERT_TRUE(report.materialization.has_value());
+  EXPECT_EQ(report.materialization->instance.size(), 3u);
   // The paper's headline guarantee: |chase| ≤ |D| · f_C(Σ).
   EXPECT_LE(
-      static_cast<double>(report->materialization->instance.size()),
-      report->size_bound);
+      static_cast<double>(report.materialization->instance.size()),
+      report.size_bound);
 }
 
 TEST_F(TerminationTest, AdvisorDeclinesNonTerminating) {
-  tgd::Program p = Parse("R(a, b). R(x, y) -> R(y, z).");
-  auto report = Advise(&symbols_, p.tgds, p.database);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->decision, Decision::kDoesNotTerminate);
-  EXPECT_FALSE(report->materialization.has_value());
+  auto p = api::Program::Parse("R(a, b). R(x, y) -> R(y, z).");
+  ASSERT_TRUE(p.ok());
+  auto advice = api::Session(*p).Advise();
+  ASSERT_TRUE(advice.ok());
+  const api::AdvisorReport& report = advice->report();
+  EXPECT_EQ(report.decision, Decision::kDoesNotTerminate);
+  EXPECT_FALSE(report.materialization.has_value());
 }
 
 TEST_F(TerminationTest, AdvisorHandlesGeneralTgdsBestEffort) {
   workload::Workload w = workload::MakeDepthFamily(&symbols_, 4);
-  auto report = Advise(&symbols_, w.tgds, w.database);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->tgd_class, tgd::TgdClass::kGeneral);
-  EXPECT_EQ(report->method, "bounded-chase");
-  EXPECT_EQ(report->decision, Decision::kTerminates);
-  ASSERT_TRUE(report->materialization.has_value());
+  auto p = api::Program::Create(std::move(symbols_), std::move(w.tgds),
+                                std::move(w.database));
+  ASSERT_TRUE(p.ok());
+  auto advice = api::Session(*p).Advise();
+  ASSERT_TRUE(advice.ok());
+  const api::AdvisorReport& report = advice->report();
+  EXPECT_EQ(report.tgd_class, tgd::TgdClass::kGeneral);
+  EXPECT_EQ(report.method, "bounded-chase");
+  EXPECT_EQ(report.decision, Decision::kTerminates);
+  ASSERT_TRUE(report.materialization.has_value());
+}
+
+TEST_F(TerminationTest, SizeBoundIsInfWhenTheFactorOverflows) {
+  // f_G overflows to inf; over an empty D the product |D|·f_C(Σ) would
+  // be 0·inf = NaN. The bound is documented as inf when unusable.
+  const char* text = "R(x, y), S(y) -> T(x, z).";
+  tgd::Program p = Parse(text);
+  ASSERT_TRUE(std::isinf(SizeFactorG(p.tgds, symbols_)));
+  EXPECT_TRUE(std::isinf(SizeBound(0, SizeFactorG(p.tgds, symbols_))));
+  EXPECT_TRUE(std::isinf(
+      DecideByChase(&symbols_, p.tgds, p.database).size_bound));
+
+  auto program = api::Program::Parse(text);
+  ASSERT_TRUE(program.ok());
+  ASSERT_EQ(program->tgd_class(), tgd::TgdClass::kGuarded);
+  auto advice = api::Session(*program).Advise();
+  ASSERT_TRUE(advice.ok());
+  EXPECT_TRUE(std::isinf(advice->report().size_bound));
 }
 
 TEST(DecisionNameTest, Names) {

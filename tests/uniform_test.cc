@@ -80,7 +80,7 @@ TEST(UniformDeciderTest, Proposition45FamilyIsNotUniform) {
   auto d = DecideUniform(&symbols, w.tgds);
   ASSERT_TRUE(d.ok());
   EXPECT_EQ(d->decision, Decision::kUnknown);
-  EXPECT_TRUE(d->ladder_rung.empty());
+  EXPECT_TRUE(d->method.empty());
 
   core::Database crit = *MakeCriticalDatabase(&symbols, w.tgds);
   chase::ChaseOptions options;
