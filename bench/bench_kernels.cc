@@ -7,7 +7,7 @@
 //   enumerate         every seeded join of every rule's compiled plan
 //                     (HomomorphismFinder::RunSeeded), from every atom
 //                     of its seed predicate;
-//   fired-set insert  the dedup keys of those matches into a reset
+//   fired-set insert  the dedup keys of those matches into a fresh
 //   fired-set contains FlatFiredSet, then probed again;
 //   position lookup   Instance::AtomsWithTermAt for every (atom, pos);
 //   InsertTuple loop  the whole instance re-inserted, in index order,
@@ -140,7 +140,7 @@ void Run() {
       std::to_string(enumerate_probes), "-",
       probes == enumerate_probes && matches == enumerate_matches);
 
-  // Fired set: insert every match key into a reset set, then probe.
+  // Fired set: insert every match key into a fresh set, then probe.
   const std::size_t num_keys = key_offsets.size() - 1;
   auto key = [&](std::size_t i) {
     return chase::KeySpan(keys.data() + key_offsets[i],
@@ -149,7 +149,7 @@ void Run() {
   chase::FlatFiredSet fired;
   std::size_t fresh = 0;
   const double insert_s = MedianSeconds([&] {
-    fired.Reset();
+    fired = chase::FlatFiredSet();
     fresh = 0;
     for (std::size_t i = 0; i < num_keys; ++i) {
       if (fired.Insert(key(i))) ++fresh;

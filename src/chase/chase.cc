@@ -61,19 +61,23 @@ JoinPlanSet PlanJoins(const tgd::TgdSet& tgds) {
 namespace {
 
 /// A collected, not-yet-applied trigger of the rule its PendingList
-/// was collected for. Its `count` images live at offset `images` of
-/// the list's arena: the frontier images (sorted-frontier order), then
-/// — oblivious variant only, which names nulls by them — the full
-/// body-variable images (sorted-body-variable order). `guard_image` is
-/// the instance index of the guard image, or kNoGuard (the TGD is not
-/// guarded, or no forest is being built).
+/// was collected for. Its images live at offset `images` of the list's
+/// arena, ImageCount of them: the frontier images (sorted-frontier
+/// order), then — oblivious variant only, which names nulls by them —
+/// the full body-variable images (sorted-body-variable order).
+/// `guard_image` is the instance index of the guard image, or kNoGuard
+/// (the TGD is not guarded, or no forest is being built).
 struct PendingTrigger {
   std::uint64_t images;
-  std::uint32_t count;
   AtomIndex guard_image;
 
   static constexpr AtomIndex kNoGuard = 0xffffffffu;
 };
+
+/// The number of images every pending trigger of `plan`'s rule has.
+std::size_t ImageCount(const JoinPlan& plan, bool oblivious) {
+  return plan.frontier_slots.size() + (oblivious ? plan.num_body_slots : 0);
+}
 
 /// One rule's pending triggers plus the one Term arena all their images
 /// live in: collecting a trigger appends to two reused vectors, never
@@ -90,29 +94,6 @@ struct PendingList {
     arena.clear();
   }
 };
-
-/// Canonical order of one rule's pending triggers: by frontier images,
-/// then body images (one lexicographic comparison of the image run:
-/// both halves have the rule's fixed lengths). The delta-seeded collect
-/// finds a round's triggers in seed and join-plan order; sorting before
-/// the apply phase makes the firing order — and hence null numbering
-/// and the restricted-chase result — a function of Σ, D and the round
-/// alone, which is what the brute-force reference chase of the tests
-/// reproduces.
-bool PendingBefore(const PendingTrigger& a, const Term* a_images,
-                   const PendingTrigger& b, const Term* b_images) {
-  return std::lexicographical_compare(a_images, a_images + a.count,
-                                      b_images, b_images + b.count);
-}
-
-/// Sorts a list into canonical (PendingBefore) order.
-void SortPending(PendingList* list) {
-  const Term* arena = list->arena.data();
-  std::sort(list->triggers.begin(), list->triggers.end(),
-            [arena](const PendingTrigger& a, const PendingTrigger& b) {
-              return PendingBefore(a, arena + a.images, b, arena + b.images);
-            });
-}
 
 /// The one definition of trigger identity: writes the dedup key of
 /// (σ_ti, h) into `*key` (cleared first; a reused buffer). Key:
@@ -136,17 +117,16 @@ void BuildFiredKey(const JoinPlan& plan, tgd::RuleIndex ti, bool oblivious,
 }
 
 #ifndef NDEBUG
-/// The same key rebuilt from a collected trigger of rule ti and its
-/// images (the debug null-naming check, where h is gone). Consistent
-/// with BuildFiredKey by construction: the oblivious key images are the
-/// body images, which follow the frontier images in the arena.
-void FiredKeyOf(tgd::RuleIndex ti, const PendingTrigger& trig,
-                const Term* images, const JoinPlan& plan, bool oblivious,
-                std::vector<std::uint32_t>* key) {
-  const std::size_t skip = oblivious ? plan.frontier_slots.size() : 0;
+/// The same key rebuilt from the images of a collected trigger of rule
+/// ti (the debug null-naming check, where h is gone). Consistent with
+/// BuildFiredKey by construction: the oblivious key images are the body
+/// images, which follow the frontier images in the arena.
+void FiredKeyOf(tgd::RuleIndex ti, const Term* images, const JoinPlan& plan,
+                bool oblivious, std::vector<std::uint32_t>* key) {
   key->clear();
   key->push_back(ti);
-  for (std::size_t i = skip; i < trig.count; ++i) {
+  for (std::size_t i = oblivious ? plan.frontier_slots.size() : 0;
+       i < ImageCount(plan, oblivious); ++i) {
     key->push_back(images[i].bits());
   }
 }
@@ -166,118 +146,423 @@ void AppendPending(const JoinPlan& plan, bool oblivious, const Term* slots,
     list->arena.insert(list->arena.end(), slots,
                        slots + plan.num_body_slots);
   }
-  trig.count = static_cast<std::uint32_t>(list->arena.size() - trig.images);
   list->triggers.push_back(trig);
 }
 
-/// How binding a trigger's existential variables ended.
-enum class BindResult {
-  kOk,                 ///< Every null bound (all within the budget).
-  kDepthLimit,         ///< A null exceeded the depth budget.
-  kResourceExhausted,  ///< The scope ran out of null ids.
+/// One chase run's round loop. Every round walks one permutation of Σ,
+/// one rule at a time, through the phases: Collect the rule's new
+/// triggers, Sort them into canonical order, then Fire them — the
+/// restricted variant's CheckHeads/HeadSatisfied, then Bind and Insert
+/// per trigger. Phases that can end the run return kTerminated when it
+/// may continue.
+///
+/// Cooperative interruption: the cancel token is a relaxed atomic read,
+/// polled on every StopRequested call; the deadline needs a clock read,
+/// amortized to one in 64 polls. Polls happen at round, trigger and
+/// homomorphism granularity — and, through the finder's interrupt hook,
+/// at probe granularity inside long match-free joins — so even a
+/// diverging chase whose rounds keep growing stops within a bounded
+/// slice of work. `stopped_` is the one stop decision: once a poll
+/// trips it, every phase unwinds and the run ends with kCancelled.
+class RoundEngine {
+ public:
+  /// Inserts D into result->instance and prepares the plans and the
+  /// walk; `result` must outlive the engine.
+  RoundEngine(core::SymbolScope* symbols, const tgd::TgdSet& tgds,
+              const core::Database& db, const ChaseOptions& options,
+              ChaseResult* result);
+  RoundEngine(const RoundEngine&) = delete;
+  RoundEngine& operator=(const RoundEngine&) = delete;
+
+  /// Runs rounds until a round's delta is empty or a budget, the cancel
+  /// token or the deadline stops the run.
+  ChaseOutcome Run();
+
+ private:
+  bool StopRequested();
+  void Collect(tgd::RuleIndex ti);
+  void Sort(tgd::RuleIndex ti);
+  ChaseOutcome Fire(tgd::RuleIndex ti);
+  bool CheckHeads(tgd::RuleIndex ti);
+  bool HeadSatisfied(tgd::RuleIndex ti, const Term* frontier_images);
+  ChaseOutcome Bind(tgd::RuleIndex ti, const Term* frontier_images);
+  ChaseOutcome Insert(tgd::RuleIndex ti, const PendingTrigger& trig);
+
+  core::SymbolScope* const symbols_;
+  const tgd::TgdSet& tgds_;
+  const ChaseOptions& options_;
+  ChaseStats& stats_;
+  Forest& forest_;
+  Instance& instance_;
+  const bool oblivious_;
+  const bool restricted_;
+  // Rule-index discipline: every rule loop compares tgd::RuleIndex
+  // against tgd::RuleIndex; the cap check makes the narrowing from
+  // tgds.size() exact. An over-cap Σ stops cleanly (outcome
+  // kResourceExhausted, the database facts a consistent prefix) before
+  // any index arithmetic, planning or scheduling runs.
+  const bool rules_overflow_;
+
+  const bool has_deadline_;
+  const std::chrono::steady_clock::time_point deadline_;
+  std::uint32_t deadline_poll_ = 0;
+  bool stopped_ = false;
+  // The finder's probe-level hook (see the class comment); installed
+  // only when there is something to poll, keeping the probe loop
+  // branch-predictable otherwise.
+  const std::function<bool()> probe_interrupt_;
+
+  // One compiled join plan per TGD, shared by every round — and by
+  // every run, when the caller supplies plans precomputed with
+  // PlanJoins (api::Program does).
+  JoinPlanSet local_plans_;
+  const JoinPlanSet* plans_;
+  // The permutation of Σ every round walks: Σ-order, except in
+  // restraint mode (restricted variant, opt-in, NOT identity-preserving
+  // — see ChaseOptions::restraint_order), where it is
+  // graph::RestraintOrder, restrainers first. Both are pure functions
+  // of Σ, so every run is deterministic.
+  std::vector<tgd::RuleIndex> walk_;
+
+  FlatFiredSet fired_;
+#ifndef NDEBUG
+  // The debug form of Bind's naming argument: every null key (=
+  // fired-set key) binds its nulls at most once per run.
+  FlatFiredSet bound_null_keys_;
+#endif
+  // The one join kernel, counting straight into join_probes: the
+  // collect's body joins and the restricted head checks. A rule's
+  // collect always finishes before its fire loop starts.
+  HomomorphismFinder finder_;
+
+  // The round's delta is the global index window [delta_begin_,
+  // delta_end_): the atoms the previous round inserted (round one: D).
+  AtomIndex delta_begin_ = 0;
+  AtomIndex delta_end_ = 0;
+  // The one pending list, reused by every rule and round: collecting
+  // allocates only while it outgrows its high-water mark.
+  PendingList pending_;
+  // The firing trigger in its rule's slot layout: frontier images at
+  // JoinPlan::frontier_slots, bound nulls at num_body_slots + z.
+  std::vector<Term> slots_;
+  // Scratch tuple for the allocation-free probe/insert fast path: every
+  // h(atom) is instantiated into this buffer and handed to the instance
+  // as a span; no Atom is materialized anywhere in the loop.
+  std::vector<Term> scratch_;
+  std::vector<std::uint32_t> key_;            // reused fired-set key
+  std::vector<std::uint8_t> head_satisfied_;  // restricted pre-checks
 };
 
-/// Binds the `num_existential` existential variables of one firing
-/// trigger to fresh nulls, appended to `*out` in σ's sorted existential
-/// order.
-///
-/// Definition 3.1 names the null for z of trigger (σ, h) ⊥^z_{σ, h|fr(σ)}
-/// (oblivious: ⊥^z_{σ, h}): its identity is a function of the fired-set
-/// key plus z. The fired set admits each key at most once per run and
-/// every admitted trigger binds at most once, so a key never asks for
-/// its nulls twice, and allocating fresh ones in canonical trigger
-/// order IS the functional naming — no key -> null map is needed.
-///
-/// Every null has depth 1 + max({depth(h(x)) | x ∈ fr(σ)} ∪ {0})
-/// (Definition 4.3), raising *observed_max_depth. Stops at the first
-/// failure: a null deeper than `max_depth_limit` (0 = unlimited; the
-/// breaching null still lands in `*out` and still raises
-/// *observed_max_depth, mirroring how the engine's depth statistic
-/// counts the breach itself) or an exhausted scope (nothing appended
-/// for that variable).
-BindResult BindFreshNulls(core::SymbolScope* symbols,
-                          std::size_t num_existential,
-                          const Term* frontier_images,
-                          std::size_t num_frontier,
-                          std::uint32_t max_depth_limit,
-                          std::vector<Term>* out,
-                          std::uint32_t* observed_max_depth) {
-  std::uint32_t depth = 0;
-  for (std::size_t i = 0; i < num_frontier; ++i) {
-    depth = std::max(depth, symbols->depth(frontier_images[i]));
+RoundEngine::RoundEngine(core::SymbolScope* symbols,
+                         const tgd::TgdSet& tgds, const core::Database& db,
+                         const ChaseOptions& options, ChaseResult* result)
+    : symbols_(symbols),
+      tgds_(tgds),
+      options_(options),
+      stats_(result->stats),
+      forest_(result->forest),
+      instance_(result->instance),
+      oblivious_(options.variant == ChaseVariant::kOblivious),
+      restricted_(options.variant == ChaseVariant::kRestricted),
+      rules_overflow_(tgds.size() > tgd::kMaxRules),
+      has_deadline_(options.deadline_ms != 0),
+      deadline_(util::DeadlineAfter(std::chrono::steady_clock::now(),
+                                    options.deadline_ms)),
+      probe_interrupt_([this] { return StopRequested(); }),
+      plans_(options.plans),
+      finder_(result->instance) {
+  finder_.set_probe_counter(&stats_.join_probes);
+  if (options.cancel != nullptr || has_deadline_) {
+    finder_.set_interrupt(&probe_interrupt_);
   }
-  ++depth;
-  for (std::size_t z = 0; z < num_existential; ++z) {
-    util::StatusOr<Term> null = symbols->MakeNull(depth);
-    if (!null.ok()) return BindResult::kResourceExhausted;
-    out->push_back(*null);
-    *observed_max_depth = std::max(*observed_max_depth, depth);
-    if (max_depth_limit != 0 && depth > max_depth_limit) {
-      return BindResult::kDepthLimit;
-    }
+  stats_.database_atoms = db.size();
+  for (const Atom& fact : db.facts()) {
+    auto [idx, fresh] = instance_.Insert(fact);
+    if (fresh && options.build_forest) forest_.AddRoot(idx);
   }
-  return BindResult::kOk;
+  delta_end_ = static_cast<AtomIndex>(instance_.size());
+  if (rules_overflow_) return;
+  if (plans_ == nullptr || plans_->size() != tgds.size()) {
+    local_plans_ = PlanJoins(tgds);
+    plans_ = &local_plans_;
+  }
+  if (options.restraint_order && restricted_) {
+    walk_ = graph::RestraintOrder(tgds);
+  } else {
+    walk_.resize(tgds.size());
+    std::iota(walk_.begin(), walk_.end(), tgd::RuleIndex{0});
+  }
 }
 
-/// Where one term of a head tuple comes from: a frontier image or one
-/// of the trigger's bound existential nulls. TGD atoms are
-/// constant-free (tgd.h), so these two sources are exhaustive.
-struct HeadSlot {
-  bool existential;
-  std::uint32_t index;
-};
-
-/// One head atom of a HeadPlan: `pred(out[begin], ...,
-/// out[begin + arity - 1])` over the buffer HeadPlan::Fill writes.
-struct HeadTuple {
-  core::PredicateId pred;
-  std::uint32_t begin;
-  std::uint32_t arity;
-};
-
-/// The precompiled build recipe for one rule's head: filling a
-/// trigger's head tuples is a straight copy loop driven by `slots` (all
-/// head atoms concatenated), with `tuples[j]` giving each atom's
-/// predicate, arity and term offset within the filled buffer.
-struct HeadPlan {
-  std::vector<HeadSlot> slots;
-  std::vector<HeadTuple> tuples;
-  std::size_t terms_per_trigger = 0;
-
-  /// Writes one trigger's head tuples (terms_per_trigger terms) to
-  /// `out`, from its frontier images and its bound nulls.
-  void Fill(const Term* frontier_images, const Term* nulls,
-            Term* out) const {
-    for (std::size_t s = 0; s < slots.size(); ++s) {
-      out[s] = slots[s].existential ? nulls[slots[s].index]
-                                    : frontier_images[slots[s].index];
-    }
+bool RoundEngine::StopRequested() {
+  if (stopped_) return true;
+  if (options_.cancel != nullptr && options_.cancel->cancelled()) {
+    stopped_ = true;
+  } else if (has_deadline_ && (++deadline_poll_ & 63u) == 0) {
+    stopped_ = std::chrono::steady_clock::now() >= deadline_;
   }
-};
+  return stopped_;
+}
 
-HeadPlan PlanHead(const tgd::Tgd& rule) {
-  HeadPlan plan;
-  auto index_of = [](const std::vector<Term>& vars, Term v) {
-    return static_cast<std::uint32_t>(
-        std::find(vars.begin(), vars.end(), v) - vars.begin());
+ChaseOutcome RoundEngine::Run() {
+  if (rules_overflow_) return ChaseOutcome::kResourceExhausted;
+  while (delta_begin_ < delta_end_) {
+    if (options_.max_rounds != 0 && stats_.rounds >= options_.max_rounds) {
+      return ChaseOutcome::kRoundLimit;
+    }
+    if (StopRequested()) return ChaseOutcome::kCancelled;
+    ++stats_.rounds;
+    if (options_.observer != nullptr) {
+      RoundProgress progress;
+      progress.round = stats_.rounds;
+      progress.atoms = instance_.size();
+      progress.delta_atoms = delta_end_ - delta_begin_;
+      progress.triggers_fired = stats_.triggers_fired;
+      options_.observer->OnRound(progress);
+    }
+    for (tgd::RuleIndex ti : walk_) {
+      Collect(ti);
+      if (stopped_) return ChaseOutcome::kCancelled;
+      Sort(ti);
+      const ChaseOutcome outcome = Fire(ti);
+      if (outcome != ChaseOutcome::kTerminated) return outcome;
+    }
+    delta_begin_ = delta_end_;
+    delta_end_ = static_cast<AtomIndex>(instance_.size());
+  }
+  return ChaseOutcome::kTerminated;
+}
+
+// Collect: fills pending_ with rule ti's new triggers, enumerating
+// candidate homomorphisms without touching the instance while its index
+// vectors are being iterated, and joining only through the round's
+// delta.
+//
+// Every join is seeded from a delta atom of the seed position's
+// predicate, through the precomputed join order. Body positions before
+// the seed are restricted to pre-delta atoms, so each homomorphism is
+// enumerated from exactly one seed: its first (in body order) atom at or
+// past delta_begin_. Positions after the seed may also match atoms
+// earlier rules inserted this round; a homomorphism whose first non-old
+// atom is one of those waits for the next round, whose delta holds it.
+void RoundEngine::Collect(tgd::RuleIndex ti) {
+  const tgd::Tgd& rule = tgds_.tgd(ti);
+  const JoinPlan& plan = (*plans_)[ti];
+  pending_.Clear();
+  auto on_match = [&](const Term* h) {
+    if (StopRequested()) return false;  // the run is being cancelled
+    BuildFiredKey(plan, ti, oblivious_, h, &key_);
+    if (!fired_.Insert(key_)) return true;
+    // The guard image feeds only the forest.
+    AtomIndex guard_image = PendingTrigger::kNoGuard;
+    if (options_.build_forest && rule.IsGuarded()) {
+      InstantiateInto(plan.body,
+                      static_cast<std::size_t>(rule.guard_index()), h,
+                      &scratch_);
+      AtomIndex gi = 0;
+      if (instance_.FindTuple(rule.guard().predicate,
+                              core::TermSpan(scratch_), &gi)) {
+        guard_image = gi;
+      }
+    }
+    AppendPending(plan, oblivious_, h, guard_image, &pending_);
+    return true;
   };
-  for (const Atom& head_atom : rule.head()) {
-    HeadTuple tuple;
-    tuple.pred = head_atom.predicate;
-    tuple.begin = static_cast<std::uint32_t>(plan.terms_per_trigger);
-    tuple.arity = static_cast<std::uint32_t>(head_atom.arity());
-    plan.tuples.push_back(tuple);
-    for (Term v : head_atom.args) {
-      HeadSlot slot;
-      slot.existential =
-          index_of(rule.frontier(), v) >= rule.frontier().size();
-      slot.index = slot.existential ? index_of(rule.existential(), v)
-                                    : index_of(rule.frontier(), v);
-      plan.slots.push_back(slot);
+  for (std::size_t seed_pos = 0;
+       seed_pos < rule.body().size() && !stopped_; ++seed_pos) {
+    const core::IndexSpan seeds = instance_.AtomsWithPredicateIn(
+        rule.body()[seed_pos].predicate, delta_begin_, delta_end_);
+    stats_.delta_atoms_scanned += seeds.size();
+    const SlotConjunction& seeded = plan.seeded[seed_pos];
+    for (AtomIndex a : seeds) {
+      if (stopped_) break;
+      finder_.Begin(seeded);
+      finder_.RunSeeded(a, delta_begin_, on_match);
     }
-    plan.terms_per_trigger += head_atom.arity();
   }
-  return plan;
+}
+
+// Sort: puts pending_ into canonical order — by frontier images, then
+// body images (one lexicographic comparison of the image run: both
+// halves have the rule's fixed lengths). Collect finds a round's
+// triggers in seed and join-plan order; sorting before the fire loop
+// makes the firing order — and hence null numbering and the
+// restricted-chase result — a function of Σ, D and the round alone,
+// which is what the brute-force reference chase of the tests
+// reproduces.
+void RoundEngine::Sort(tgd::RuleIndex ti) {
+  const Term* arena = pending_.arena.data();
+  const std::size_t count = ImageCount((*plans_)[ti], oblivious_);
+  std::sort(pending_.triggers.begin(), pending_.triggers.end(),
+            [arena, count](const PendingTrigger& a, const PendingTrigger& b) {
+              return std::lexicographical_compare(
+                  arena + a.images, arena + a.images + count,
+                  arena + b.images, arena + b.images + count);
+            });
+}
+
+// Fire: applies rule ti's canonical pending list, in canonical order.
+// Each trigger binds its nulls and inserts its heads before the next
+// one starts, so a run stopped by a budget has bound nulls for exactly
+// the triggers it fired.
+ChaseOutcome RoundEngine::Fire(tgd::RuleIndex ti) {
+  const std::vector<PendingTrigger>& pending = pending_.triggers;
+  if (pending.empty()) return ChaseOutcome::kTerminated;
+  const std::uint64_t frozen_size = instance_.size();
+  if (restricted_ && !CheckHeads(ti)) return ChaseOutcome::kCancelled;
+  for (std::size_t t = 0; t < pending.size(); ++t) {
+    const PendingTrigger& trig = pending[t];
+    const Term* frontier_images = pending_.ImagesOf(trig);
+    if (StopRequested()) return ChaseOutcome::kCancelled;
+    if (restricted_) {
+      bool satisfied = head_satisfied_[t] != 0;
+      if (!satisfied && instance_.size() > frozen_size) {
+        // Atoms inserted by earlier triggers of this batch may have
+        // satisfied the head since the pre-check; once satisfied,
+        // monotonicity keeps the trigger satisfied forever, so the
+        // `fired_` entry can stand.
+        satisfied = HeadSatisfied(ti, frontier_images);
+        if (stopped_) return ChaseOutcome::kCancelled;
+      }
+      if (satisfied) {
+        ++stats_.triggers_satisfied;
+        continue;
+      }
+    }
+    ++stats_.triggers_fired;
+    ChaseOutcome outcome = Bind(ti, frontier_images);
+    if (outcome == ChaseOutcome::kTerminated) outcome = Insert(ti, trig);
+    // A trigger a budget stops did fire: keep the observer's OnFire
+    // tally equal to triggers_fired.
+    if (options_.observer != nullptr) {
+      options_.observer->OnFire(ti, instance_.size());
+    }
+    if (outcome != ChaseOutcome::kTerminated) return outcome;
+  }
+  return ChaseOutcome::kTerminated;
+}
+
+// Restricted pre-check: decides head satisfaction for every pending
+// trigger against the batch-start instance. Satisfaction is monotone —
+// the atom set only grows — so a "satisfied" verdict is final; only
+// not-yet-satisfied verdicts can be flipped by atoms this very batch
+// inserts, and Fire re-checks exactly those, exactly when an insert has
+// happened. Skip/fire decisions therefore match a walk that checks
+// every trigger just before firing it; join_probes is defined by this
+// two-step schedule. Returns false when the run was stopped: an aborted
+// check certifies nothing, so no trigger of the batch may fire or be
+// skipped.
+bool RoundEngine::CheckHeads(tgd::RuleIndex ti) {
+  const std::vector<PendingTrigger>& pending = pending_.triggers;
+  head_satisfied_.assign(pending.size(), 0);
+  for (std::size_t t = 0; t < pending.size(); ++t) {
+    head_satisfied_[t] =
+        HeadSatisfied(ti, pending_.ImagesOf(pending[t])) ? 1 : 0;
+    if (stopped_) return false;
+  }
+  return true;
+}
+
+// Head check: true iff some extension h' ⊇ h|fr(σ) already maps
+// head(σ) into the instance — the compiled head enumerated with the
+// frontier slots pre-bound.
+bool RoundEngine::HeadSatisfied(tgd::RuleIndex ti,
+                                const Term* frontier_images) {
+  const JoinPlan& plan = (*plans_)[ti];
+  finder_.Begin(plan.head);
+  for (std::size_t i = 0; i < plan.frontier_slots.size(); ++i) {
+    finder_.Bind(plan.frontier_slots[i], frontier_images[i]);
+  }
+  bool satisfied = false;
+  finder_.Run([&](const Term*) {
+    satisfied = true;
+    return false;  // stop at the first
+  });
+  return satisfied;
+}
+
+// Bind: writes the firing trigger into slots_ — its frontier images at
+// the frontier slots, and fresh nulls for σ's existential variables at
+// slots num_body_slots + z, in σ's sorted existential order.
+//
+// Definition 3.1 names the null for z of trigger (σ, h) ⊥^z_{σ, h|fr(σ)}
+// (oblivious: ⊥^z_{σ, h}): its identity is a function of the fired-set
+// key plus z. The fired set admits each key at most once per run and
+// every admitted trigger binds at most once, so a key never asks for
+// its nulls twice, and allocating fresh ones in canonical trigger order
+// IS the functional naming — no key -> null map is needed.
+//
+// Every null has depth 1 + max({depth(h(x)) | x ∈ fr(σ)} ∪ {0})
+// (Definition 4.3), raising max_depth. Stops at the first failure: a
+// null deeper than ChaseOptions::max_depth (kDepthLimit; the breaching
+// null is still bound and still raises max_depth, mirroring how the
+// depth statistic counts the breach itself) or an exhausted scope
+// (kResourceExhausted; nothing bound for that variable).
+ChaseOutcome RoundEngine::Bind(tgd::RuleIndex ti,
+                               const Term* frontier_images) {
+  const JoinPlan& plan = (*plans_)[ti];
+  const std::size_t num_frontier = plan.frontier_slots.size();
+#ifndef NDEBUG
+  FiredKeyOf(ti, frontier_images, plan, oblivious_, &key_);
+  const bool fresh_key = bound_null_keys_.Insert(key_);
+  assert(fresh_key && "a fired-set key bound its nulls twice");
+  (void)fresh_key;
+#endif
+  slots_.assign(plan.num_body_slots, kUnbound);
+  std::uint32_t depth = 0;
+  for (std::size_t i = 0; i < num_frontier; ++i) {
+    slots_[plan.frontier_slots[i]] = frontier_images[i];
+    depth = std::max(depth, symbols_->depth(frontier_images[i]));
+  }
+  ++depth;
+  ChaseOutcome outcome = ChaseOutcome::kTerminated;
+  for (std::size_t z = 0; z < tgds_.tgd(ti).existential().size(); ++z) {
+    util::StatusOr<Term> null = symbols_->MakeNull(depth);
+    if (!null.ok()) {
+      outcome = ChaseOutcome::kResourceExhausted;
+      break;
+    }
+    slots_.push_back(*null);
+    stats_.max_depth = std::max(stats_.max_depth, depth);
+    if (options_.max_depth != 0 && depth > options_.max_depth) {
+      outcome = ChaseOutcome::kDepthLimit;
+      break;
+    }
+  }
+  const std::size_t num_bound = slots_.size() - plan.num_body_slots;
+  if (options_.observer != nullptr && num_bound != 0) {
+    options_.observer->OnNullsBound(ti, slots_.data() + plan.num_body_slots,
+                                    num_bound, frontier_images,
+                                    num_frontier);
+  }
+  return outcome;
+}
+
+// Insert: instantiates each atom of the compiled head over slots_ and
+// inserts it; the forest and the atom budget are handled per atom.
+ChaseOutcome RoundEngine::Insert(tgd::RuleIndex ti,
+                                 const PendingTrigger& trig) {
+  const SlotConjunction& head = (*plans_)[ti].head;
+  for (std::size_t j = 0; j < head.atoms.size(); ++j) {
+    InstantiateInto(head, j, slots_.data(), &scratch_);
+    auto [idx, fresh] = instance_.InsertTuple(head.atoms[j].predicate,
+                                              core::TermSpan(scratch_));
+    if (fresh && options_.build_forest) {
+      std::uint32_t atom_depth = 0;
+      for (Term term : instance_.atom(idx).terms()) {
+        atom_depth = std::max(atom_depth, symbols_->depth(term));
+      }
+      if (trig.guard_image == PendingTrigger::kNoGuard) {
+        forest_.AddFloating(idx, atom_depth);
+      } else {
+        forest_.AddChild(idx, trig.guard_image, atom_depth);
+      }
+    }
+    if (instance_.size() > options_.max_atoms) {
+      return ChaseOutcome::kAtomLimit;
+    }
+  }
+  return ChaseOutcome::kTerminated;
 }
 
 }  // namespace
@@ -286,346 +571,16 @@ ChaseResult RunChase(core::SymbolScope* symbols, const tgd::TgdSet& tgds,
                      const core::Database& db,
                      const ChaseOptions& options) {
   ChaseResult result;
-  Instance& instance = result.instance;
-  const bool oblivious = options.variant == ChaseVariant::kOblivious;
-  FlatFiredSet fired;
-#ifndef NDEBUG
-  // The debug form of BindFreshNulls' naming argument: every null key
-  // (= fired-set key) binds its nulls at most once per run.
-  FlatFiredSet bound_null_keys;
-#endif
-
-  // Cooperative interruption: the cancel token is a relaxed atomic read,
-  // polled on every call; the deadline needs a clock read, amortized to
-  // one in 64 polls. Polls happen at round, trigger and homomorphism
-  // granularity, so even a diverging chase whose rounds keep growing
-  // stops within a bounded slice of work.
-  const auto start = std::chrono::steady_clock::now();
-  const bool has_deadline = options.deadline_ms != 0;
-  const auto deadline = util::DeadlineAfter(start, options.deadline_ms);
-  std::uint32_t deadline_poll = 0;
-  auto stop_requested = [&]() {
-    if (options.cancel != nullptr && options.cancel->cancelled()) {
-      return true;
-    }
-    if (!has_deadline) return false;
-    if ((++deadline_poll & 63u) != 0) return false;
-    return std::chrono::steady_clock::now() >= deadline;
-  };
-  bool interrupted = false;
-  // Probe-level hook for the homomorphism finders: long match-free joins
-  // never reach the per-homomorphism poll, so the finder itself polls
-  // this (amortized) and unwinds. Set only when there is something to
-  // poll, keeping the probe loop branch-predictable otherwise.
-  const std::function<bool()> probe_interrupt = stop_requested;
-  const std::function<bool()>* finder_interrupt =
-      (options.cancel != nullptr || has_deadline) ? &probe_interrupt
-                                                  : nullptr;
-
-  result.stats.database_atoms = db.size();
-  for (const Atom& fact : db.facts()) {
-    auto [idx, fresh] = instance.Insert(fact);
-    if (fresh && options.build_forest) result.forest.AddRoot(idx);
-  }
-
-  // Rule-index discipline: every rule loop below compares
-  // tgd::RuleIndex against tgd::RuleIndex; the cap check makes the
-  // narrowing cast from tgds.size() exact. An over-cap Σ stops cleanly
-  // (outcome kResourceExhausted, the database facts above a consistent
-  // prefix) before any index arithmetic, planning or scheduling runs.
-  const bool rules_overflow = tgds.size() > tgd::kMaxRules;
-  const tgd::RuleIndex num_rules =
-      rules_overflow ? 0 : static_cast<tgd::RuleIndex>(tgds.size());
-
-  // One compiled join plan per TGD, shared by every round — and by
-  // every run, when the caller supplies plans precomputed with
-  // PlanJoins (api::Program does).
-  JoinPlanSet local_plans;
-  const JoinPlanSet* plans = options.plans;
-  if (!rules_overflow &&
-      (plans == nullptr || plans->size() != tgds.size())) {
-    local_plans = PlanJoins(tgds);
-    plans = &local_plans;
-  }
-
-  // Every round walks one permutation of Σ, one rule at a time:
-  // collect, then apply. The permutation is Σ-order, except in restraint
-  // mode (restricted variant, opt-in, NOT identity-preserving — see
-  // ChaseOptions::restraint_order), where it is graph::RestraintOrder,
-  // restrainers first. Both are pure functions of Σ, so every run is
-  // deterministic.
-  std::vector<tgd::RuleIndex> walk;
-  if (options.restraint_order &&
-      options.variant == ChaseVariant::kRestricted && !rules_overflow) {
-    walk = graph::RestraintOrder(tgds);
-  } else {
-    walk.resize(num_rules);
-    std::iota(walk.begin(), walk.end(), tgd::RuleIndex{0});
-  }
-
-  // The round's delta is the global index window [delta_begin,
-  // delta_end): the atoms the previous round inserted (round one: D).
-  AtomIndex delta_begin = 0;
-  AtomIndex delta_end = static_cast<AtomIndex>(instance.size());
-  // The one pending list, reused by every rule and round: collecting
-  // allocates only while it outgrows its high-water mark.
-  PendingList pending_list;
-  // Scratch tuple for the allocation-free probe/insert fast path: every
-  // h(atom) is instantiated into this buffer and handed to the instance
-  // as a span; no Atom is materialized anywhere in the loop. `key` is
-  // the reused fired-set key buffer.
-  std::vector<Term> scratch;
-  std::vector<std::uint32_t> key;
-  // The join kernel of the collect phase, reused by every rule and
-  // round, counting straight into join_probes.
-  HomomorphismFinder finder(instance);
-  finder.set_probe_counter(&result.stats.join_probes);
-  finder.set_interrupt(finder_interrupt);
-  // The restricted variant's head-satisfaction kernel: one finder for
-  // the pre-checks and the re-checks, counting straight into
-  // join_probes.
-  HomomorphismFinder head_finder(instance);
-  head_finder.set_probe_counter(&result.stats.join_probes);
-  head_finder.set_interrupt(finder_interrupt);
-
-  std::vector<HeadPlan> head_plans;
-  head_plans.reserve(num_rules);
-  for (tgd::RuleIndex ti = 0; ti < num_rules; ++ti) {
-    head_plans.push_back(PlanHead(tgds.tgd(ti)));
-  }
-  std::vector<Term> bound_nulls;             // the firing trigger's nulls
-  std::vector<std::uint8_t> head_satisfied;  // restricted pre-checks
-
-  // The loop reports its outcome; the observer's OnDone fires on every
-  // exit path alike, after the stats are final.
-  result.outcome = [&]() -> ChaseOutcome {
-  if (rules_overflow) return ChaseOutcome::kResourceExhausted;
-
-  // --- Collect: one rule against the current instance. ---
-  // Enumerates candidate homomorphisms without touching the instance
-  // while its index vectors are being iterated, joining only through
-  // the round's delta. Leaves `list` in canonical (PendingBefore) order;
-  // returns false when the run was interrupted.
-  auto collect_rule = [&](tgd::RuleIndex ti, PendingList& list) {
-    const tgd::Tgd& rule = tgds.tgd(ti);
-    const JoinPlan& plan = (*plans)[ti];
-    list.Clear();
-    auto on_match = [&](const Term* h) {
-      if (interrupted || stop_requested()) {
-        interrupted = true;
-        return false;  // stop enumerating; the run is being cancelled
-      }
-      BuildFiredKey(plan, ti, oblivious, h, &key);
-      if (!fired.Insert(key)) return true;
-      // The guard image feeds only the forest.
-      AtomIndex guard_image = PendingTrigger::kNoGuard;
-      if (options.build_forest && rule.IsGuarded()) {
-        InstantiateInto(plan.body,
-                        static_cast<std::size_t>(rule.guard_index()), h,
-                        &scratch);
-        AtomIndex gi = 0;
-        if (instance.FindTuple(rule.guard().predicate,
-                               core::TermSpan(scratch), &gi)) {
-          guard_image = gi;
-        }
-      }
-      AppendPending(plan, oblivious, h, guard_image, &list);
-      return true;
-    };
-
-    // Seed every join from a delta atom of the seed position's
-    // predicate, through the precomputed join order. Body positions
-    // before the seed are restricted to pre-delta atoms, so each
-    // homomorphism is enumerated from exactly one seed: its first (in
-    // body order) atom at or past delta_begin. Positions after the seed
-    // may also match atoms earlier rules inserted this round; a
-    // homomorphism whose first non-old atom is one of those waits for
-    // the next round, whose delta holds it.
-    for (std::size_t seed_pos = 0;
-         seed_pos < rule.body().size() && !interrupted; ++seed_pos) {
-      const core::IndexSpan seeds = instance.AtomsWithPredicateIn(
-          rule.body()[seed_pos].predicate, delta_begin, delta_end);
-      result.stats.delta_atoms_scanned += seeds.size();
-      const SlotConjunction& seeded = plan.seeded[seed_pos];
-      for (AtomIndex a : seeds) {
-        if (interrupted) break;
-        finder.Begin(seeded);
-        finder.RunSeeded(a, delta_begin, on_match);
-      }
-    }
-    if (interrupted || finder.interrupted()) return false;
-    SortPending(&list);
-    return true;
-  };
-
-  // --- Apply: one rule's canonical pending list, in canonical order. ---
-  // Returns kTerminated when the round may continue.
-  auto apply_rule = [&](tgd::RuleIndex ti,
-                        const PendingList& list) -> ChaseOutcome {
-    const std::vector<PendingTrigger>& pending = list.triggers;
-    if (pending.empty()) return ChaseOutcome::kTerminated;
-    const tgd::Tgd& rule = tgds.tgd(ti);
-    const JoinPlan& plan = (*plans)[ti];
-    const HeadPlan& hplan = head_plans[ti];
-    const std::size_t num_frontier = rule.frontier().size();
-    const std::size_t num_existential = rule.existential().size();
-    const bool restricted = options.variant == ChaseVariant::kRestricted;
-    // Restricted chase: a trigger is applied only if no extension
-    // h' ⊇ h|fr(σ) already maps head(σ) into the instance — the
-    // compiled head enumerated with the frontier slots pre-bound.
-    auto head_satisfied_now = [&](const PendingTrigger& trig) {
-      const Term* images = list.ImagesOf(trig);
-      head_finder.Begin(plan.head);
-      for (std::size_t i = 0; i < num_frontier; ++i) {
-        head_finder.Bind(plan.frontier_slots[i], images[i]);
-      }
-      bool satisfied = false;
-      head_finder.Run([&](const Term*) {
-        satisfied = true;
-        return false;  // stop at the first
-      });
-      return satisfied;
-    };
-    // Restricted pre-check: decide head satisfaction for every pending
-    // trigger against the batch-start instance. Satisfaction is
-    // monotone — the atom set only grows — so a "satisfied" verdict is
-    // final; only not-yet-satisfied verdicts can be flipped by atoms
-    // this very batch inserts, and the fire loop re-checks exactly
-    // those, exactly when an insert has happened. Skip/fire decisions
-    // therefore match a walk that checks every trigger just before
-    // firing it; join_probes is defined by this two-step schedule.
-    const std::uint64_t frozen_size = instance.size();
-    if (restricted) {
-      head_satisfied.assign(pending.size(), 0);
-      for (std::size_t t = 0; t < pending.size(); ++t) {
-        head_satisfied[t] = head_satisfied_now(pending[t]) ? 1 : 0;
-        // An aborted satisfaction check certifies nothing: stop before
-        // applying (or skipping) any of this batch's triggers.
-        if (head_finder.interrupted()) return ChaseOutcome::kCancelled;
-      }
-    }
-
-    // Fire loop (canonical order): each trigger binds its nulls and
-    // inserts its heads before the next one starts, so a run stopped by
-    // a budget has bound nulls for exactly the triggers it fired.
-    for (std::size_t t = 0; t < pending.size(); ++t) {
-      const PendingTrigger& trig = pending[t];
-      const Term* frontier_images = list.ImagesOf(trig);
-      if (stop_requested()) return ChaseOutcome::kCancelled;
-      if (restricted) {
-        bool satisfied = head_satisfied[t] != 0;
-        if (!satisfied && instance.size() > frozen_size) {
-          // Atoms inserted by earlier triggers of this batch may have
-          // satisfied the head since the pre-check; once satisfied,
-          // monotonicity keeps the trigger satisfied forever, so the
-          // `fired` entry can stand.
-          satisfied = head_satisfied_now(trig);
-          if (head_finder.interrupted()) return ChaseOutcome::kCancelled;
-        }
-        if (satisfied) {
-          ++result.stats.triggers_satisfied;
-          continue;
-        }
-      }
-      ++result.stats.triggers_fired;
-#ifndef NDEBUG
-      // The debug check of BindFreshNulls' naming argument.
-      FiredKeyOf(ti, trig, frontier_images, plan, oblivious, &key);
-      const bool fresh_key = bound_null_keys.Insert(key);
-      assert(fresh_key && "a fired-set key bound its nulls twice");
-      (void)fresh_key;
-#endif
-      bound_nulls.clear();
-      const BindResult bind = BindFreshNulls(
-          symbols, num_existential, frontier_images, num_frontier,
-          options.max_depth, &bound_nulls, &result.stats.max_depth);
-      if (options.observer != nullptr && !bound_nulls.empty()) {
-        options.observer->OnNullsBound(ti, bound_nulls.data(),
-                                       bound_nulls.size(), frontier_images,
-                                       num_frontier);
-      }
-      if (bind != BindResult::kOk) {
-        // Depth budget breached, or null ids wrapped past Term's index
-        // space: stop with a consistent prefix. The trigger was counted
-        // as fired; keep OnFire parity.
-        if (options.observer != nullptr) {
-          options.observer->OnFire(ti, instance.size());
-        }
-        return bind == BindResult::kDepthLimit
-                   ? ChaseOutcome::kDepthLimit
-                   : ChaseOutcome::kResourceExhausted;
-      }
-      // Head tuples, built from the frontier images and the bound nulls;
-      // the forest and the atom budget are handled per atom.
-      scratch.resize(hplan.terms_per_trigger);
-      hplan.Fill(frontier_images, bound_nulls.data(), scratch.data());
-      for (const HeadTuple& tuple : hplan.tuples) {
-        auto [idx, fresh] = instance.InsertTuple(
-            tuple.pred,
-            core::TermSpan(scratch.data() + tuple.begin, tuple.arity));
-        if (fresh && options.build_forest) {
-          std::uint32_t atom_depth = 0;
-          for (Term term : instance.atom(idx).terms()) {
-            atom_depth = std::max(atom_depth, symbols->depth(term));
-          }
-          if (trig.guard_image == PendingTrigger::kNoGuard) {
-            result.forest.AddFloating(idx, atom_depth);
-          } else {
-            result.forest.AddChild(idx, trig.guard_image, atom_depth);
-          }
-        }
-        if (instance.size() > options.max_atoms) {
-          // The budget-tripping trigger did fire: keep the observer's
-          // OnFire tally equal to triggers_fired.
-          if (options.observer != nullptr) {
-            options.observer->OnFire(ti, instance.size());
-          }
-          return ChaseOutcome::kAtomLimit;
-        }
-      }
-      if (options.observer != nullptr) {
-        options.observer->OnFire(ti, instance.size());
-      }
-    }
-    return ChaseOutcome::kTerminated;
-  };
-
-  while (delta_begin < delta_end) {
-    if (options.max_rounds != 0 &&
-        result.stats.rounds >= options.max_rounds) {
-      return ChaseOutcome::kRoundLimit;
-    }
-    if (stop_requested()) return ChaseOutcome::kCancelled;
-    ++result.stats.rounds;
-    if (options.observer != nullptr) {
-      RoundProgress progress;
-      progress.round = result.stats.rounds;
-      progress.atoms = instance.size();
-      progress.delta_atoms = delta_end - delta_begin;
-      progress.triggers_fired = result.stats.triggers_fired;
-      options.observer->OnRound(progress);
-    }
-
-    for (tgd::RuleIndex ti : walk) {
-      if (!collect_rule(ti, pending_list)) return ChaseOutcome::kCancelled;
-      const ChaseOutcome oc = apply_rule(ti, pending_list);
-      if (oc != ChaseOutcome::kTerminated) return oc;
-    }
-
-    delta_begin = delta_end;
-    delta_end = static_cast<AtomIndex>(instance.size());
-  }
-
-  return ChaseOutcome::kTerminated;
-  }();
-  result.stats.arena_bytes = instance.arena_bytes();
-  result.stats.peak_atoms = instance.size();
-
+  result.outcome = RoundEngine(symbols, tgds, db, options, &result).Run();
+  result.stats.arena_bytes = result.instance.arena_bytes();
+  result.stats.peak_atoms = result.instance.size();
+  // OnDone fires on every exit path alike, after the stats are final.
   if (options.observer != nullptr) {
     options.observer->OnDone(result.outcome, result.stats);
   }
   return result;
 }
+
 
 ChaseResult RunChase(core::SymbolScope* symbols, const tgd::TgdSet& tgds,
                      const core::Database& db) {

@@ -69,8 +69,8 @@ struct ChaseOptions {
   /// trigger's TGD to be guarded; non-guarded TGDs get no parent edge.
   bool build_forest = false;
   /// If nonzero, stop (outcome kCancelled) once the run has lasted
-  /// longer than this wall-clock budget. Polled at the same granularity
-  /// as `cancel`.
+  /// longer than this wall-clock budget. Polled at the same points as
+  /// `cancel`, reading the clock at one poll in 64.
   std::uint64_t deadline_ms = 0;
   /// Optional cooperative cancellation token, polled at round, trigger
   /// and homomorphism granularity; when fired the run stops with outcome

@@ -45,26 +45,19 @@ class KeySpan {
 /// never iteration order, so the probe layout is not part of the
 /// deterministic contract.
 ///
-/// Slots are epoch-tagged: a slot is live iff its tag equals the set's
-/// current epoch, so Reset() is one counter bump — O(1), touching no
-/// slot memory and freeing nothing. One table can therefore be reused
-/// across many chase runs (bench loops, differential-test cells) at its
-/// high-water capacity: the arena rewinds, the slot array logically
-/// empties, and no allocator traffic or memset appears between runs.
-/// Growth re-seats only live (current-epoch) slots into the doubled
-/// array, dropping stale epochs for free.
+/// One set serves one chase run; nothing is ever erased.
 class FlatFiredSet {
  public:
   FlatFiredSet() : slots_(kInitialSlots) {}
 
-  /// True iff `key` was inserted in the current epoch.
+  /// True iff `key` was inserted.
   bool Contains(KeySpan key) const {
     const std::uint64_t h = HashKey(key);
     const std::size_t mask = slots_.size() - 1;
     for (std::size_t i = static_cast<std::size_t>(h) & mask;;
          i = (i + 1) & mask) {
       const Slot& s = slots_[i];
-      if (s.epoch != epoch_) return false;  // first hole: absent
+      if (!s.live) return false;  // first hole: absent
       if (s.hash == h && KeyEquals(s, key)) return true;
     }
   }
@@ -79,11 +72,11 @@ class FlatFiredSet {
     for (std::size_t i = static_cast<std::size_t>(h) & mask;;
          i = (i + 1) & mask) {
       Slot& s = slots_[i];
-      if (s.epoch != epoch_) {
+      if (!s.live) {
         s.hash = h;
         s.offset = arena_.size();
         s.len = static_cast<std::uint32_t>(key.size());
-        s.epoch = epoch_;
+        s.live = true;
         arena_.insert(arena_.end(), key.begin(), key.end());
         ++size_;
         return true;
@@ -92,22 +85,7 @@ class FlatFiredSet {
     }
   }
 
-  /// O(1) logical clear: bumps the epoch (invalidating every slot) and
-  /// rewinds the arena write cursor. Capacity — slot array and arena
-  /// alike — is retained, so a reused set reaches its steady state
-  /// allocation-free. The epoch counter wrapping to 0 (once per 2^32-1
-  /// resets) would resurrect first-generation tags, so that one reset
-  /// pays a real wipe.
-  void Reset() {
-    arena_.clear();
-    size_ = 0;
-    if (++epoch_ == 0) {
-      std::fill(slots_.begin(), slots_.end(), Slot{});
-      epoch_ = 1;
-    }
-  }
-
-  /// Number of keys inserted in the current epoch.
+  /// Number of keys inserted.
   std::size_t size() const { return size_; }
 
  private:
@@ -115,7 +93,7 @@ class FlatFiredSet {
     std::uint64_t hash = 0;
     std::uint64_t offset = 0;
     std::uint32_t len = 0;
-    std::uint32_t epoch = 0;  // live iff equal to the owning epoch_
+    bool live = false;  // false: a hole
   };
 
   static constexpr std::size_t kInitialSlots = 256;  // power of two
@@ -136,9 +114,9 @@ class FlatFiredSet {
     std::vector<Slot> grown(slots_.size() * 2);
     const std::size_t mask = grown.size() - 1;
     for (const Slot& s : slots_) {
-      if (s.epoch != epoch_) continue;  // hole or stale epoch: drop
+      if (!s.live) continue;
       std::size_t i = static_cast<std::size_t>(s.hash) & mask;
-      while (grown[i].epoch == epoch_) i = (i + 1) & mask;
+      while (grown[i].live) i = (i + 1) & mask;
       grown[i] = s;
     }
     slots_.swap(grown);
@@ -147,7 +125,6 @@ class FlatFiredSet {
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> arena_;
   std::size_t size_ = 0;
-  std::uint32_t epoch_ = 1;  // 0 is reserved as the never-live tag
 };
 
 }  // namespace chase

@@ -145,15 +145,13 @@ class HomomorphismFinder {
   /// and unwinds early (without further callbacks) when it returns true
   /// — the hook the chase engine uses to honour its CancelToken/deadline
   /// inside long match-free joins, where the per-homomorphism poll never
-  /// runs. Sticky per finder: once tripped, `interrupted()` stays true
-  /// and later runs stop before their first callback. The pointee must
-  /// outlive the finder; pass nullptr to clear.
+  /// runs. Sticky per finder: once tripped, later runs stop before
+  /// their first callback; the hook's owner learns of the stop from the
+  /// hook itself. The pointee must outlive the finder; pass nullptr to
+  /// clear.
   void set_interrupt(const std::function<bool()>* interrupt) {
     interrupt_ = interrupt;
   }
-
-  /// True iff an enumeration was aborted by the interrupt hook.
-  bool interrupted() const { return interrupted_; }
 
   /// Starts an enumeration of `q` with every slot unbound. `q` must
   /// outlive the run.

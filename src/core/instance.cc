@@ -101,22 +101,6 @@ IndexSpan Instance::AtomsWithPredicateIn(PredicateId pred, AtomIndex begin,
                    static_cast<std::size_t>(last - first));
 }
 
-const std::vector<Term>& Instance::ActiveDomain() const {
-  // Catch the cache up over the atoms inserted since the last call;
-  // tuples are walked in global insertion order, so first-occurrence
-  // order is deterministic.
-  for (; domain_scanned_ < refs_.size(); ++domain_scanned_) {
-    const AtomRef& ref = refs_[domain_scanned_];
-    const Term* tuple = RowPtr(ref);
-    for (std::uint32_t i = 0; i < ref.arity; ++i) {
-      if (domain_seen_.insert(tuple[i]).second) {
-        domain_.push_back(tuple[i]);
-      }
-    }
-  }
-  return domain_;
-}
-
 std::string Instance::ToSortedString(const SymbolScope& symbols) const {
   std::vector<std::string> lines;
   lines.reserve(refs_.size());

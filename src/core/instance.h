@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "core/atom.h"
@@ -39,14 +38,10 @@ namespace core {
 /// and every IndexSpan the instance hands out are valid until the next
 /// insert; re-resolve an index after inserting.
 ///
-/// Thread safety: between mutations, concurrent const reads are safe
-/// for the accessors the join kernel uses — FindTuple / ContainsTuple,
-/// atom(), TupleData(), AtomsWithPredicate, AtomsWithPredicateIn,
-/// AtomsWithTermAt, size(), PredicateArity — none of them
-/// mutate anything, not even lazily. Two exceptions are NOT safe
-/// concurrently: ActiveDomain() (lazily catches a mutable cache up)
-/// and, of course, any non-const method; no mutation may overlap any
-/// read.
+/// Thread safety: between mutations, every const method — FindTuple,
+/// atom(), TupleData(), AtomsWithPredicate(In), AtomsWithTermAt and the
+/// rest — is safe to call concurrently: none of them mutate anything,
+/// not even lazily. No mutation may overlap any read.
 class Instance {
  public:
   Instance() = default;
@@ -131,17 +126,6 @@ class Instance {
     return seg.by_position[pos].Find(t);
   }
 
-  /// dom(I): the active domain (constants and nulls occurring in the
-  /// instance). Maintained incrementally behind an atom-index
-  /// watermark: each call only scans the tuples of atoms inserted
-  /// since the previous call, so the total work over any insert/read
-  /// interleaving is O(terms) — and inserts themselves pay nothing for
-  /// it. Deterministic iteration order: first occurrence in the
-  /// insertion sequence.
-  /// (Catch-up mutates cache members; do not call concurrently on a
-  /// shared Instance.)
-  const std::vector<Term>& ActiveDomain() const;
-
   // Memory accounting ------------------------------------------------------
 
   /// Bytes of term storage the stored tuples occupy (stored terms, not
@@ -217,16 +201,6 @@ class Instance {
   // predicates, stable forever. This directory is the `size()`
   // authority.
   std::vector<AtomRef> refs_;
-
-  // Active-domain cache: `domain_` lists every distinct term of the
-  // first `domain_scanned_` atoms' tuples in first-occurrence order
-  // (deterministic), `domain_seen_` is the membership filter behind
-  // it. Caught up lazily by ActiveDomain() so the insert fast path
-  // never touches it; mutable because catch-up happens in the const
-  // accessor.
-  mutable std::vector<Term> domain_;
-  mutable std::unordered_set<Term> domain_seen_;
-  mutable AtomIndex domain_scanned_ = 0;
 
   static const std::vector<AtomIndex> kEmpty;
 };

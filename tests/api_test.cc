@@ -621,6 +621,49 @@ TEST(CancelTest, DeadlineInterruptsMatchFreeJoinEnumeration) {
   EXPECT_LT(seconds, 10.0);
 }
 
+TEST(CancelTest, DeadlineInterruptsRestrictedHeadCheck) {
+  // The restricted variant's head check can be a long match-free join
+  // too: the one trigger of S(u) -> A(y), B(z, z) (empty frontier) asks
+  // whether some A atom and some repeated-argument B atom exist, and
+  // no B fact repeats its argument, so the check fails on every one of
+  // the ~10^8 (A, B) probe pairs. A deadline that trips inside it must
+  // stop the run before the trigger fires or is skipped — an aborted
+  // check certifies nothing. Without the probe-level interrupt the
+  // check would finish, the trigger would fire and the run terminate.
+  core::SymbolTable symbols;
+  core::Database db;
+  ASSERT_TRUE(db.AddFact(&symbols, "S", {"s"}).ok());
+  for (int i = 0; i < 10000; ++i) {
+    ASSERT_TRUE(db.AddFact(&symbols, "A", {"a" + std::to_string(i)}).ok());
+    ASSERT_TRUE(db.AddFact(&symbols, "B",
+                           {"b" + std::to_string(i), "c" + std::to_string(i)})
+                    .ok());
+  }
+  tgd::TgdSet tgds;
+  auto rule = tgd::ParseTgd(&symbols, "S(u) -> A(y), B(z, z)");
+  ASSERT_TRUE(rule.ok());
+  tgds.Add(std::move(*rule));
+  auto program = api::Program::Create(std::move(symbols), std::move(tgds),
+                                      std::move(db));
+  ASSERT_TRUE(program.ok());
+
+  api::Session session(
+      *program, api::SessionOptions()
+                    .set_variant(chase::ChaseVariant::kRestricted)
+                    .set_deadline_ms(100));
+  auto start = std::chrono::steady_clock::now();
+  auto run = session.Chase();
+  double seconds = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - start)
+                       .count();
+  ASSERT_TRUE(run.ok());
+  EXPECT_EQ(run->outcome(), api::ChaseOutcome::kCancelled);
+  EXPECT_EQ(run->stats().triggers_fired, 0u);
+  EXPECT_EQ(run->stats().triggers_satisfied, 0u);
+  EXPECT_EQ(run->instance().size(), 20001u);  // D alone
+  EXPECT_LT(seconds, 10.0);
+}
+
 // ---------------------------------------------------------------------
 // SessionOptions::set_num_threads is inert (the chase has one serial code
 // path), and a sequential chase stays cancellable from other threads.

@@ -138,23 +138,6 @@ TEST(InstanceTest, PositionIndex) {
   EXPECT_EQ(inst.AtomsWithTermAt(*r, 1, a).size(), 0u);
 }
 
-TEST(InstanceTest, ActiveDomainIsIncrementalAndOrdered) {
-  SymbolTable symbols;
-  auto r = symbols.InternPredicate("R", 2);
-  Term a = *symbols.InternConstant("a");
-  Term b = *symbols.InternConstant("b");
-  Term n = *symbols.MakeNull(1);
-  Instance inst;
-  inst.Insert(Atom(*r, {a, n}));
-  // Maintained incrementally, in deterministic first-occurrence order.
-  EXPECT_EQ(inst.ActiveDomain(), (std::vector<Term>{a, n}));
-  inst.Insert(Atom(*r, {b, a}));
-  EXPECT_EQ(inst.ActiveDomain(), (std::vector<Term>{a, n, b}));
-  // Duplicate insert adds nothing.
-  inst.Insert(Atom(*r, {b, a}));
-  EXPECT_EQ(inst.ActiveDomain().size(), 3u);
-}
-
 TEST(InstanceTest, FindReturnsIndex) {
   SymbolTable symbols;
   auto r = symbols.InternPredicate("R", 1);

@@ -1,9 +1,9 @@
 // Unit tests for chase::FlatFiredSet — the collect phase's (σ, h)-dedup
 // table. The chase only ever observes membership (Insert's bool and
 // Contains), so these tests pin exactly that surface: first-insert /
-// duplicate semantics across growth, epoch-tagged Reset, and the
-// adversarial shapes open addressing has to survive (shared prefixes,
-// length-only differences, empty keys).
+// duplicate semantics across growth, and the adversarial shapes open
+// addressing has to survive (shared prefixes, length-only differences,
+// empty keys).
 #include "chase/fired_set.h"
 
 #include <cstdint>
@@ -60,57 +60,6 @@ TEST(FlatFiredSet, SurvivesGrowthWithoutForgettingOrInventing) {
   for (std::uint32_t i = 0; i < n; ++i) {
     ASSERT_TRUE(set.Contains(Key{i, i ^ 0x9e37u, i * 3u})) << i;
     ASSERT_FALSE(set.Contains(Key{i, i ^ 0x9e37u, i * 3u + 1u})) << i;
-  }
-}
-
-TEST(FlatFiredSet, ResetForgetsEverythingAndReusesCapacity) {
-  FlatFiredSet set;
-  for (std::uint32_t i = 0; i < 1000; ++i) {
-    ASSERT_TRUE(set.Insert(Key{i}));
-  }
-  set.Reset();
-  EXPECT_EQ(set.size(), 0u);
-  for (std::uint32_t i = 0; i < 1000; ++i) {
-    ASSERT_FALSE(set.Contains(Key{i})) << i;
-  }
-  // The logically empty table accepts the same keys as first inserts.
-  for (std::uint32_t i = 0; i < 1000; ++i) {
-    ASSERT_TRUE(set.Insert(Key{i})) << i;
-    ASSERT_FALSE(set.Insert(Key{i})) << i;
-  }
-  EXPECT_EQ(set.size(), 1000u);
-}
-
-TEST(FlatFiredSet, ManyEpochsStayIndependent) {
-  FlatFiredSet set;
-  // Each epoch inserts an overlapping window of keys; stale-epoch slots
-  // from earlier generations must read as holes, not as members.
-  for (std::uint32_t epoch = 0; epoch < 100; ++epoch) {
-    for (std::uint32_t i = 0; i < 50; ++i) {
-      ASSERT_TRUE(set.Insert(Key{epoch + i, epoch})) << epoch << " " << i;
-    }
-    ASSERT_FALSE(set.Contains(Key{epoch, epoch + 1}));
-    ASSERT_EQ(set.size(), 50u);
-    set.Reset();
-    ASSERT_FALSE(set.Contains(Key{epoch, epoch}));
-  }
-}
-
-TEST(FlatFiredSet, GrowthMidEpochKeepsPriorEpochsDead) {
-  FlatFiredSet set;
-  // Fill one epoch well past a growth boundary, reset, then grow again
-  // in the next epoch: re-seating must drop stale slots rather than
-  // resurrect them.
-  for (std::uint32_t i = 0; i < 600; ++i) {
-    ASSERT_TRUE(set.Insert(Key{i, 7u}));
-  }
-  set.Reset();
-  for (std::uint32_t i = 0; i < 600; ++i) {
-    ASSERT_TRUE(set.Insert(Key{i, 8u})) << i;
-  }
-  for (std::uint32_t i = 0; i < 600; ++i) {
-    ASSERT_FALSE(set.Contains(Key{i, 7u})) << i;
-    ASSERT_TRUE(set.Contains(Key{i, 8u})) << i;
   }
 }
 

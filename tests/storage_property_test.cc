@@ -24,7 +24,7 @@ namespace core {
 namespace {
 
 /// The naive reference: insertion-ordered atoms, set-based dedup, scan-
-/// based lookups and domain.
+/// based lookups.
 struct ReferenceInstance {
   std::vector<Atom> atoms;
   std::set<Atom> dedup;
@@ -47,17 +47,6 @@ struct ReferenceInstance {
     return true;
   }
 
-  std::vector<Term> Domain() const {
-    std::vector<Term> out;
-    std::set<std::uint32_t> seen;
-    for (const Atom& a : atoms) {
-      for (Term t : a.args) {
-        if (seen.insert(t.bits()).second) out.push_back(t);
-      }
-    }
-    return out;
-  }
-
   std::string ToSortedString(const SymbolScope& symbols) const {
     std::vector<std::string> lines;
     for (const Atom& a : atoms) lines.push_back(a.ToString(symbols));
@@ -72,7 +61,7 @@ struct ReferenceInstance {
 };
 
 /// Full structural comparison of `inst` against `ref`: directory,
-/// dedup stability, accounting, domain, rendering, and every
+/// dedup stability, accounting, rendering, and every
 /// segment-derived view — per-predicate lists (global indexes,
 /// insertion order: the cross-predicate interleaving is exactly what
 /// the per-segment atom lists must reconstruct), recorded arities and
@@ -95,7 +84,6 @@ void ExpectMatchesReference(const Instance& inst,
   }
   EXPECT_EQ(inst.arena_terms(), expected_terms);
   EXPECT_EQ(inst.arena_bytes(), expected_terms * sizeof(Term));
-  EXPECT_EQ(inst.ActiveDomain(), ref.Domain());
   EXPECT_EQ(inst.ToSortedString(symbols), ref.ToSortedString(symbols));
 
   for (PredicateId pred : preds) {
