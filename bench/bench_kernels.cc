@@ -7,8 +7,8 @@
 //   enumerate         every seeded join of every rule's compiled plan
 //                     (HomomorphismFinder::RunSeeded), from every atom
 //                     of its seed predicate;
-//   fired-set insert  the dedup keys of those matches into a fresh
-//   fired-set contains FlatFiredSet, then probed again;
+//   fired-set insert  the frontier images of those matches into fresh
+//   fired-set contains per-rule core::TupleSets, then probed again;
 //   position lookup   Instance::AtomsWithTermAt for every (atom, pos);
 //   InsertTuple loop  the whole instance re-inserted, in index order,
 //                     into a fresh one.
@@ -24,9 +24,9 @@
 
 #include "bench/bench_util.h"
 #include "chase/chase.h"
-#include "chase/fired_set.h"
 #include "chase/trigger.h"
 #include "core/instance.h"
+#include "core/tuple_set.h"
 #include "workload/university.h"
 
 namespace nuchase {
@@ -96,9 +96,11 @@ void Run() {
 
   // Enumerate: every seeded join of the compiled plans over the final
   // instance (no old restriction: old_limit = |I|). The matches' dedup
-  // keys (rule, frontier images) are kept for the fired-set rows.
-  std::vector<std::uint32_t> keys;
+  // fired-set rows (frontier images) are kept, with their rules, for
+  // the fired-set kernels.
+  std::vector<core::Term> keys;
   std::vector<std::size_t> key_offsets;
+  std::vector<tgd::RuleIndex> key_rules;
   std::uint64_t probes = 0;
   std::uint64_t matches = 0;
   chase::HomomorphismFinder finder(inst);
@@ -116,9 +118,9 @@ void Run() {
                              ++matches;
                              if (keep_keys) {
                                key_offsets.push_back(keys.size());
-                               keys.push_back(ti);
+                               key_rules.push_back(ti);
                                for (std::uint32_t s : plan.frontier_slots) {
-                                 keys.push_back(h[s].bits());
+                                 keys.push_back(h[s]);
                                }
                              }
                              return true;
@@ -140,28 +142,36 @@ void Run() {
       std::to_string(enumerate_probes), "-",
       probes == enumerate_probes && matches == enumerate_matches);
 
-  // Fired set: insert every match key into a fresh set, then probe.
-  const std::size_t num_keys = key_offsets.size() - 1;
+  // Fired set: insert every match's row into its rule's fresh set,
+  // then probe.
+  const std::size_t num_keys = key_rules.size();
   auto key = [&](std::size_t i) {
-    return chase::KeySpan(keys.data() + key_offsets[i],
-                          key_offsets[i + 1] - key_offsets[i]);
+    return core::TermSpan(
+        keys.data() + key_offsets[i],
+        static_cast<std::uint32_t>(key_offsets[i + 1] - key_offsets[i]));
   };
-  chase::FlatFiredSet fired;
+  std::vector<core::TupleSet> fired;
   std::size_t fresh = 0;
   const double insert_s = MedianSeconds([&] {
-    fired = chase::FlatFiredSet();
+    fired.clear();
+    for (tgd::RuleIndex ti = 0; ti < plans.size(); ++ti) {
+      fired.emplace_back(
+          ti, static_cast<std::uint32_t>(plans[ti].frontier_slots.size()));
+    }
     fresh = 0;
     for (std::size_t i = 0; i < num_keys; ++i) {
-      if (fired.Insert(key(i))) ++fresh;
+      if (fired[key_rules[i]].Insert(key(i)).second) ++fresh;
     }
   });
-  add("fired-set insert", num_keys, insert_s, "-", "-",
-      fresh == fired.size());
+  std::size_t rows = 0;
+  for (const core::TupleSet& set : fired) rows += set.size();
+  add("fired-set insert", num_keys, insert_s, "-", "-", fresh == rows);
   std::size_t present = 0;
   const double contains_s = MedianSeconds([&] {
     present = 0;
+    std::uint32_t row = 0;
     for (std::size_t i = 0; i < num_keys; ++i) {
-      if (fired.Contains(key(i))) ++present;
+      if (fired[key_rules[i]].Find(key(i), &row)) ++present;
     }
   });
   add("fired-set contains", num_keys, contains_s, "-", "-",

@@ -6,8 +6,8 @@
 #include <functional>
 #include <numeric>
 
-#include "chase/fired_set.h"
 #include "chase/trigger.h"
+#include "core/tuple_set.h"
 #include "graph/reliance.h"
 #include "util/deadline.h"
 
@@ -60,94 +60,16 @@ JoinPlanSet PlanJoins(const tgd::TgdSet& tgds) {
 
 namespace {
 
-/// A collected, not-yet-applied trigger of the rule its PendingList
-/// was collected for. Its images live at offset `images` of the list's
-/// arena, ImageCount of them: the frontier images (sorted-frontier
-/// order), then — oblivious variant only, which names nulls by them —
-/// the full body-variable images (sorted-body-variable order).
-/// `guard_image` is the instance index of the guard image, or kNoGuard
-/// (the TGD is not guarded, or no forest is being built).
+/// A collected, not-yet-applied trigger: row `row` of its rule's fired
+/// set, which holds its images. `guard_image` is the instance index of
+/// the guard image, or kNoGuard (the TGD is not guarded, or no forest
+/// is being built).
 struct PendingTrigger {
-  std::uint64_t images;
+  std::uint32_t row;
   AtomIndex guard_image;
 
   static constexpr AtomIndex kNoGuard = 0xffffffffu;
 };
-
-/// The number of images every pending trigger of `plan`'s rule has.
-std::size_t ImageCount(const JoinPlan& plan, bool oblivious) {
-  return plan.frontier_slots.size() + (oblivious ? plan.num_body_slots : 0);
-}
-
-/// One rule's pending triggers plus the one Term arena all their images
-/// live in: collecting a trigger appends to two reused vectors, never
-/// allocates a vector of its own.
-struct PendingList {
-  std::vector<PendingTrigger> triggers;
-  std::vector<Term> arena;
-
-  const Term* ImagesOf(const PendingTrigger& t) const {
-    return arena.data() + t.images;
-  }
-  void Clear() {
-    triggers.clear();
-    arena.clear();
-  }
-};
-
-/// The one definition of trigger identity: writes the dedup key of
-/// (σ_ti, h) into `*key` (cleared first; a reused buffer). Key:
-/// (σ, h|fr(σ)) for the semi-oblivious and restricted variants (result
-/// and head-satisfaction depend only on the frontier restriction),
-/// (σ, h) for the oblivious one. `slots` is h in the plan's slot
-/// layout.
-void BuildFiredKey(const JoinPlan& plan, tgd::RuleIndex ti, bool oblivious,
-                   const Term* slots, std::vector<std::uint32_t>* key) {
-  key->clear();
-  key->push_back(ti);
-  if (oblivious) {
-    for (std::uint32_t s = 0; s < plan.num_body_slots; ++s) {
-      key->push_back(slots[s].bits());
-    }
-  } else {
-    for (std::uint32_t s : plan.frontier_slots) {
-      key->push_back(slots[s].bits());
-    }
-  }
-}
-
-#ifndef NDEBUG
-/// The same key rebuilt from the images of a collected trigger of rule
-/// ti (the debug null-naming check, where h is gone). Consistent with
-/// BuildFiredKey by construction: the oblivious key images are the body
-/// images, which follow the frontier images in the arena.
-void FiredKeyOf(tgd::RuleIndex ti, const Term* images, const JoinPlan& plan,
-                bool oblivious, std::vector<std::uint32_t>* key) {
-  key->clear();
-  key->push_back(ti);
-  for (std::size_t i = oblivious ? plan.frontier_slots.size() : 0;
-       i < ImageCount(plan, oblivious); ++i) {
-    key->push_back(images[i].bits());
-  }
-}
-#endif
-
-/// Appends the trigger h of the list's rule: its images go to the
-/// list's arena.
-void AppendPending(const JoinPlan& plan, bool oblivious, const Term* slots,
-                   AtomIndex guard_image, PendingList* list) {
-  PendingTrigger trig;
-  trig.guard_image = guard_image;
-  trig.images = list->arena.size();
-  for (std::uint32_t s : plan.frontier_slots) {
-    list->arena.push_back(slots[s]);
-  }
-  if (oblivious) {
-    list->arena.insert(list->arena.end(), slots,
-                       slots + plan.num_body_slots);
-  }
-  list->triggers.push_back(trig);
-}
 
 /// One chase run's round loop. Every round walks one permutation of Σ,
 /// one rule at a time, through the phases: Collect the rule's new
@@ -185,8 +107,11 @@ class RoundEngine {
   ChaseOutcome Fire(tgd::RuleIndex ti);
   bool CheckHeads(tgd::RuleIndex ti);
   bool HeadSatisfied(tgd::RuleIndex ti, const Term* frontier_images);
-  ChaseOutcome Bind(tgd::RuleIndex ti, const Term* frontier_images);
+  ChaseOutcome Bind(tgd::RuleIndex ti, std::uint32_t row);
   ChaseOutcome Insert(tgd::RuleIndex ti, const PendingTrigger& trig);
+  core::TermSpan FiredRow(const JoinPlan& plan, const Term* h);
+  const Term* FrontierImages(tgd::RuleIndex ti, std::uint32_t row);
+  core::TermSpan GatherFrontier(const JoinPlan& plan, const Term* h);
 
   core::SymbolScope* const symbols_;
   const tgd::TgdSet& tgds_;
@@ -224,11 +149,14 @@ class RoundEngine {
   // of Σ, so every run is deterministic.
   std::vector<tgd::RuleIndex> walk_;
 
-  FlatFiredSet fired_;
+  // The fired set: one TupleSet per rule, whose rows are the trigger
+  // identities FiredRow defines. A pending trigger is a row number.
+  std::vector<core::TupleSet> fired_;
 #ifndef NDEBUG
-  // The debug form of Bind's naming argument: every null key (=
-  // fired-set key) binds its nulls at most once per run.
-  FlatFiredSet bound_null_keys_;
+  // The debug form of Bind's naming argument: bound_[ti][row] is set
+  // once the trigger in that fired-set row bound its nulls, which may
+  // happen at most once per run.
+  std::vector<std::vector<bool>> bound_;
 #endif
   // The one join kernel, counting straight into join_probes: the
   // collect's body joins and the restricted head checks. A rule's
@@ -241,7 +169,7 @@ class RoundEngine {
   AtomIndex delta_end_ = 0;
   // The one pending list, reused by every rule and round: collecting
   // allocates only while it outgrows its high-water mark.
-  PendingList pending_;
+  std::vector<PendingTrigger> pending_;
   // The firing trigger in its rule's slot layout: frontier images at
   // JoinPlan::frontier_slots, bound nulls at num_body_slots + z.
   std::vector<Term> slots_;
@@ -249,7 +177,8 @@ class RoundEngine {
   // h(atom) is instantiated into this buffer and handed to the instance
   // as a span; no Atom is materialized anywhere in the loop.
   std::vector<Term> scratch_;
-  std::vector<std::uint32_t> key_;            // reused fired-set key
+  // A trigger's frontier images, gathered by GatherFrontier.
+  std::vector<Term> frontier_;
   std::vector<std::uint8_t> head_satisfied_;  // restricted pre-checks
 };
 
@@ -292,6 +221,15 @@ RoundEngine::RoundEngine(core::SymbolScope* symbols,
     walk_.resize(tgds.size());
     std::iota(walk_.begin(), walk_.end(), tgd::RuleIndex{0});
   }
+  fired_.reserve(tgds.size());
+  for (tgd::RuleIndex ti = 0; ti < tgds.size(); ++ti) {
+    const JoinPlan& plan = (*plans_)[ti];
+    fired_.emplace_back(ti, oblivious_ ? plan.num_body_slots
+                                       : plan.frontier_slots.size());
+  }
+#ifndef NDEBUG
+  bound_.resize(tgds.size());
+#endif
 }
 
 bool RoundEngine::StopRequested() {
@@ -348,11 +286,12 @@ ChaseOutcome RoundEngine::Run() {
 void RoundEngine::Collect(tgd::RuleIndex ti) {
   const tgd::Tgd& rule = tgds_.tgd(ti);
   const JoinPlan& plan = (*plans_)[ti];
-  pending_.Clear();
+  core::TupleSet& fired = fired_[ti];
+  pending_.clear();
   auto on_match = [&](const Term* h) {
     if (StopRequested()) return false;  // the run is being cancelled
-    BuildFiredKey(plan, ti, oblivious_, h, &key_);
-    if (!fired_.Insert(key_)) return true;
+    const auto [row, fresh] = fired.Insert(FiredRow(plan, h));
+    if (!fresh) return true;
     // The guard image feeds only the forest.
     AtomIndex guard_image = PendingTrigger::kNoGuard;
     if (options_.build_forest && rule.IsGuarded()) {
@@ -365,7 +304,7 @@ void RoundEngine::Collect(tgd::RuleIndex ti) {
         guard_image = gi;
       }
     }
-    AppendPending(plan, oblivious_, h, guard_image, &pending_);
+    pending_.push_back({row, guard_image});
     return true;
   };
   for (std::size_t seed_pos = 0;
@@ -382,22 +321,59 @@ void RoundEngine::Collect(tgd::RuleIndex ti) {
   }
 }
 
+// The one definition of trigger identity: the fired-set row of trigger
+// h of a rule (h in the plan's slot layout; the set's id is the rule).
+// The row is h|fr(σ), the frontier images in sorted-frontier order, for
+// the semi-oblivious and restricted variants (result and
+// head-satisfaction depend only on the frontier restriction), and h,
+// the body images in slot order, for the oblivious one.
+core::TermSpan RoundEngine::FiredRow(const JoinPlan& plan, const Term* h) {
+  if (oblivious_) return core::TermSpan(h, plan.num_body_slots);
+  return GatherFrontier(plan, h);
+}
+
+// The frontier images of the trigger in row `row` of rule ti's fired
+// set, in sorted-frontier order: the row itself, or — oblivious, whose
+// rows are body images — gathered from it. Valid until the next call.
+const Term* RoundEngine::FrontierImages(tgd::RuleIndex ti,
+                                        std::uint32_t row) {
+  const Term* images = fired_[ti].Row(row).data();
+  if (!oblivious_) return images;
+  return GatherFrontier((*plans_)[ti], images).data();
+}
+
+// Writes h's images at the plan's frontier slots into frontier_.
+core::TermSpan RoundEngine::GatherFrontier(const JoinPlan& plan,
+                                           const Term* h) {
+  frontier_.clear();
+  for (std::uint32_t s : plan.frontier_slots) frontier_.push_back(h[s]);
+  return core::TermSpan(frontier_);
+}
+
 // Sort: puts pending_ into canonical order — by frontier images, then
-// body images (one lexicographic comparison of the image run: both
-// halves have the rule's fixed lengths). Collect finds a round's
-// triggers in seed and join-plan order; sorting before the fire loop
-// makes the firing order — and hence null numbering and the
-// restricted-chase result — a function of Σ, D and the round alone,
-// which is what the brute-force reference chase of the tests
-// reproduces.
+// (oblivious only) body images; rows are distinct, so the order is
+// total. Collect finds a round's triggers in seed and join-plan order;
+// sorting before the fire loop makes the firing order — and hence null
+// numbering and the restricted-chase result — a function of Σ, D and
+// the round alone, which is what the brute-force reference chase of
+// the tests reproduces.
 void RoundEngine::Sort(tgd::RuleIndex ti) {
-  const Term* arena = pending_.arena.data();
-  const std::size_t count = ImageCount((*plans_)[ti], oblivious_);
-  std::sort(pending_.triggers.begin(), pending_.triggers.end(),
-            [arena, count](const PendingTrigger& a, const PendingTrigger& b) {
-              return std::lexicographical_compare(
-                  arena + a.images, arena + a.images + count,
-                  arena + b.images, arena + b.images + count);
+  const core::TupleSet& fired = fired_[ti];
+  const std::vector<std::uint32_t>& frontier_slots =
+      (*plans_)[ti].frontier_slots;
+  const bool oblivious = oblivious_;
+  std::sort(pending_.begin(), pending_.end(),
+            [&](const PendingTrigger& a, const PendingTrigger& b) {
+              const core::TermSpan ra = fired.Row(a.row);
+              const core::TermSpan rb = fired.Row(b.row);
+              if (oblivious) {
+                // A body-image row: its frontier images come first.
+                for (std::uint32_t s : frontier_slots) {
+                  if (ra[s] != rb[s]) return ra[s] < rb[s];
+                }
+              }
+              return std::lexicographical_compare(ra.begin(), ra.end(),
+                                                  rb.begin(), rb.end());
             });
 }
 
@@ -406,13 +382,11 @@ void RoundEngine::Sort(tgd::RuleIndex ti) {
 // one starts, so a run stopped by a budget has bound nulls for exactly
 // the triggers it fired.
 ChaseOutcome RoundEngine::Fire(tgd::RuleIndex ti) {
-  const std::vector<PendingTrigger>& pending = pending_.triggers;
-  if (pending.empty()) return ChaseOutcome::kTerminated;
+  if (pending_.empty()) return ChaseOutcome::kTerminated;
   const std::uint64_t frozen_size = instance_.size();
   if (restricted_ && !CheckHeads(ti)) return ChaseOutcome::kCancelled;
-  for (std::size_t t = 0; t < pending.size(); ++t) {
-    const PendingTrigger& trig = pending[t];
-    const Term* frontier_images = pending_.ImagesOf(trig);
+  for (std::size_t t = 0; t < pending_.size(); ++t) {
+    const PendingTrigger& trig = pending_[t];
     if (StopRequested()) return ChaseOutcome::kCancelled;
     if (restricted_) {
       bool satisfied = head_satisfied_[t] != 0;
@@ -421,7 +395,7 @@ ChaseOutcome RoundEngine::Fire(tgd::RuleIndex ti) {
         // satisfied the head since the pre-check; once satisfied,
         // monotonicity keeps the trigger satisfied forever, so the
         // `fired_` entry can stand.
-        satisfied = HeadSatisfied(ti, frontier_images);
+        satisfied = HeadSatisfied(ti, FrontierImages(ti, trig.row));
         if (stopped_) return ChaseOutcome::kCancelled;
       }
       if (satisfied) {
@@ -430,7 +404,7 @@ ChaseOutcome RoundEngine::Fire(tgd::RuleIndex ti) {
       }
     }
     ++stats_.triggers_fired;
-    ChaseOutcome outcome = Bind(ti, frontier_images);
+    ChaseOutcome outcome = Bind(ti, trig.row);
     if (outcome == ChaseOutcome::kTerminated) outcome = Insert(ti, trig);
     // A trigger a budget stops did fire: keep the observer's OnFire
     // tally equal to triggers_fired.
@@ -453,11 +427,10 @@ ChaseOutcome RoundEngine::Fire(tgd::RuleIndex ti) {
 // check certifies nothing, so no trigger of the batch may fire or be
 // skipped.
 bool RoundEngine::CheckHeads(tgd::RuleIndex ti) {
-  const std::vector<PendingTrigger>& pending = pending_.triggers;
-  head_satisfied_.assign(pending.size(), 0);
-  for (std::size_t t = 0; t < pending.size(); ++t) {
+  head_satisfied_.assign(pending_.size(), 0);
+  for (std::size_t t = 0; t < pending_.size(); ++t) {
     head_satisfied_[t] =
-        HeadSatisfied(ti, pending_.ImagesOf(pending[t])) ? 1 : 0;
+        HeadSatisfied(ti, FrontierImages(ti, pending_[t].row)) ? 1 : 0;
     if (stopped_) return false;
   }
   return true;
@@ -481,16 +454,17 @@ bool RoundEngine::HeadSatisfied(tgd::RuleIndex ti,
   return satisfied;
 }
 
-// Bind: writes the firing trigger into slots_ — its frontier images at
-// the frontier slots, and fresh nulls for σ's existential variables at
-// slots num_body_slots + z, in σ's sorted existential order.
+// Bind: writes the firing trigger, row `row` of rule ti's fired set,
+// into slots_ — its frontier images at the frontier slots, and fresh
+// nulls for σ's existential variables at slots num_body_slots + z, in
+// σ's sorted existential order.
 //
 // Definition 3.1 names the null for z of trigger (σ, h) ⊥^z_{σ, h|fr(σ)}
 // (oblivious: ⊥^z_{σ, h}): its identity is a function of the fired-set
-// key plus z. The fired set admits each key at most once per run and
-// every admitted trigger binds at most once, so a key never asks for
+// row plus z. The fired set admits each row at most once per run and
+// every admitted trigger binds at most once, so a row never asks for
 // its nulls twice, and allocating fresh ones in canonical trigger order
-// IS the functional naming — no key -> null map is needed.
+// IS the functional naming — no row -> null map is needed.
 //
 // Every null has depth 1 + max({depth(h(x)) | x ∈ fr(σ)} ∪ {0})
 // (Definition 4.3), raising max_depth. Stops at the first failure: a
@@ -498,15 +472,15 @@ bool RoundEngine::HeadSatisfied(tgd::RuleIndex ti,
 // null is still bound and still raises max_depth, mirroring how the
 // depth statistic counts the breach itself) or an exhausted scope
 // (kResourceExhausted; nothing bound for that variable).
-ChaseOutcome RoundEngine::Bind(tgd::RuleIndex ti,
-                               const Term* frontier_images) {
+ChaseOutcome RoundEngine::Bind(tgd::RuleIndex ti, std::uint32_t row) {
   const JoinPlan& plan = (*plans_)[ti];
   const std::size_t num_frontier = plan.frontier_slots.size();
+  const Term* frontier_images = FrontierImages(ti, row);
 #ifndef NDEBUG
-  FiredKeyOf(ti, frontier_images, plan, oblivious_, &key_);
-  const bool fresh_key = bound_null_keys_.Insert(key_);
-  assert(fresh_key && "a fired-set key bound its nulls twice");
-  (void)fresh_key;
+  std::vector<bool>& bound = bound_[ti];
+  if (bound.size() <= row) bound.resize(fired_[ti].size());
+  assert(!bound[row] && "a fired-set row bound its nulls twice");
+  bound[row] = true;
 #endif
   slots_.assign(plan.num_body_slots, kUnbound);
   std::uint32_t depth = 0;

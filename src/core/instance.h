@@ -9,6 +9,7 @@
 #include "core/atom.h"
 #include "core/position_index.h"
 #include "core/symbol_table.h"
+#include "core/tuple_set.h"
 
 namespace nuchase {
 namespace core {
@@ -17,19 +18,19 @@ namespace core {
 /// set of atoms over constants and nulls, stored columnar ("VLog-style")
 /// and partitioned by predicate:
 ///
-///   - every predicate owns a *segment*: one row vector of terms (a
-///     predicate has one fixed arity, so row r lives at
-///     terms[r * arity]), its own dedup table, its own per-(position,
-///     term) join index (one flat PositionTable per argument position)
-///     and its own insertion-ordered atom list;
+///   - every predicate owns a *segment*, created at its first insert
+///     with that insert's arity: one core::TupleSet (the rows, back to
+///     back, plus their dedup table), its own per-(position, term) join
+///     index (one flat PositionTable per argument position) and its
+///     own insertion-ordered atom list;
 ///   - a global directory of AtomRefs (predicate + offset *within that
 ///     predicate's row vector*) maps AtomIndex to its tuple — the
 ///     global-index indirection. Indexes are assigned in insertion
 ///     order across all predicates and are stable forever; every
 ///     layered structure (join indexes, the chase's delta windows and
 ///     forest) speaks global AtomIndexes only;
-///   - dedup is per-segment open addressing over local row numbers,
-///     keyed by the (predicate, tuple) hash and probing the segment's
+///   - dedup is the segment's TupleSet: open addressing over local row
+///     numbers, keyed by the (predicate, tuple) hash and probing the
 ///     rows directly. Contains / Find / Insert never materialize an
 ///     Atom and never read the global directory.
 ///
@@ -95,14 +96,14 @@ class Instance {
   /// All atom indexes with the given predicate (empty if none).
   const std::vector<AtomIndex>& AtomsWithPredicate(PredicateId pred) const;
 
-  /// Arity of a predicate as stored here; 0 if `pred` has no atoms yet
-  /// and no arity was recorded. A populated 0-ary predicate also
-  /// returns 0 — ask AtomsWithPredicate(pred).empty() to distinguish
-  /// "unseen" from "nullary".
+  /// Arity of a predicate as stored here: the arity of its first
+  /// insert, which created its segment; 0 if `pred` has no atoms yet. A
+  /// populated 0-ary predicate also returns 0 — ask
+  /// AtomsWithPredicate(pred).empty() to distinguish "unseen" from
+  /// "nullary".
   std::uint32_t PredicateArity(PredicateId pred) const {
     if (pred >= segments_.size() || segments_[pred] == nullptr) return 0;
-    std::uint32_t arity = segments_[pred]->arity;
-    return arity == kUnknownArity ? 0 : arity;
+    return segments_[pred]->tuples.arity();
   }
 
   /// Atom indexes with predicate `pred` in the global index window
@@ -139,7 +140,7 @@ class Instance {
   std::uint64_t arena_terms() const {
     std::uint64_t total = 0;
     for (const auto& seg : segments_) {
-      if (seg != nullptr) total += seg->terms.size();
+      if (seg != nullptr) total += seg->tuples.num_terms();
     }
     return total;
   }
@@ -148,52 +149,29 @@ class Instance {
   std::string ToSortedString(const SymbolScope& symbols) const;
 
  private:
-  static constexpr std::uint32_t kEmptySlot = 0xffffffffu;
-  // Arity sentinel for segments that exist but have no tuples yet.
-  static constexpr std::uint32_t kUnknownArity = 0xffffffffu;
-
-  /// Everything one predicate owns. Segments are heap-allocated, so
-  /// appending to one segment's vectors never moves another's.
+  /// Everything one predicate owns, created at its first insert.
+  /// Segments are heap-allocated, so appending to one segment's vectors
+  /// never moves another's.
   struct Segment {
-    // The rows, back to back: row r is terms[r * arity, (r + 1) * arity).
-    std::vector<Term> terms;
-    // Fixed arity, learned at the first insert.
-    std::uint32_t arity = kUnknownArity;
-    TermSpan Row(std::uint32_t row) const {
-      return TermSpan(terms.data() + std::size_t{row} * arity, arity);
-    }
-    // The dedup table: open addressing over local row numbers, slot =
-    // low bits of the tuple hash, power-of-two size (empty until the
-    // first insert). It holds every row.
-    std::vector<std::uint32_t> dedup;
+    Segment(PredicateId pred, std::uint32_t arity)
+        : tuples(pred, arity), by_position(arity) {}
+    // The rows and their dedup table; row r is the r-th atom of this
+    // predicate.
+    TupleSet tuples;
     // Global indexes of this predicate's atoms by row, insertion order
     // (hence ascending): the AtomsWithPredicate list.
     std::vector<AtomIndex> atoms;
-    // by_position[pos]: term -> global indexes (sized to the arity at
-    // the first insert).
+    // by_position[pos]: term -> global indexes.
     std::vector<PositionTable> by_position;
   };
 
   const Term* RowPtr(const AtomRef& ref) const {
-    return segments_[ref.predicate]->terms.data() + ref.offset;
+    return segments_[ref.predicate]->tuples.data() + ref.offset;
   }
 
-  /// The segment of `pred`, created (empty) if absent.
-  Segment& EnsureSegment(PredicateId pred);
-
-  /// Probes `seg`'s (non-empty) dedup table for `terms` with its
-  /// precomputed hash. Returns the slot holding the matching row, or
-  /// the empty slot where it would be inserted.
-  std::size_t Probe(const Segment& seg, TermSpan terms,
-                    std::size_t hash) const;
-
-  /// Doubles `seg`'s dedup table (of predicate `pred`) and re-seats
-  /// every row.
-  void GrowDedup(Segment* seg, PredicateId pred);
-
   // The per-predicate segment directory. Dense by PredicateId (ids are
-  // interned small ints); a null entry means the predicate has never
-  // been touched.
+  // interned small ints); a null entry means the predicate has no
+  // atoms yet.
   std::vector<std::unique_ptr<Segment>> segments_;
 
   // The global-index indirection: AtomIndex -> (predicate, offset into

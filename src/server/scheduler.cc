@@ -11,13 +11,13 @@ RequestScheduler::RequestScheduler(const Options& options)
   const unsigned n = std::max(1u, options.max_inflight);
   workers_.reserve(n);
   for (unsigned w = 0; w < n; ++w) {
-    workers_.emplace_back([this, w] { WorkerLoop(w); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
 RequestScheduler::~RequestScheduler() { Shutdown(); }
 
-bool RequestScheduler::Submit(std::function<void(unsigned)> task) {
+bool RequestScheduler::Submit(std::function<void()> task) {
   std::unique_lock<std::mutex> lock(mu_);
   if (shutdown_ || queue_.size() >= max_queue_) {
     ++stats_.rejected;
@@ -42,18 +42,18 @@ void RequestScheduler::Shutdown() {
   }
 }
 
-void RequestScheduler::WorkerLoop(unsigned worker) {
+void RequestScheduler::WorkerLoop() {
   std::unique_lock<std::mutex> lock(mu_);
   while (true) {
     work_cv_.wait(lock, [this] { return shutdown_ || !queue_.empty(); });
     if (queue_.empty()) break;  // shutdown_ and nothing left to honor
-    std::function<void(unsigned)> task = std::move(queue_.front());
+    std::function<void()> task = std::move(queue_.front());
     queue_.pop_front();
     ++stats_.inflight;
     stats_.queued = queue_.size();
     stats_.max_overlap = std::max(stats_.max_overlap, stats_.inflight);
     lock.unlock();
-    task(worker);
+    task();
     lock.lock();
     --stats_.inflight;
     ++stats_.completed;

@@ -49,9 +49,9 @@ class RequestScheduler {
 
   /// Queues `task` for execution on some worker. False when the
   /// queue is full (or the scheduler is shutting down) — the caller
-  /// owns the overload rejection. The task runs exactly once, with its
-  /// worker index; it must not throw.
-  bool Submit(std::function<void(unsigned)> task);
+  /// owns the overload rejection. The task runs exactly once; it must
+  /// not throw.
+  bool Submit(std::function<void()> task);
 
   /// Stops admission, runs every already-queued task to completion,
   /// and joins the workers. Idempotent. Queued tasks are executed, not
@@ -70,13 +70,13 @@ class RequestScheduler {
   Stats stats() const;
 
  private:
-  void WorkerLoop(unsigned worker);
+  void WorkerLoop();
 
   std::size_t max_queue_;
 
   mutable std::mutex mu_;
   std::condition_variable work_cv_;
-  std::deque<std::function<void(unsigned)>> queue_;
+  std::deque<std::function<void()>> queue_;
   bool shutdown_ = false;
   Stats stats_;
 

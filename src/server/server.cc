@@ -285,7 +285,7 @@ void Server::HandleChase(Connection* conn, const ChaseRequest& request) {
   }
 
   const bool admitted = scheduler_.Submit(
-      [this, conn, live](unsigned worker) { RunChaseTask(conn, live, worker); });
+      [this, conn, live] { RunChaseTask(conn, live); });
   if (!admitted) {
     {
       // Notify under the lock: the moment the registry empties, Serve()
@@ -320,9 +320,7 @@ void Server::HandleChase(Connection* conn, const ChaseRequest& request) {
 }
 
 void Server::RunChaseTask(Connection* conn,
-                          std::shared_ptr<LiveRequest> live,
-                          unsigned worker) {
-  (void)worker;
+                          std::shared_ptr<LiveRequest> live) {
   const ChaseRequest& request = live->request;
   FrameTransport* transport = conn->transport;
 

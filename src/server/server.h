@@ -114,8 +114,7 @@ class Server {
   struct LiveRequest;
 
   void HandleChase(Connection* conn, const ChaseRequest& request);
-  void RunChaseTask(Connection* conn, std::shared_ptr<LiveRequest> live,
-                    unsigned worker);
+  void RunChaseTask(Connection* conn, std::shared_ptr<LiveRequest> live);
   void FinishRequest(Connection* conn, const std::string& id);
 
   ServerOptions options_;
